@@ -7,6 +7,9 @@ difference of endpoint kernels. Everything here is checkable to quadrature
 accuracy.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from hardyliou import (
@@ -48,8 +51,10 @@ print("identity residual (helper):",
       liouville_occupation_residual(f, traj, N))
 
 # Round-trip through CSV keeps every sample bit-exact and records a digest.
-write_trajectory_csv(traj, "/tmp/orbit.csv")
-back = read_trajectory_csv("/tmp/orbit.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "orbit.csv")
+    write_trajectory_csv(traj, path)
+    back = read_trajectory_csv(path)
 print("CSV round trip exact:",
       bool(np.array_equal(back.points, traj.points)))
 print("content digest:", back.content_digest()[:16], "...")

@@ -26,7 +26,7 @@ from .occupation import (
     weighted_occupation_residual,
 )
 from .operators import (
-    adjoint_apply_boundary,
+    adjoint_battery,
     adjoint_matrix,
     adjoint_on_derivative_kernel,
     hermitian_defect,
@@ -74,11 +74,28 @@ class CriterionResult:
         )
 
 
+def _spectrum(f: TaylorPolynomial, order: int) -> np.ndarray:
+    # eigenvalues of the truncated A_f, sorted by (real, imag)
+    return np.array([p.value for p in eigendecompose(liouville_matrix(f, order))])
+
+
+_BATCH_FIELD = TaylorPolynomial([0.1, 0.9])
+
+
+def _standard_batch() -> list:
+    # 20 orbits of zdot = 0.1 + 0.9 z on four radii, shared by criterion 12
+    # and the identity-capture finding
+    return [
+        integrate_ode(_BATCH_FIELD, r * np.exp(2j * np.pi * k / 5), 1.0, 1e-3)
+        for r in (0.075, 0.15, 0.225, 0.3)
+        for k in range(5)
+    ]
+
+
 def criterion_1() -> CriterionResult:
     """Spectrum of differentiation scaled by z equals 0..N exactly."""
     order = 64
-    pairs = eigendecompose(liouville_matrix(monomial(1), order))
-    values = np.array([p.value for p in pairs])
+    values = _spectrum(monomial(1), order)
     residual = float(np.max(np.abs(values - np.arange(order + 1))))
     return CriterionResult(
         index=1,
@@ -96,30 +113,15 @@ def criterion_2() -> CriterionResult:
     cases = [(1.0 + 0j, 0.5), (2.0 + 0j, 0.3), (1 + 0.5j, 0.2)]
     worst = 0.0
     for alpha, beta in cases:
-        values = np.array([
-            p.value
-            for p in eigendecompose(
-                liouville_matrix(TaylorPolynomial([beta, alpha]), order)
-            )
-        ])
+        values = _spectrum(TaylorPolynomial([beta, alpha]), order)
         expected = np.array(sorted(
             (alpha * n for n in range(order + 1)),
             key=lambda z: (z.real, z.imag),
         ))
         worst = max(worst, float(np.max(np.abs(values - expected))))
     # direct beta-independence: same alpha, two different constants
-    spec_a = np.array([
-        p.value
-        for p in eigendecompose(
-            liouville_matrix(TaylorPolynomial([0.5, 1.0]), order)
-        )
-    ])
-    spec_b = np.array([
-        p.value
-        for p in eigendecompose(
-            liouville_matrix(TaylorPolynomial([0.1, 1.0]), order)
-        )
-    ])
+    spec_a = _spectrum(TaylorPolynomial([0.5, 1.0]), order)
+    spec_b = _spectrum(TaylorPolynomial([0.1, 1.0]), order)
     worst = max(worst, float(np.max(np.abs(spec_a - spec_b))))
     return CriterionResult(
         index=2,
@@ -134,22 +136,7 @@ def criterion_2() -> CriterionResult:
 def criterion_3() -> CriterionResult:
     """Boundary adjoint route equals the conjugate-transpose oracle."""
     order, size, n_cases = 64, 512, 100
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(n_cases):
-        deg = int(rng.integers(1, 9))
-        f = TaylorPolynomial(
-            rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        )
-        r = float(rng.uniform(0.2, 0.8))
-        phases = np.exp(2j * np.pi * rng.uniform(size=order + 1))
-        h = TaylorPolynomial(r ** np.arange(order + 1) * phases)
-        oracle = adjoint_matrix(liouville_matrix(f, order)).apply(h)
-        boundary = adjoint_apply_boundary(f, h, order, size)
-        worst = max(
-            worst,
-            float(np.linalg.norm(oracle.coeffs - boundary.coeffs)),
-        )
+    worst = adjoint_battery(order, size, n_cases, seed=0)
     return CriterionResult(
         index=3,
         name="adjoint dual route",
@@ -379,12 +366,7 @@ def criterion_11() -> CriterionResult:
 def criterion_12() -> CriterionResult:
     """Trajectory-driven compression recovers the spectrum and forecasts."""
     start = time.monotonic()
-    f = TaylorPolynomial([0.1, 0.9])
-    trajectories = []
-    for r in (0.075, 0.15, 0.225, 0.3):
-        for k in range(5):
-            z0 = r * np.exp(2j * np.pi * k / 5)
-            trajectories.append(integrate_ode(f, z0, 1.0, 1e-3))
+    trajectories = _standard_batch()
     model = dmd.fit(trajectories, order=64)
     ranked = np.argsort(model.mode_residuals)
     leading = model.eigenvalues[ranked[:3]]
@@ -398,7 +380,7 @@ def criterion_12() -> CriterionResult:
     predict_gap = abs(dmd.predict(model, z0, 0.0) - z0)
     for t in np.arange(0.1, 1.01, 0.1):
         reference = complex(
-            integrate_ode(f, z0, float(t), 1e-4).points[-1]
+            integrate_ode(_BATCH_FIELD, z0, float(t), 1e-4).points[-1]
         )
         predict_gap = max(
             predict_gap, abs(dmd.predict(model, z0, float(t)) - reference)
@@ -543,13 +525,7 @@ def findings() -> dict:
     }
 
     # 5. identity-observable capture for the standard batch
-    f12 = TaylorPolynomial([0.1, 0.9])
-    batch = [
-        integrate_ode(f12, r * np.exp(2j * np.pi * k / 5), 1.0, 1e-3)
-        for r in (0.075, 0.15, 0.225, 0.3)
-        for k in range(5)
-    ]
-    model = dmd.fit(batch, order=64)
+    model = dmd.fit(_standard_batch(), order=64)
     out["dmd_identity_capture"] = {
         "identity_residual": model.identity_residual,
         "regularization": model.regularization,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,13 +35,12 @@ from .occupation import (
     weighted_occupation_residual,
 )
 from .operators import (
-    adjoint_apply_boundary,
-    adjoint_matrix,
+    adjoint_battery,
     liouville_matrix,
     modulus_identity_defect,
     smirnov_decompose,
 )
-from .series import TaylorPolynomial, to_boundary
+from .series import TaylorPolynomial, complex_pairs, to_boundary
 from .spectral import eigendecompose
 from .weighted import boundedness_bound, hs_norm, polar_grid
 
@@ -121,14 +121,17 @@ def _check_boundary_size(cfg: dict, order: int, default: int | None = None):
     return size
 
 
-def ingest_trajectories(paths, margin=None) -> list[Trajectory]:
+def ingest_trajectories(paths) -> list[Trajectory]:
     """Read and validate trajectory CSVs; ingestion errors cite file and row."""
     out = []
     for path in paths:
-        if margin is None:
-            out.append(read_trajectory_csv(path))
-        else:
-            out.append(read_trajectory_csv(path, margin))
+        traj = read_trajectory_csv(path)
+        if traj.times.size < 3:
+            raise TrajectoryIngestionError(
+                f"{path}: {traj.times.size} data rows; the occupation "
+                "quadrature needs at least 3"
+            )
+        out.append(traj)
     return out
 
 
@@ -155,102 +158,85 @@ def _trajectories_from_config(cfg: dict) -> list[Trajectory]:
     _fail("trajectories", "either 'trajectories' or 'ode' must be given")
 
 
-def _certificate(name, passed, residual, tolerance, formula):
+def _certificate(name, residual, tolerance, formula, passed=None):
     return {
         "name": name,
-        "passed": bool(passed),
+        "passed": bool(residual <= tolerance if passed is None else passed),
         "residual": float(residual),
         "tolerance": float(tolerance),
         "tolerance_formula": formula,
     }
 
 
-def _c2j(value: complex):
-    return [float(value.real), float(value.imag)]
+def _strict_json(value):
+    # RFC 8259 JSON has no Infinity or NaN, so non-finite floats become strings
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            return "nan"
+        return "infinite" if value > 0 else "-infinite"
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
 
 
 def _write_report(payload: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    path.write_text(text)
+    text = json.dumps(_strict_json(payload), sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report body; run() adds schema and command
 # ---------------------------------------------------------------------------
 
 
-def _cmd_spectrum(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
+def _cmd_spectrum(cfg: dict, out_dir: Path) -> dict:
     order = _get_int(cfg, "N")
     f = _parse_coeffs(cfg, "f")
     tolerance = _get_float(cfg, "tolerance", default=1e-8, positive=True)
     pairs = eigendecompose(liouville_matrix(f, order))
-    worst = max(p.residual for p in pairs)
     cert = _certificate(
         "eigenpair_residual",
-        worst <= tolerance,
-        worst,
+        max(p.residual for p in pairs),
         tolerance,
         "max_k ||A v_k - lambda_k v_k||_2 <= tolerance, unit v_k",
     )
-    report = {
-        "schema": _SCHEMA,
-        "command": "spectrum",
-        "inputs": {"N": order, "f": [_c2j(c) for c in f.coeffs]},
-        "eigenvalues": [_c2j(p.value) for p in pairs],
+    return {
+        "inputs": {"N": order, "f": complex_pairs(f.coeffs)},
+        "eigenvalues": complex_pairs([p.value for p in pairs]),
         "residuals": [p.residual for p in pairs],
         "certificates": [cert],
     }
-    return report, cert["passed"]
 
 
-def _cmd_adjoint_check(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
+def _cmd_adjoint_check(cfg: dict, out_dir: Path) -> dict:
     order = _get_int(cfg, "N", default=64)
     size = _check_boundary_size(cfg, order, default=max(512, 4 * (order + 1)))
     cases = _get_int(cfg, "cases", default=100)
     seed = _get_int(cfg, "seed", default=0, minimum=0)
     tolerance = _get_float(cfg, "tolerance", default=1e-8, positive=True)
-    f_fixed = _parse_coeffs(cfg, "f", required=False)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
-        if f_fixed is None:
-            deg = int(rng.integers(1, 9))
-            f = TaylorPolynomial(
-                rng.standard_normal(deg + 1)
-                + 1j * rng.standard_normal(deg + 1)
-            )
-        else:
-            f = f_fixed
-        r = float(rng.uniform(0.2, 0.8))
-        phases = np.exp(2j * np.pi * rng.uniform(size=order + 1))
-        h = TaylorPolynomial(r ** np.arange(order + 1) * phases)
-        oracle = adjoint_matrix(liouville_matrix(f, order)).apply(h)
-        boundary = adjoint_apply_boundary(f, h, order, size)
-        worst = max(worst, float(np.linalg.norm(oracle.coeffs - boundary.coeffs)))
+    f = _parse_coeffs(cfg, "f", required=False)
     cert = _certificate(
         "adjoint_route_agreement",
-        worst <= tolerance,
-        worst,
+        adjoint_battery(order, size, cases, seed, f),
         tolerance,
         "max over battery of ||transpose_route - boundary_route||_2 <= tolerance",
     )
-    report = {
-        "schema": _SCHEMA,
-        "command": "adjoint-check",
+    return {
         "inputs": {
             "N": order,
             "M": size,
             "cases": cases,
             "seed": seed,
-            "f": None if f_fixed is None else [_c2j(c) for c in f_fixed.coeffs],
+            "f": None if f is None else complex_pairs(f.coeffs),
         },
         "certificates": [cert],
     }
-    return report, cert["passed"]
 
 
-def _cmd_occupation(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
+def _cmd_occupation(cfg: dict, out_dir: Path) -> dict:
     order = _get_int(cfg, "N", default=80)
     f = _parse_coeffs(cfg, "f")
     tolerance = _get_float(cfg, "tolerance", default=1e-6, positive=True)
@@ -259,26 +245,21 @@ def _cmd_occupation(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
         float(liouville_occupation_residual(f, traj, order))
         for traj in trajectories
     ]
-    worst = max(residuals)
     cert = _certificate(
         "occupation_adjoint_identity",
-        worst <= tolerance,
-        worst,
+        max(residuals),
         tolerance,
         "max_i ||A*_matrix Gamma_i - (K_end_i - K_start_i)||_2 <= tolerance",
     )
-    report = {
-        "schema": _SCHEMA,
-        "command": "occupation",
-        "inputs": {"N": order, "f": [_c2j(c) for c in f.coeffs]},
+    return {
+        "inputs": {"N": order, "f": complex_pairs(f.coeffs)},
         "residuals": residuals,
         "trajectory_digests": [t.content_digest() for t in trajectories],
         "certificates": [cert],
     }
-    return report, cert["passed"]
 
 
-def _cmd_weighted(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
+def _cmd_weighted(cfg: dict, out_dir: Path) -> dict:
     order = _get_int(cfg, "N", default=80)
     f = _parse_coeffs(cfg, "f")
     phi = _parse_coeffs(cfg, "phi")
@@ -288,31 +269,26 @@ def _cmd_weighted(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
         float(weighted_occupation_residual(f, phi, traj, order))
         for traj in trajectories
     ]
-    worst = max(residuals)
     cert = _certificate(
         "weighted_occupation_adjoint_identity",
-        worst <= tolerance,
-        worst,
+        max(residuals),
         tolerance,
         "max_i ||A*_matrix Gamma_i - (K_phi(end_i) - K_phi(start_i))||_2 "
         "<= tolerance",
     )
-    report = {
-        "schema": _SCHEMA,
-        "command": "weighted",
+    return {
         "inputs": {
             "N": order,
-            "f": [_c2j(c) for c in f.coeffs],
-            "phi": [_c2j(c) for c in phi.coeffs],
+            "f": complex_pairs(f.coeffs),
+            "phi": complex_pairs(phi.coeffs),
         },
         "residuals": residuals,
         "trajectory_digests": [t.content_digest() for t in trajectories],
         "certificates": [cert],
     }
-    return report, cert["passed"]
 
 
-def _cmd_dmd(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
+def _cmd_dmd(cfg: dict, out_dir: Path) -> dict:
     order = _get_int(cfg, "N", default=64)
     tolerance = _get_float(cfg, "tolerance", default=1e-2, positive=True)
     ridge = cfg.get("ridge")
@@ -328,14 +304,12 @@ def _cmd_dmd(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
     certs = [
         _certificate(
             "gram_positive_semidefinite",
-            psd_defect <= psd_floor,
             psd_defect,
             psd_floor,
             "max(0, -min eig(G)) <= 1e-12 * trace(G)",
         ),
         _certificate(
             "identity_observable_capture",
-            model.identity_residual <= tolerance,
             model.identity_residual,
             tolerance,
             "||least-squares residual of id(z)=z against kernel span||_2 "
@@ -354,28 +328,24 @@ def _cmd_dmd(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
         for k, t in enumerate(times):
             if isinstance(t, bool) or not isinstance(t, (int, float)):
                 _fail(f"predict.times[{k}]", "must be a real number")
-            predictions.append(
-                {"t": float(t), "value": _c2j(dmd.predict(model, z0, float(t)))}
-            )
-    report = {
-        "schema": _SCHEMA,
-        "command": "dmd",
+            value = dmd.predict(model, z0, float(t))
+            predictions.append({"t": float(t), "value": complex_pairs(value)})
+    model_path = out_dir / "dmd_model.json"
+    model_path.parent.mkdir(parents=True, exist_ok=True)
+    model_path.write_text(model.to_json())
+    return {
         "inputs": {"N": order, "ridge_requested": ridge},
         "regularization": model.regularization,
-        "eigenvalues": [_c2j(v) for v in model.eigenvalues],
+        "eigenvalues": complex_pairs(model.eigenvalues),
         "mode_residuals": [float(r) for r in model.mode_residuals],
         "identity_residual": model.identity_residual,
         "trajectory_digests": list(model.trajectory_digests),
         "predictions": predictions,
         "certificates": certs,
     }
-    model_path = out_dir / "dmd_model.json"
-    model_path.parent.mkdir(parents=True, exist_ok=True)
-    model_path.write_text(model.to_json())
-    return report, all(c["passed"] for c in certs)
 
 
-def _cmd_bounds(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
+def _cmd_bounds(cfg: dict, out_dir: Path) -> dict:
     f = _parse_coeffs(cfg, "f")
     phi = _parse_coeffs(cfg, "phi")
     n_radii = _get_int(cfg, "n_radii", default=64)
@@ -390,19 +360,19 @@ def _cmd_bounds(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
     if expect is None:
         cert = _certificate(
             "growth_supremum_finite",
-            bool(np.isfinite(result.supremum)),
             result.supremum,
-            float("inf"),
+            math.inf,
             "sup over polar grid of the growth expression is finite",
+            passed=math.isfinite(result.supremum),
         )
     else:
         cert = _certificate(
             "divergence_flag_matches",
-            result.diverges == expect,
             result.supremum,
-            float("inf"),
+            math.inf,
             "radial maxima climbing past 1e3 at the grid edge <=> declared "
             "expectation",
+            passed=result.diverges == expect,
         )
     csv_path = out_dir / "bounds_profile.csv"
     csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -410,12 +380,10 @@ def _cmd_bounds(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
     for r, v in zip(result.profile.radii, result.profile.values):
         lines.append(f"{r:.17g},{v:.17g}")
     csv_path.write_text("\n".join(lines) + "\n")
-    report = {
-        "schema": _SCHEMA,
-        "command": "bounds",
+    return {
         "inputs": {
-            "f": [_c2j(c) for c in f.coeffs],
-            "phi": [_c2j(c) for c in phi.coeffs],
+            "f": complex_pairs(f.coeffs),
+            "phi": complex_pairs(phi.coeffs),
             "n_radii": n_radii,
             "n_angles": n_angles,
             "r_max": r_max,
@@ -425,10 +393,9 @@ def _cmd_bounds(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
         "profile_csv": csv_path.name,
         "certificates": [cert],
     }
-    return report, cert["passed"]
 
 
-def _cmd_hs_norm(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
+def _cmd_hs_norm(cfg: dict, out_dir: Path) -> dict:
     order = _get_int(cfg, "N", default=64)
     f = _parse_coeffs(cfg, "f")
     phi = _parse_coeffs(cfg, "phi")
@@ -436,11 +403,9 @@ def _cmd_hs_norm(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
     tolerance = _get_float(cfg, "tolerance", default=1e-8, positive=True)
     result = hs_norm(f, phi, order, size)
     if result.finite:
-        gap = abs(result.frobenius_sq - result.quadrature_sq)
         cert = _certificate(
             "hilbert_schmidt_dual_route",
-            gap <= tolerance,
-            gap,
+            abs(result.frobenius_sq - result.quadrature_sq),
             tolerance,
             "|Frobenius^2 - quadrature^2| <= tolerance",
         )
@@ -450,90 +415,63 @@ def _cmd_hs_norm(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
             _fail("expect_finite", "must be a boolean")
         cert = _certificate(
             "hilbert_schmidt_finiteness",
-            not expect_finite,
-            float("inf"),
-            float("inf"),
+            math.inf,
+            math.inf,
             "quadrature diverges because |phi| reaches the circle; passes "
             "iff divergence was declared via expect_finite=false",
+            passed=not expect_finite,
         )
-    report = {
-        "schema": _SCHEMA,
-        "command": "hs-norm",
+    return {
         "inputs": {
             "N": order,
             "M": size,
-            "f": [_c2j(c) for c in f.coeffs],
-            "phi": [_c2j(c) for c in phi.coeffs],
+            "f": complex_pairs(f.coeffs),
+            "phi": complex_pairs(phi.coeffs),
         },
         "frobenius_sq": result.frobenius_sq,
-        "quadrature_sq": result.quadrature_sq
-        if np.isfinite(result.quadrature_sq)
-        else "infinite",
+        "quadrature_sq": result.quadrature_sq,
         "finite": result.finite,
         "certificates": [cert],
     }
-    return report, cert["passed"]
 
 
-def _cmd_smirnov(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
+def _cmd_smirnov(cfg: dict, out_dir: Path) -> dict:
     order = _get_int(cfg, "N", default=256)
     f = _parse_coeffs(cfg, "f")
     size = _check_boundary_size(cfg, order, default=max(1024, 4 * (order + 1)))
     tolerance = _get_float(cfg, "tolerance", default=1e-10, positive=True)
     pair = smirnov_decompose(to_boundary(f.truncated(order), size), order)
-    defect = modulus_identity_defect(pair.a, pair.b, size)
     cert = _certificate(
         "modulus_identity",
-        defect <= tolerance,
-        defect,
+        modulus_identity_defect(pair.a, pair.b, size),
         tolerance,
         "max over boundary grid of ||a|^2 + |b|^2 - 1| <= tolerance",
     )
-    report = {
-        "schema": _SCHEMA,
-        "command": "smirnov",
-        "inputs": {
-            "N": order,
-            "M": size,
-            "f": [_c2j(c) for c in f.coeffs],
-        },
+    return {
+        "inputs": {"N": order, "M": size, "f": complex_pairs(f.coeffs)},
         "normalized": pair.normalized,
-        "a0": _c2j(complex(pair.a(0))),
+        "a0": complex_pairs(pair.a(0)),
         "certificates": [cert],
     }
-    return report, cert["passed"]
 
 
-def _cmd_verify_all(cfg: dict, out_dir: Path) -> tuple[dict, bool]:
-    results = acceptance.run_all()
-    side = acceptance.findings()
+def _cmd_verify_all(cfg: dict, out_dir: Path) -> dict:
     certs = []
-    for result in results:
-        # wall-clock detail would break byte-for-byte report determinism
-        detail = {
-            k: v
-            for k, v in result.detail.items()
-            if k not in ("runtime_seconds",)
-        }
-        slug = result.name.replace(" ", "_").replace("-", "_")
-        certs.append(
-            {
-                "name": f"criterion_{result.index:02d}_{slug}",
-                "passed": result.passed,
-                "residual": result.residual,
-                "tolerance": result.tolerance,
-                "tolerance_formula": "fixed acceptance tolerance; see "
-                "tests/test_acceptance.py",
-                "detail": detail,
-            }
+    for result in acceptance.run_all():
+        cert = _certificate(
+            f"criterion_{result.index:02d}_"
+            + result.name.replace(" ", "_").replace("-", "_"),
+            result.residual,
+            result.tolerance,
+            "fixed acceptance tolerance; see tests/test_acceptance.py",
+            passed=result.passed,
         )
-    report = {
-        "schema": _SCHEMA,
-        "command": "verify-all",
-        "certificates": certs,
-        "findings": side,
-    }
-    return report, all(r.passed for r in results)
+        # wall-clock detail would break byte-for-byte report determinism
+        cert["detail"] = {
+            k: v for k, v in result.detail.items() if k != "runtime_seconds"
+        }
+        certs.append(cert)
+    return {"certificates": certs, "findings": acceptance.findings()}
 
 
 _COMMANDS = {
@@ -559,7 +497,8 @@ def run(command: str, config: dict, out_dir) -> int:
         )
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
-    report, passed = _COMMANDS[command](config, out_path)
+    report = {"schema": _SCHEMA, "command": command}
+    report.update(_COMMANDS[command](config, out_path))
     name = config.get("output", f"{command.replace('-', '_')}_report.json")
     if not isinstance(name, str) or not name:
         _fail("output", "must be a nonempty file name")
@@ -570,7 +509,7 @@ def run(command: str, config: dict, out_dir) -> int:
             f"{status} {cert['name']}: residual {cert['residual']:.3e} "
             f"(tolerance {cert['tolerance']:.3e})"
         )
-    return 0 if passed else 1
+    return 0 if all(cert["passed"] for cert in report["certificates"]) else 1
 
 
 def console_main(argv=None) -> int:

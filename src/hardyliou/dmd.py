@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedError, InsufficientDataError, LowConfidenceWarning
-from .occupation import Trajectory, occupation_kernel
-from .series import DEFAULT_ORDER, TaylorPolynomial, szego_kernel
+from .occupation import Trajectory, endpoint_kernel_difference, occupation_kernel
+from .series import DEFAULT_ORDER, TaylorPolynomial, complex_pairs
 
 _COND_LIMIT = 1e14
 
@@ -65,20 +65,17 @@ class DmdModel:
         return self.basis.shape[1]
 
     def to_json(self) -> str:
-        def cvec(a):
-            return [[float(v.real), float(v.imag)] for v in np.asarray(a).ravel()]
-
         payload = {
             "schema": 1,
             "order": self.order,
             "n_trajectories": self.n_trajectories,
             "regularization": self.regularization,
             "identity_residual": self.identity_residual,
-            "gram": [cvec(row) for row in self.gram],
-            "operator": [cvec(row) for row in self.operator],
-            "eigenvalues": cvec(self.eigenvalues),
+            "gram": complex_pairs(self.gram),
+            "operator": complex_pairs(self.operator),
+            "eigenvalues": complex_pairs(self.eigenvalues),
             "mode_residuals": [float(r) for r in self.mode_residuals],
-            "modes": [cvec(m.coeffs) for m in self.modes],
+            "modes": [complex_pairs(m.coeffs) for m in self.modes],
             "trajectory_digests": list(self.trajectory_digests),
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -92,9 +89,7 @@ def _snapshot_matrices(trajectories, order):
     digests = []
     for j, traj in enumerate(trajectories):
         basis[:, j] = occupation_kernel(traj, order).series.coeffs
-        end = szego_kernel(complex(traj.points[-1]), order).coeffs
-        start = szego_kernel(complex(traj.points[0]), order).coeffs
-        targets[:, j] = end - start
+        targets[:, j] = endpoint_kernel_difference(traj, order).coeffs
         digests.append(traj.content_digest())
     return basis, targets, tuple(digests)
 

@@ -147,9 +147,12 @@ def read_trajectory_csv(path, margin: float = DEFAULT_MARGIN) -> Trajectory:
         points.append(z)
     if not times:
         raise TrajectoryIngestionError(f"{path}: no data rows")
-    return Trajectory(
-        times=np.array(times), points=np.array(points), margin=margin, digest=digest
-    )
+    times, points = np.array(times), np.array(points)
+    finite = np.isfinite(times) & np.isfinite(points)
+    if not finite.all():
+        row = int(np.argmin(finite)) + 2
+        raise TrajectoryIngestionError(f"{path}: row {row} is not finite")
+    return Trajectory(times=times, points=points, margin=margin, digest=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +276,20 @@ def _warn_on_mismatch(f: TaylorPolynomial, trajectory: Trajectory) -> None:
 
 
 def endpoint_kernel_difference(
-    trajectory: Trajectory, order: int = DEFAULT_ORDER
+    trajectory: Trajectory,
+    order: int = DEFAULT_ORDER,
+    phi: TaylorPolynomial | None = None,
 ) -> TaylorPolynomial:
-    """``K_{gamma(T)} - K_{gamma(0)}``, the target of the adjoint identity."""
+    """``K_{gamma(T)} - K_{gamma(0)}``, the target of the adjoint identity.
+
+    With ``phi`` the kernels sit at the composed endpoints ``phi(gamma(T))``
+    and ``phi(gamma(0))``, the target of the weighted identities.
+    """
+    start, end = trajectory.points[0], trajectory.points[-1]
+    if phi is not None:
+        start, end = phi(start), phi(end)
     return TaylorPolynomial(
-        szego_kernel(trajectory.points[-1], order).coeffs
-        - szego_kernel(trajectory.points[0], order).coeffs
+        szego_kernel(end, order).coeffs - szego_kernel(start, order).coeffs
     )
 
 
@@ -310,18 +321,14 @@ def weighted_occupation_residual(
     inside the disk.
     """
     _warn_on_mismatch(f, trajectory)
-    composed = np.asarray(phi(trajectory.points))
-    top = float(np.max(np.abs(composed)))
+    top = float(np.max(np.abs(phi(trajectory.points))))
     if top >= 1.0:
         raise CompositionOutOfDiskError(
             f"phi maps a sample to |w| = {top:.6g} >= 1"
         )
     gamma = occupation_kernel(trajectory, order).series
     lhs = adjoint_matrix(weighted_liouville_matrix(f, phi, order)).apply(gamma)
-    rhs = TaylorPolynomial(
-        szego_kernel(complex(composed[-1]), order).coeffs
-        - szego_kernel(complex(composed[0]), order).coeffs
-    )
+    rhs = endpoint_kernel_difference(trajectory, order, phi)
     return float(np.linalg.norm(lhs.coeffs - rhs.coeffs))
 
 

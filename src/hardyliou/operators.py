@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AliasingError,
     CompositionWarning,
     DiskDomainError,
     InvalidIndexError,
@@ -33,12 +32,14 @@ from .series import (
     TaylorPolynomial,
     DEFAULT_ORDER,
     antiderivative,
+    complex_pairs,
     default_boundary_size,
     derivative,
     kernel,
     multiply,
     outer_from_modulus,
     project_h2,
+    require_grid,
     unit_circle_points,
 )
 
@@ -82,9 +83,7 @@ class OperatorMatrix:
         return {
             "order": self.order,
             "kind": self.kind,
-            "entries": [
-                [[float(e.real), float(e.imag)] for e in row] for row in self.entries
-            ],
+            "entries": complex_pairs(self.entries),
         }
 
     @staticmethod
@@ -188,11 +187,7 @@ def adjoint_apply_boundary(
         raise ValueError("h must have order at most the truncation order")
     if size is None:
         size = default_boundary_size(order)
-    if size < 4 * (order + 1):
-        raise AliasingError(
-            f"grid of {size} points risks aliasing at order {order}; "
-            f"need at least {4 * (order + 1)}"
-        )
+    require_grid(size, 4 * (order + 1), f"the adjoint route at order {order}")
     z = unit_circle_points(size)
     fv = f(z)
     fpv = derivative(f)(z)
@@ -200,6 +195,39 @@ def adjoint_apply_boundary(
     hpv = derivative(h)(z)
     combo = np.conj(fv) * z * (hv + z * hpv) - np.conj(fpv) * hv
     return project_h2(BoundaryGrid(combo), order)
+
+
+def adjoint_battery(
+    order: int,
+    size: int,
+    cases: int,
+    seed: int,
+    f: TaylorPolynomial | None = None,
+) -> float:
+    """Largest gap between the two adjoint routes over a seeded battery.
+
+    Each case compares the conjugate-transpose oracle with
+    :func:`adjoint_apply_boundary` on a random ``h`` whose coefficients
+    decay geometrically with a ratio drawn from ``[0.2, 0.8]``.  Without a
+    fixed ``f`` every case also draws a symbol of random degree 1..8 with
+    standard normal complex coefficients.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(cases):
+        symbol = f
+        if symbol is None:
+            deg = int(rng.integers(1, 9))
+            symbol = TaylorPolynomial(
+                rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            )
+        r = float(rng.uniform(0.2, 0.8))
+        phases = np.exp(2j * np.pi * rng.uniform(size=order + 1))
+        h = TaylorPolynomial(r ** np.arange(order + 1) * phases)
+        oracle = adjoint_matrix(liouville_matrix(symbol, order)).apply(h)
+        boundary = adjoint_apply_boundary(symbol, h, order, size)
+        worst = max(worst, float(np.linalg.norm(oracle.coeffs - boundary.coeffs)))
+    return worst
 
 
 def adjoint_on_derivative_kernel(
@@ -307,10 +335,7 @@ def domain_membership_check(
     degree = max(gp.order, b.order + h.order, a.order)
     if size is None:
         size = default_boundary_size(degree)
-    if size < 2 * degree + 2:
-        raise AliasingError(
-            f"grid of {size} points cannot resolve degree {degree}"
-        )
+    require_grid(size, 2 * degree + 2, f"degree {degree}")
     z = unit_circle_points(size)
     av = np.asarray(a(z))
     resid = (np.asarray(b(z)) / av) * np.asarray(gp(z)) - np.asarray(

@@ -48,6 +48,20 @@ def unit_circle_points(size: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(size) / size)
 
 
+def require_grid(size: int, minimum: int, what: str) -> None:
+    """Raise :class:`AliasingError` when ``size`` samples cannot resolve ``what``."""
+    if size < minimum:
+        raise AliasingError(
+            f"grid of {size} points cannot resolve {what}; need at least {minimum}"
+        )
+
+
+def complex_pairs(values) -> list:
+    """JSON form of complex values: each becomes ``[re, im]``, shape kept."""
+    a = np.asarray(values, dtype=np.complex128)
+    return np.stack((a.real, a.imag), -1).tolist()
+
+
 # ---------------------------------------------------------------------------
 # value types
 # ---------------------------------------------------------------------------
@@ -110,7 +124,7 @@ class TaylorPolynomial:
     __rmul__ = __mul__
 
     def to_json(self) -> dict:
-        return {"coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs]}
+        return {"coeffs": complex_pairs(self.coeffs)}
 
     @staticmethod
     def from_json(data: dict) -> "TaylorPolynomial":
@@ -151,7 +165,7 @@ class BoundaryGrid:
         return 2.0 * np.pi * np.arange(self.size) / self.size
 
     def to_json(self) -> dict:
-        return {"values": [[float(v.real), float(v.imag)] for v in self.values]}
+        return {"values": complex_pairs(self.values)}
 
     @staticmethod
     def from_json(data: dict) -> "BoundaryGrid":
@@ -327,11 +341,7 @@ def to_boundary(g: TaylorPolynomial, size: int | None = None) -> BoundaryGrid:
     """Values of ``g`` on the uniform circle grid (alias-free sampling)."""
     if size is None:
         size = default_boundary_size(g.order)
-    if size < 2 * g.order + 2:
-        raise AliasingError(
-            f"grid of {size} points cannot resolve order {g.order}; "
-            f"need at least {2 * g.order + 2}"
-        )
+    require_grid(size, 2 * g.order + 2, f"order {g.order}")
     padded = np.zeros(size, dtype=np.complex128)
     padded[: g.coeffs.size] = g.coeffs
     return BoundaryGrid(np.fft.ifft(padded) * size)
@@ -339,11 +349,7 @@ def to_boundary(g: TaylorPolynomial, size: int | None = None) -> BoundaryGrid:
 
 def project_h2(grid: BoundaryGrid, order: int) -> TaylorPolynomial:
     """Keep Fourier modes ``0..order``; negative modes are discarded."""
-    if grid.size < 2 * order + 2:
-        raise AliasingError(
-            f"grid of {grid.size} points cannot resolve order {order}; "
-            f"need at least {2 * order + 2}"
-        )
+    require_grid(grid.size, 2 * order + 2, f"order {order}")
     modes = np.fft.fft(grid.values) / grid.size
     return TaylorPolynomial(modes[: order + 1])
 
@@ -360,11 +366,7 @@ def outer_from_modulus(grid: BoundaryGrid, order: int) -> TaylorPolynomial:
     scale = float(np.max(np.abs(vals))) or 1.0
     if np.any(vals.real <= 0) or np.max(np.abs(vals.imag)) > 1e-9 * scale:
         raise LogDomainError("boundary modulus must be strictly positive")
-    if grid.size < 2 * order + 2:
-        raise AliasingError(
-            f"grid of {grid.size} points cannot resolve order {order}; "
-            f"need at least {2 * order + 2}"
-        )
+    require_grid(grid.size, 2 * order + 2, f"order {order}")
     chat = np.fft.fft(np.log(vals.real)) / grid.size
     g = np.zeros(order + 1, dtype=np.complex128)
     g[0] = chat[0]

@@ -14,7 +14,6 @@ eigenfunction families:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,15 +23,15 @@ from .errors import (
     EigenConvergenceError,
     InvalidIndexError,
     SymbolHasZerosError,
-    TrajectoryMismatchWarning,
 )
-from .occupation import Trajectory, field_defect
+from .occupation import Trajectory, _warn_on_mismatch
 from .operators import OperatorMatrix
 from .series import (
     KernelSpec,
     TaylorPolynomial,
     DEFAULT_ORDER,
     antiderivative,
+    complex_pairs,
     exp_series,
     kernel,
     reciprocal,
@@ -50,7 +49,7 @@ class EigenPair:
 
     def to_json(self) -> dict:
         return {
-            "value": [float(self.value.real), float(self.value.imag)],
+            "value": complex_pairs(self.value),
             "residual": float(self.residual),
         }
 
@@ -186,14 +185,7 @@ def flow_check(
     empirical defect of that relation.  Warns if the samples do not follow
     ``f`` in the first place, since the relation is vacuous then.
     """
-    if trajectory.times.size >= 3:
-        dt = float(np.max(np.diff(trajectory.times)))
-        if field_defect(f, trajectory) > 10.0 * dt * dt:
-            warnings.warn(
-                "trajectory does not follow the claimed field",
-                TrajectoryMismatchWarning,
-                stacklevel=2,
-            )
+    _warn_on_mismatch(f, trajectory)
     values = np.asarray(phi_eig(trajectory.points))
     elapsed = trajectory.times - trajectory.times[0]
     reference = phi_eig(trajectory.points[0]) * np.exp(complex(lam) * elapsed)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompositionOutOfDiskError, DiskDomainError
-from .occupation import Trajectory, occupation_kernel
+from .occupation import Trajectory, endpoint_kernel_difference, occupation_kernel
 from .series import (
     TaylorPolynomial,
     DEFAULT_ORDER,
@@ -469,8 +469,7 @@ def occupation_self_adjoint_relation(
     ``phi = z``; both residuals are worth recording when probing a general
     self-adjoint pair.
     """
-    composed_pts = np.asarray(phi(trajectory.points))
-    if float(np.max(np.abs(composed_pts))) >= 1.0:
+    if float(np.max(np.abs(phi(trajectory.points)))) >= 1.0:
         raise CompositionOutOfDiskError("phi pushes the trajectory out of the disk")
     gamma = occupation_kernel(trajectory, order).series
     dgamma = derivative(gamma).truncated(order)
@@ -480,8 +479,5 @@ def occupation_self_adjoint_relation(
         raise ValueError("reading must be 'plain' or 'composed'")
     weight = multiply(f, derivative(phi), order)
     lhs = multiply(dgamma, weight, order)
-    rhs = TaylorPolynomial(
-        szego_kernel(complex(composed_pts[-1]), order).coeffs
-        - szego_kernel(complex(composed_pts[0]), order).coeffs
-    )
+    rhs = endpoint_kernel_difference(trajectory, order, phi)
     return float(np.linalg.norm(lhs.coeffs - rhs.coeffs))

@@ -9,7 +9,12 @@ import json
 import numpy as np
 import pytest
 
-from hardyliou import TaylorPolynomial, integrate_ode, write_trajectory_csv
+from hardyliou import (
+    TaylorPolynomial,
+    acceptance,
+    integrate_ode,
+    write_trajectory_csv,
+)
 from hardyliou.cli import console_main, run
 from hardyliou.errors import ConfigError
 
@@ -174,6 +179,38 @@ def test_corrupt_trajectory_row_cited(tmp_path, capsys):
     assert "corrupt.csv" in err and "row 3" in err
 
 
+def test_nonfinite_trajectory_sample_cited(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("t,re,im\n0,0.1,0\n0.1,nan,0\n0.2,0.1,0\n")
+    config = {"N": 16, "f": [0.0, 1.0], "trajectories": [str(path)]}
+    code, _ = _run(tmp_path, "occupation", config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "nan.csv" in err and "row 3" in err and "not finite" in err
+
+
+def test_short_trajectory_file_rejected(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("t,re,im\n0,0.1,0\n0.1,0.11,0\n")
+    config = {"N": 16, "f": [0.0, 1.0], "trajectories": [str(path)]}
+    code, _ = _run(tmp_path, "occupation", config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "short.csv" in err and "at least 3" in err
+
+
+def test_adjoint_check_shares_the_criterion_3_battery(tmp_path, capsys):
+    run("adjoint-check", {"N": 64, "cases": 100, "seed": 0}, tmp_path / "a")
+    report = _report(tmp_path / "a", "adjoint_check_report.json")
+    residual = report["certificates"][0]["residual"]
+    assert residual == acceptance.criterion_3().residual
+    # a fixed symbol draws nothing for f; the value is pinned bit for bit
+    config = {"N": 32, "cases": 7, "seed": 3, "f": [0.2, [0.1, -0.3], 0.5]}
+    run("adjoint-check", config, tmp_path / "b")
+    report = _report(tmp_path / "b", "adjoint_check_report.json")
+    assert report["certificates"][0]["residual"] == 2.8741604768012618e-15
+
+
 def test_weighted_command(tmp_path):
     config = {
         "N": 80,
@@ -292,3 +329,38 @@ def test_unknown_command_rejected_by_argparse(capsys):
 def test_run_api_rejects_non_dict_config(tmp_path):
     with pytest.raises(ConfigError):
         run("spectrum", [1, 2], tmp_path)
+
+
+def _reject_constant(token):
+    raise AssertionError(f"report contains the non-JSON token {token}")
+
+
+_ODE = {"z0": 0.2, "T": 0.1, "dt": 1e-2}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("spectrum", {"N": 8, "f": [0.1, 0.9]}),
+        ("adjoint-check", {"N": 8, "cases": 2}),
+        ("occupation", {"N": 16, "f": [0.0, 1.0], "ode": _ODE}),
+        ("weighted", {"N": 16, "f": [0.0, 1.0], "phi": [0.0, 0.0, 1.0], "ode": _ODE}),
+        pytest.param(
+            "dmd",
+            {"N": 8, "f": [0.1, 0.9], "ode": _ODE,
+             "predict": {"z0": 0.2, "times": [0.0]}},
+            marks=pytest.mark.filterwarnings("ignore::UserWarning"),
+        ),
+        ("bounds", {"f": [1.0], "phi": [0.0, 0.5], "n_radii": 4, "n_angles": 8}),
+        ("bounds", {"f": [1.0], "phi": [0.0, 1.0], "expect_diverges": True}),
+        ("hs-norm", {"N": 8, "f": [1.0], "phi": [0.0, 1.0], "expect_finite": False}),
+        ("smirnov", {"N": 16, "f": [1.0, -0.5]}),
+        ("verify-all", {}),
+    ],
+)
+def test_reports_are_strict_json(tmp_path, capsys, command, config):
+    run(command, config, tmp_path)
+    name = f"{command.replace('-', '_')}_report.json"
+    text = (tmp_path / name).read_text()
+    report = json.loads(text, parse_constant=_reject_constant)
+    assert report["command"] == command

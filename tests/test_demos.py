@@ -1,0 +1,36 @@
+"""Smoke tests for the code that drives the library from outside.
+
+Each demo script runs to completion, and every function the benchmark's
+tracer wraps by name still exists, so a rename cannot silently drop a span.
+"""
+
+import importlib.util
+import runpy
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_six_demos_found():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_benchmark_trace_targets_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [pair for pairs in tracing.SPANS.values() for pair in pairs]
+    targets += [(owner, attr) for owner, attr, _ in tracing.COUNTERS]
+    for owner, attr in targets:
+        assert callable(getattr(owner, attr, None)), f"{owner!r}.{attr}"
