@@ -25,6 +25,7 @@ from . import acceptance, dmd
 from .errors import (
     ConfigError,
     HardyliouError,
+    SymbolOverflowError,
     TrajectoryIngestionError,
 )
 from .occupation import (
@@ -294,6 +295,8 @@ def _cmd_dmd(cfg: dict, out_dir: Path) -> dict:
     ridge = cfg.get("ridge")
     if ridge is not None:
         ridge = _get_float(cfg, "ridge")
+        if not math.isfinite(ridge):
+            _fail("ridge", "must be finite")
         if ridge < 0:
             _fail("ridge", "must be nonnegative")
     trajectories = _trajectories_from_config(cfg)
@@ -328,8 +331,9 @@ def _cmd_dmd(cfg: dict, out_dir: Path) -> dict:
         for k, t in enumerate(times):
             if isinstance(t, bool) or not isinstance(t, (int, float)):
                 _fail(f"predict.times[{k}]", "must be a real number")
-            value = dmd.predict(model, z0, float(t))
-            predictions.append({"t": float(t), "value": complex_pairs(value)})
+        times = [float(t) for t in times]
+        values = complex_pairs(dmd.predict(model, z0, np.array(times)))
+        predictions = [{"t": t, "value": v} for t, v in zip(times, values)]
     model_path = out_dir / "dmd_model.json"
     model_path.parent.mkdir(parents=True, exist_ok=True)
     model_path.write_text(model.to_json())
@@ -541,7 +545,7 @@ def console_main(argv=None) -> int:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}")
         return run(args.command, config, args.out)
-    except (ConfigError, TrajectoryIngestionError) as exc:
+    except (ConfigError, SymbolOverflowError, TrajectoryIngestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HardyliouError as exc:

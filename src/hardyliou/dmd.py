@@ -19,13 +19,19 @@ S V e^{t diag(mu)} V^{-1} p)`` where ``p`` solves ``(G + ridge I) p = y``
 with ``y_i = conj(Gamma_i(z0))``.  At ``t = 0`` this reduces exactly to
 ``(P id)(z0)``, the best subspace reconstruction of ``z0`` itself, which is
 the correctness anchor for the whole chain.
+
+Only ``y`` and ``e^{t diag(mu)}`` depend on ``(z0, t)``, and ``y`` is
+``S^H`` applied to the conjugated monomials of ``z0``.  The model therefore
+stores ``W = V^{-1} (G + ridge I)^{-1} S^H`` and ``r = (S V)[1, :]`` once, and
+a forecast is ``conj(r . (e^{mu t} * (W conj(z0)^k)))``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +65,23 @@ class DmdModel:
     identity_residual: float
     order: int
     trajectory_digests: tuple
+    # derived in __post_init__ so they always match the fields above
+    _forecast_map: np.ndarray = field(init=False, repr=False, compare=False)
+    _readout: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the (z0, t)-independent part of predict: W = V^{-1} (G + ridge I)^{-1}
+        # S^H and r = (S V)[1, :], both solved against, never inverted
+        regularized = self.gram + self.regularization * np.eye(self.gram.shape[0])
+        forecast_map = np.linalg.solve(
+            self.eigenvectors,
+            np.linalg.solve(regularized, self.basis.conj().T),
+        )
+        readout = self.basis[1] @ self.eigenvectors
+        forecast_map.setflags(write=False)
+        readout.setflags(write=False)
+        object.__setattr__(self, "_forecast_map", forecast_map)
+        object.__setattr__(self, "_readout", readout)
 
     @property
     def n_trajectories(self) -> int:
@@ -103,8 +126,11 @@ def fit(
 
     ``ridge`` regularizes the Gram system; the default ``1e-10 tr(G)`` keeps
     the solve stable for nearly parallel trajectories.  Passing ``ridge=0``
-    demands a well-conditioned Gram matrix and raises otherwise.
+    demands a well-conditioned Gram matrix and raises otherwise; a negative
+    or non-finite ``ridge`` raises ``ValueError``.
     """
+    if ridge is not None and not (math.isfinite(ridge) and ridge >= 0.0):
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
     trajectories = list(trajectories)
     if len(trajectories) < 1:
         raise InsufficientDataError("need at least one trajectory")
@@ -175,7 +201,7 @@ def fit(
     )
 
 
-def predict(model: DmdModel, z0: complex, t: float) -> complex:
+def predict(model: DmdModel, z0: complex, t: float | np.ndarray):
     """Forecast the state at time ``t`` for the trajectory started at ``z0``.
 
     Pushes the identity observable through the compressed evolution:
@@ -183,6 +209,12 @@ def predict(model: DmdModel, z0: complex, t: float) -> complex:
     solve, the eigen-coordinates evolve by ``exp(mu t)``, and the forecast is
     the conjugated linear coefficient of the evolved combination.  At
     ``t = 0`` the output is exactly the subspace reconstruction of ``z0``.
+
+    Both solves are factored once when the model is built, so a forecast
+    costs one matrix-vector product and ``m`` exponentials.  A scalar ``t``
+    returns a ``complex``; a 1-d array of times returns an array of
+    forecasts.  A forecast that is not finite (far outside the data span)
+    emits ``LowConfidenceWarning``.
     """
     if model.identity_residual > 1e-2:
         warnings.warn(
@@ -192,13 +224,22 @@ def predict(model: DmdModel, z0: complex, t: float) -> complex:
             LowConfidenceWarning,
             stacklevel=2,
         )
+    times = np.asarray(t, dtype=np.float64)
+    if times.ndim > 1:
+        raise ValueError("t must be a real number or a 1-d array of times")
     z0 = complex(z0)
-    powers = z0 ** np.arange(model.order + 1)
-    y = np.conj(model.basis.T @ powers)
-    regularized = model.gram + model.regularization * np.eye(model.gram.shape[0])
-    p = np.linalg.solve(regularized, y)
-    evolved = model.eigenvectors @ (
-        np.exp(model.eigenvalues * t) * np.linalg.solve(model.eigenvectors, p)
-    )
-    coeffs = model.basis @ evolved
-    return complex(np.conj(coeffs[1]))
+    coords = model._forecast_map @ np.conj(z0 ** np.arange(model.order + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        evolved = np.exp(np.multiply.outer(times, model.eigenvalues)) * coords
+        values = np.conj(evolved @ model._readout)
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = float(times.reshape(-1)[np.argmin(finite.reshape(-1))])
+        warnings.warn(
+            f"forecast is not finite at t = {first:.6g} "
+            f"({values.size - np.count_nonzero(finite)} of {values.size} "
+            "times); t lies too far outside the data span",
+            LowConfidenceWarning,
+            stacklevel=2,
+        )
+    return complex(values) if times.ndim == 0 else values

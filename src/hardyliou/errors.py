@@ -37,6 +37,10 @@ class CompositionOutOfDiskError(HardyliouError, ValueError):
     """A composition symbol maps a required point out of the unit disk."""
 
 
+class SymbolOverflowError(HardyliouError, ValueError):
+    """A finite symbol gives non-finite operator-matrix entries; names the symbol."""
+
+
 class DiskExitError(HardyliouError, RuntimeError):
     """An integrated trajectory left the allowed disk before the final time."""
 

@@ -104,10 +104,11 @@ _CSV_HEADER = ["t", "re", "im"]
 
 
 def _csv_bytes(trajectory: Trajectory) -> bytes:
-    lines = [",".join(_CSV_HEADER)]
-    for t, z in zip(trajectory.times, trajectory.points):
-        lines.append(f"{t:.17g},{z.real:.17g},{z.imag:.17g}")
-    return ("\n".join(lines) + "\n").encode()
+    # one %-template over Python floats; "%.17g" matches f"{x:.17g}" exactly
+    points = trajectory.points
+    values = np.stack((trajectory.times, points.real, points.imag), axis=1)
+    body = ("%.17g,%.17g,%.17g\n" * len(values)) % tuple(values.ravel().tolist())
+    return (",".join(_CSV_HEADER) + "\n" + body).encode()
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
@@ -228,6 +229,21 @@ def _quadrature_weights(trajectory: Trajectory) -> tuple[np.ndarray, str]:
     return weights, "trapezoid"
 
 
+def _conj_moments(weights: np.ndarray, points: np.ndarray, count: int) -> np.ndarray:
+    """``sum_t weights_t conj(points_t)^n`` for ``n < count`` in O(T) memory.
+
+    A running product ``p <- p * conj(z)`` replaces the T x count power
+    matrix; the moments agree with the ``**`` formula to rounding.
+    """
+    base = np.conj(points)
+    term = np.array(weights, dtype=np.complex128)
+    moments = np.empty(count, dtype=np.complex128)
+    for n in range(count):
+        moments[n] = term.sum()
+        term *= base
+    return moments
+
+
 def occupation_kernel(
     trajectory: Trajectory, order: int = DEFAULT_ORDER
 ) -> OccupationKernel:
@@ -238,8 +254,7 @@ def occupation_kernel(
     ``|c_n| <= duration * r_max^n``.
     """
     weights, tag = _quadrature_weights(trajectory)
-    powers = np.conj(trajectory.points)[:, None] ** np.arange(order + 1)[None, :]
-    coeffs = weights @ powers
+    coeffs = _conj_moments(weights, trajectory.points, order + 1)
     return OccupationKernel(
         series=TaylorPolynomial(coeffs), source=trajectory, quadrature=tag
     )
@@ -344,8 +359,7 @@ def adjoint_on_signal(
     """
     weights, _ = _quadrature_weights(trajectory)
     fbar = np.conj(np.asarray(f(trajectory.points)))
-    powers = np.conj(trajectory.points)[:, None] ** np.arange(order)[None, :]
-    moments = weights @ (fbar[:, None] * powers)
+    moments = _conj_moments(weights * fbar, trajectory.points, order)
     coeffs = np.zeros(order + 1, dtype=np.complex128)
     coeffs[1:] = np.arange(1, order + 1) * moments
     return TaylorPolynomial(coeffs)

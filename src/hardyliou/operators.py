@@ -14,6 +14,7 @@ kernel identities in the rest of the package trustworthy.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .errors import (
     DiskDomainError,
     InvalidIndexError,
     SingularSymbolError,
+    SymbolOverflowError,
 )
 from .series import (
     BoundaryGrid,
@@ -104,12 +106,27 @@ def _place_column(entries: np.ndarray, n: int, shift: int, col: np.ndarray) -> N
         entries[shift:hi, n] = col[: hi - shift]
 
 
+@contextlib.contextmanager
+def _naming_overflow(symbols: str, kind: str, order: int):
+    # a finite symbol can still overflow to inf/nan entries; the ValueError
+    # that OperatorMatrix or TaylorPolynomial then raises gets the symbol's name
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except ValueError as exc:
+        raise SymbolOverflowError(
+            f"symbol {symbols} overflows the {kind} matrix at order {order}; "
+            "its entries must be finite"
+        ) from exc
+
+
 def liouville_matrix(f: TaylorPolynomial, order: int = DEFAULT_ORDER) -> OperatorMatrix:
     """Matrix of ``g -> f * g'``: column ``n`` is ``n * f`` shifted by ``n-1``."""
     entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
-    for n in range(1, order + 1):
-        _place_column(entries, n, n - 1, n * f.coeffs)
-    return OperatorMatrix(entries, "liouville")
+    with _naming_overflow("f", "liouville", order):
+        for n in range(1, order + 1):
+            _place_column(entries, n, n - 1, n * f.coeffs)
+        return OperatorMatrix(entries, "liouville")
 
 
 def scaled_liouville_matrix(
@@ -123,10 +140,11 @@ def scaled_liouville_matrix(
     entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
     a = complex(a)
     power = a
-    for n in range(1, order + 1):
-        _place_column(entries, n, n - 1, n * power * f.coeffs)
-        power *= a
-    return OperatorMatrix(entries, "scaled")
+    with _naming_overflow("f", "scaled", order):
+        for n in range(1, order + 1):
+            _place_column(entries, n, n - 1, n * power * f.coeffs)
+            power *= a
+        return OperatorMatrix(entries, "scaled")
 
 
 def weighted_liouville_matrix(
@@ -145,13 +163,14 @@ def weighted_liouville_matrix(
             stacklevel=2,
         )
     entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
-    weight = multiply(f, derivative(phi), order)
-    power = TaylorPolynomial(np.ones(1))
-    for n in range(1, order + 1):
-        col = multiply(weight, power, order)
-        entries[:, n] = n * col.coeffs
-        power = multiply(power, phi, order)
-    return OperatorMatrix(entries, "weighted")
+    with _naming_overflow("phi (with f)", "weighted", order):
+        weight = multiply(f, derivative(phi), order)
+        power = TaylorPolynomial(np.ones(1))
+        for n in range(1, order + 1):
+            col = multiply(weight, power, order)
+            entries[:, n] = n * col.coeffs
+            power = multiply(power, phi, order)
+        return OperatorMatrix(entries, "weighted")
 
 
 def adjoint_matrix(matrix: OperatorMatrix) -> OperatorMatrix:

@@ -118,6 +118,23 @@ def test_boundary_size_constraint_enforced(tmp_path, capsys):
     assert "2N+2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config, symbol",
+    [
+        ("spectrum", {"N": 8, "f": [1e308, 1e308]}, "symbol f "),
+        ("adjoint-check", {"N": 8, "f": [1e308, 1e308], "cases": 1}, "symbol f "),
+        ("hs-norm", {"N": 8, "f": [0.3, 0.5], "phi": [0.1, 1e308, 1e308]}, "symbol phi"),
+    ],
+)
+def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, config, symbol):
+    code, _ = _run(tmp_path, command, config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and symbol in lines[0]
+
+
 def test_adjoint_check_battery_passes(tmp_path):
     config = {"N": 24, "M": 128, "cases": 6, "seed": 1}
     code, out = _run(tmp_path, "adjoint-check", config)

@@ -1,5 +1,7 @@
 """Data-driven compression: fit, spectrum recovery, prediction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,13 @@ def test_fit_explicit_ridge_respected():
     assert model.regularization == 1e-6
 
 
+@pytest.mark.parametrize("ridge", [-1.0, float("inf"), float("nan")])
+def test_fit_rejects_negative_or_nonfinite_ridge(ridge):
+    traj = integrate_ode(monomial(1), 0.2, 1.0, 1e-2)
+    with pytest.raises(ValueError, match="ridge"):
+        dmd.fit([traj], order=16, ridge=ridge)
+
+
 def test_fit_records_digests(affine_model):
     assert len(affine_model.trajectory_digests) == 20
     assert all(len(d) == 64 for d in affine_model.trajectory_digests)
@@ -133,6 +142,67 @@ def test_predict_warns_on_thin_data():
     assert model.identity_residual > 1e-2
     with pytest.warns(LowConfidenceWarning):
         dmd.predict(model, 0.2, 0.5)
+
+
+def _two_solve_predict(model, z0, t):
+    # oracle: rebuilds G + ridge I and solves against it and against V
+    # on every call
+    z0 = complex(z0)
+    powers = z0 ** np.arange(model.order + 1)
+    y = np.conj(model.basis.T @ powers)
+    regularized = model.gram + model.regularization * np.eye(model.gram.shape[0])
+    p = np.linalg.solve(regularized, y)
+    evolved = model.eigenvectors @ (
+        np.exp(model.eigenvalues * t) * np.linalg.solve(model.eigenvectors, p)
+    )
+    coeffs = model.basis @ evolved
+    return complex(np.conj(coeffs[1]))
+
+
+def _disk_batch(rng, count):
+    field = TaylorPolynomial([0.0, complex(-0.5, 1.0)])
+    starts = 0.6 * np.sqrt(rng.uniform(size=count)) * np.exp(
+        2j * np.pi * rng.uniform(size=count)
+    )
+    return [integrate_ode(field, complex(z0), 1.0, 1e-2) for z0 in starts]
+
+
+@pytest.mark.parametrize("count", [20, 200])
+def test_predict_matches_two_solve_oracle(count):
+    rng = np.random.default_rng(count)
+    model = dmd.fit(_disk_batch(rng, count), order=64)
+    starts = 0.5 * np.sqrt(rng.uniform(size=16)) * np.exp(
+        2j * np.pi * rng.uniform(size=16)
+    )
+    for z0, t in zip(starts, rng.uniform(0.0, 1.0, 16)):
+        got = dmd.predict(model, z0, t)
+        assert isinstance(got, complex)
+        assert abs(got - _two_solve_predict(model, z0, t)) <= 1e-12
+
+
+def test_predict_array_times_match_scalar_path(affine_model):
+    times = np.linspace(0.0, 1.0, 11)
+    values = dmd.predict(affine_model, 0.3, times)
+    assert isinstance(values, np.ndarray) and values.shape == times.shape
+    for t, value in zip(times, values):
+        assert abs(value - dmd.predict(affine_model, 0.3, t)) <= 1e-14
+
+
+def test_predict_warns_when_forecast_not_finite():
+    f = TaylorPolynomial([0.1, 0.9])
+    batch = [
+        integrate_ode(f, 0.2 * np.exp(2j * np.pi * k / 5), 1.0, 1e-2)
+        for k in range(5)
+    ]
+    model = dmd.fit(batch, order=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.warns(LowConfidenceWarning, match="t = 10000"):
+            value = dmd.predict(model, 0.05, 1e4)
+        assert not np.isfinite(value)
+        with pytest.warns(LowConfidenceWarning, match="t = 10000"):
+            values = dmd.predict(model, 0.05, np.array([0.5, 1e4]))
+        assert np.isfinite(values[0]) and not np.isfinite(values[1])
 
 
 # ---------------------------------------------------------------------------

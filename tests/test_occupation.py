@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hardyliou import occupation
 from hardyliou import (
     CompositionOutOfDiskError,
     DiskDomainError,
@@ -84,6 +85,23 @@ def test_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(back.points, traj.points)
     # file digest equals the canonical content digest
     assert back.content_digest() == traj.content_digest()
+
+
+def test_csv_bytes_match_per_row_fstring():
+    traj = Trajectory(
+        np.array([-0.0, 5e-324, 1e-300, 0.1, 1.0]),
+        np.array([
+            complex(-0.0, 0.1),
+            complex(5e-324, -0.0),
+            complex(1e-300, 5e-324),
+            complex(0.1, 1e-300),
+            complex(-0.0, -0.0),
+        ]),
+    )
+    lines = ["t,re,im"]
+    for t, z in zip(traj.times, traj.points):
+        lines.append(f"{t:.17g},{z.real:.17g},{z.imag:.17g}")
+    assert occupation._csv_bytes(traj) == ("\n".join(lines) + "\n").encode()
 
 
 def test_csv_header_required(tmp_path):
@@ -182,6 +200,25 @@ def test_occupation_kernel_pairing_is_time_integral():
     gamma = occupation_kernel(traj, 32)
     value = inner_product(monomial(1, order=32), gamma.series)
     assert value == pytest.approx(0.2 * (np.e - 1.0), abs=1e-10)
+
+
+def test_running_product_moments_match_power_formula():
+    # N = 1024 and T = 10001 samples: the running product must agree with
+    # the T x (N+1) power matrix it replaces
+    f = TaylorPolynomial([0.0, -0.5 + 1.0j])
+    traj = integrate_ode(f, 0.6 + 0.1j, 10.0, 1e-3)
+    assert traj.times.size == 10001
+    order = 1024
+    weights, _ = occupation._quadrature_weights(traj)
+    powers = np.conj(traj.points)[:, None] ** np.arange(order + 1)[None, :]
+    expected = weights @ powers
+    got = occupation_kernel(traj, order).series.coeffs
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    fbar = np.conj(f(traj.points))
+    moments = (weights * fbar) @ powers[:, :order]
+    expected = np.concatenate(([0.0], np.arange(1, order + 1) * moments))
+    got = adjoint_on_signal(f, traj, order).coeffs
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_occupation_kernel_trapezoid_tag():
