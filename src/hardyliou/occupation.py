@@ -22,12 +22,13 @@ from .errors import (
     DiskDomainError,
     DiskExitError,
     InsufficientDataError,
+    SymbolOverflowError,
     TrajectoryIngestionError,
     TrajectoryMismatchWarning,
 )
 from .operators import (
     adjoint_matrix,
-    liouville_matrix,
+    liouville_adjoint_apply,
     weighted_liouville_matrix,
 )
 from .series import TaylorPolynomial, DEFAULT_ORDER, szego_kernel
@@ -173,7 +174,8 @@ def integrate_ode(
     The step count is rounded to an even number so the samples feed straight
     into Simpson quadrature.  Leaving ``|z| > 1 - margin`` aborts with the
     exit time; solutions of polynomial fields can blow up in finite time, so
-    this is a hard error rather than a clamp.
+    this is a hard error rather than a clamp.  A state that is no longer
+    finite raises :class:`SymbolOverflowError` naming ``f`` instead.
     """
     if not (t_final > 0 and dt > 0):
         raise ValueError("t_final and dt must be positive")
@@ -202,7 +204,12 @@ def integrate_ode(
         k3 = field(z + 0.5 * h * k2)
         k4 = field(z + h * k3)
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if abs(z) > limit:
+        if not abs(z) <= limit:  # also true for a nan state
+            if not np.isfinite(z):
+                raise SymbolOverflowError(
+                    f"symbol f overflows the RK4 state at t = {times[k + 1]:.6g}; "
+                    "the state must stay finite"
+                )
             raise DiskExitError(
                 f"trajectory left |z| <= {limit:.6g} at t = {times[k + 1]:.6g}",
                 exit_time=float(times[k + 1]),
@@ -313,12 +320,15 @@ def liouville_occupation_residual(
 ) -> float:
     """Defect of ``A_f* Gamma = K_end - K_start`` through the matrix adjoint.
 
+    ``A_f*`` is the conjugate transpose of the truncated matrix, applied as
+    the banded stencil :func:`liouville_adjoint_apply`.
+
     Warns (without failing) when the samples do not actually follow ``f``;
     the returned residual is then meaningless and large.
     """
     _warn_on_mismatch(f, trajectory)
     gamma = occupation_kernel(trajectory, order).series
-    lhs = adjoint_matrix(liouville_matrix(f, order)).apply(gamma)
+    lhs = liouville_adjoint_apply(f, gamma, order)
     rhs = endpoint_kernel_difference(trajectory, order)
     return float(np.linalg.norm(lhs.coeffs - rhs.coeffs))
 

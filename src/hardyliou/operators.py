@@ -9,7 +9,9 @@ f * phi' * (g' o phi)`` has column ``n`` equal to
 Two independent adjoint routes are kept side by side on purpose: the
 conjugate transpose of the truncated matrix (the oracle) and the boundary
 formula.  Tests certify that they agree, which is what makes the closed-form
-kernel identities in the rest of the package trustworthy.
+kernel identities in the rest of the package trustworthy.  On the hot paths
+the conjugate transpose is applied as a banded stencil
+(:func:`liouville_adjoint_apply`); the dense matrix stays as its oracle.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .series import (
     outer_from_modulus,
     project_h2,
     require_grid,
+    to_boundary,
     unit_circle_points,
 )
 
@@ -99,13 +102,6 @@ class OperatorMatrix:
         return mat
 
 
-def _place_column(entries: np.ndarray, n: int, shift: int, col: np.ndarray) -> None:
-    # write `col` into column n starting at row `shift`, clipped to the order
-    hi = min(entries.shape[0], shift + col.size)
-    if hi > shift:
-        entries[shift:hi, n] = col[: hi - shift]
-
-
 @contextlib.contextmanager
 def _naming_overflow(symbols: str, kind: str, order: int):
     # a finite symbol can still overflow to inf/nan entries; the ValueError
@@ -120,12 +116,23 @@ def _naming_overflow(symbols: str, kind: str, order: int):
         ) from exc
 
 
+def _diagonals(f: TaylorPolynomial, order: int):
+    """The nonzero diagonals of the truncated ``g -> f * g'`` pattern.
+
+    Yields ``(k, n)``: column ``n`` (an int array) carries ``f_k`` times its
+    column factor on row ``n - 1 + k``.  Taps ``k > order`` never reach a
+    row of the truncation.
+    """
+    for k in range(min(f.order, order) + 1):
+        yield k, np.arange(1, min(order, order + 1 - k) + 1)
+
+
 def liouville_matrix(f: TaylorPolynomial, order: int = DEFAULT_ORDER) -> OperatorMatrix:
     """Matrix of ``g -> f * g'``: column ``n`` is ``n * f`` shifted by ``n-1``."""
     entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
     with _naming_overflow("f", "liouville", order):
-        for n in range(1, order + 1):
-            _place_column(entries, n, n - 1, n * f.coeffs)
+        for k, n in _diagonals(f, order):
+            entries[n - 1 + k, n] = n * f.coeffs[k]
         return OperatorMatrix(entries, "liouville")
 
 
@@ -139,11 +146,15 @@ def scaled_liouville_matrix(
     """
     entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
     a = complex(a)
+    # a^n by repeated scalar multiplication, so every entry keeps its rounding
+    scale = np.zeros(order + 1, dtype=np.complex128)
     power = a
+    for n in range(1, order + 1):
+        scale[n] = n * power
+        power *= a
     with _naming_overflow("f", "scaled", order):
-        for n in range(1, order + 1):
-            _place_column(entries, n, n - 1, n * power * f.coeffs)
-            power *= a
+        for k, n in _diagonals(f, order):
+            entries[n - 1 + k, n] = scale[n] * f.coeffs[k]
         return OperatorMatrix(entries, "scaled")
 
 
@@ -164,7 +175,9 @@ def weighted_liouville_matrix(
         )
     entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
     with _naming_overflow("phi (with f)", "weighted", order):
-        weight = multiply(f, derivative(phi), order)
+        # the exact product keeps each column O(N deg(f phi')); padded to
+        # order + 1 it would make each column a full O(N^2) convolution
+        weight = multiply(f, derivative(phi))
         power = TaylorPolynomial(np.ones(1))
         for n in range(1, order + 1):
             col = multiply(weight, power, order)
@@ -176,6 +189,26 @@ def weighted_liouville_matrix(
 def adjoint_matrix(matrix: OperatorMatrix) -> OperatorMatrix:
     """Conjugate transpose; the adjoint oracle for every identity here."""
     return OperatorMatrix(matrix.entries.conj().T, matrix.kind)
+
+
+def liouville_adjoint_apply(
+    f: TaylorPolynomial, h: TaylorPolynomial, order: int = DEFAULT_ORDER
+) -> TaylorPolynomial:
+    """Adjoint action ``A_f* h`` of the truncated matrix, without forming it.
+
+    Column ``n`` of :func:`liouville_matrix` lives on rows ``n-1 .. n-1+deg f``,
+    so the conjugate transpose is the correlation
+    ``(A_f* h)_n = n * sum_k conj(f_k) h_(n-1+k)``: O(N deg f) work.  ``h``
+    is cut to ``order`` like :meth:`OperatorMatrix.apply` does.  Each term
+    uses the matrix entry ``n * f_k`` itself, so the result is non-finite
+    (and raises :class:`SymbolOverflowError`) whenever the matrix would be.
+    """
+    hv = h.truncated(order).coeffs
+    out = np.zeros(order + 1, dtype=np.complex128)
+    with _naming_overflow("f", "liouville", order):
+        for k, n in _diagonals(f, order):
+            out[n] += np.conj(n * f.coeffs[k]) * hv[n - 1 + k]
+        return TaylorPolynomial(out)
 
 
 def hermitian_defect(matrix: OperatorMatrix) -> float:
@@ -200,7 +233,9 @@ def adjoint_apply_boundary(
     ``conj(f(z)/z) * (z h(z))' - conj(f'(z)) * h(z)``, and
     ``conj(f(z)/z) = conj(f(z)) * z`` there.  All factors are trigonometric
     polynomials, so with ``size >= 4 * (order + 1)`` the projection onto
-    modes ``0..order`` is exact up to rounding.
+    modes ``0..order`` is exact up to rounding.  ``h`` and ``h'`` are
+    sampled by FFT; ``f`` and ``f'`` by Horner, so a symbol of any degree
+    needs no larger grid.
     """
     if h.order > order:
         raise ValueError("h must have order at most the truncation order")
@@ -210,8 +245,8 @@ def adjoint_apply_boundary(
     z = unit_circle_points(size)
     fv = f(z)
     fpv = derivative(f)(z)
-    hv = h(z)
-    hpv = derivative(h)(z)
+    hv = to_boundary(h, size).values
+    hpv = to_boundary(derivative(h), size).values
     combo = np.conj(fv) * z * (hv + z * hpv) - np.conj(fpv) * hv
     return project_h2(BoundaryGrid(combo), order)
 
@@ -225,7 +260,8 @@ def adjoint_battery(
 ) -> float:
     """Largest gap between the two adjoint routes over a seeded battery.
 
-    Each case compares the conjugate-transpose oracle with
+    Each case compares the conjugate transpose of the truncated matrix,
+    applied as the stencil :func:`liouville_adjoint_apply`, with
     :func:`adjoint_apply_boundary` on a random ``h`` whose coefficients
     decay geometrically with a ratio drawn from ``[0.2, 0.8]``.  Without a
     fixed ``f`` every case also draws a symbol of random degree 1..8 with
@@ -243,9 +279,9 @@ def adjoint_battery(
         r = float(rng.uniform(0.2, 0.8))
         phases = np.exp(2j * np.pi * rng.uniform(size=order + 1))
         h = TaylorPolynomial(r ** np.arange(order + 1) * phases)
-        oracle = adjoint_matrix(liouville_matrix(symbol, order)).apply(h)
+        transpose = liouville_adjoint_apply(symbol, h, order)
         boundary = adjoint_apply_boundary(symbol, h, order, size)
-        worst = max(worst, float(np.linalg.norm(oracle.coeffs - boundary.coeffs)))
+        worst = max(worst, float(np.linalg.norm(transpose.coeffs - boundary.coeffs)))
     return worst
 
 

@@ -307,14 +307,12 @@ def reciprocal(g: TaylorPolynomial, order: int) -> TaylorPolynomial:
 
 def exp_series(g: TaylorPolynomial, order: int) -> TaylorPolynomial:
     """Exponential mod ``z^(order+1)`` via ``(e^g)' = g' e^g``."""
-    c = g.coeffs
+    kc = np.arange(g.coeffs.size) * g.coeffs
     out = np.zeros(order + 1, dtype=np.complex128)
-    out[0] = np.exp(c[0])
+    out[0] = np.exp(g.coeffs[0])
     for n in range(1, order + 1):
-        top = min(n, c.size - 1)
-        acc = 0.0 + 0.0j
-        for k in range(1, top + 1):
-            acc += k * c[k] * out[n - k]
+        top = min(n, kc.size - 1)
+        acc = np.dot(kc[1 : top + 1], out[n - top : n][::-1]) if top else 0.0
         out[n] = acc / n
     return TaylorPolynomial(out)
 

@@ -39,6 +39,12 @@ from .series import (
 )
 
 
+# eigenpair residuals are checked this many columns per matrix product,
+# which keeps the temporaries at (N+1) x 64 instead of (N+1)^2, far below
+# the eigensolver's own (N+1)^2 buffers
+_RESIDUAL_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class EigenPair:
     """Eigenvalue, unit-norm eigenvector, and its certified residual."""
@@ -64,20 +70,21 @@ def eigendecompose(matrix: OperatorMatrix) -> list[EigenPair]:
         raise EigenConvergenceError(
             f"eigenvalue iteration failed ({exc}); matrix condition ~ {condition:.3e}"
         ) from exc
-    order = np.lexsort((values.imag, values.real))
-    pairs = []
-    for k in order:
-        vec = vectors[:, k]
-        vec = vec / np.linalg.norm(vec)
-        residual = float(np.linalg.norm(entries @ vec - values[k] * vec))
-        pairs.append(
-            EigenPair(
-                value=complex(values[k]),
-                vector=TaylorPolynomial(vec),
-                residual=residual,
-            )
+    for k in range(values.size):
+        vectors[:, k] /= np.linalg.norm(vectors[:, k])
+    residuals = np.empty(values.size)
+    for start in range(0, values.size, _RESIDUAL_BLOCK):
+        cols = slice(start, start + _RESIDUAL_BLOCK)
+        block = vectors[:, cols]
+        residuals[cols] = np.linalg.norm(entries @ block - block * values[cols], axis=0)
+    return [
+        EigenPair(
+            value=complex(values[k]),
+            vector=TaylorPolynomial(vectors[:, k]),
+            residual=float(residuals[k]),
         )
-    return pairs
+        for k in np.lexsort((values.imag, values.real))
+    ]
 
 
 def zero_free_certificate(f: TaylorPolynomial, size: int = 1024) -> bool:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompositionOutOfDiskError, DiskDomainError
+from .errors import CompositionOutOfDiskError, DiskDomainError, SymbolOverflowError
 from .occupation import Trajectory, endpoint_kernel_difference, occupation_kernel
 from .series import (
     TaylorPolynomial,
@@ -430,14 +430,22 @@ def hs_norm(
     The quadrature integrand is ``|f|^2 |phi'|^2 (1+|phi|^2)/(1-|phi|^2)^3``.
     When ``|phi|`` reaches the circle the integral is infinite: the result
     carries ``finite=False`` and an infinite quadrature value while the
-    Frobenius sum of the truncation stays finite.
+    Frobenius sum of the truncation stays finite.  A finite symbol whose
+    squared Frobenius sum or boundary weight ``|f phi'|^2`` overflows raises
+    :class:`SymbolOverflowError` naming ``f``.
     """
     matrix = weighted_liouville_matrix(f, phi, order)
-    frobenius_sq = float(np.sum(np.abs(matrix.entries) ** 2))
     if size is None:
         size = default_boundary_size(max(order, f.order + phi.order))
     z = unit_circle_points(size)
-    base = np.abs(np.asarray(f(z)) * np.asarray(derivative(phi)(z))) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        frobenius_sq = float(np.sum(np.abs(matrix.entries) ** 2))
+        base = np.abs(np.asarray(f(z)) * np.asarray(derivative(phi)(z))) ** 2
+    if not (math.isfinite(frobenius_sq) and np.all(np.isfinite(base))):
+        raise SymbolOverflowError(
+            f"symbol f (with phi) overflows the Hilbert-Schmidt norm at order "
+            f"{order}; its squared norms must be finite"
+        )
     r2 = np.abs(np.asarray(phi(z))) ** 2
     if np.max(r2) >= 1.0:
         return HsNormResult(

@@ -5,6 +5,7 @@ inspects the exit code, the printed certificate lines, and the JSON report.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ import pytest
 from hardyliou import (
     TaylorPolynomial,
     acceptance,
+    adjoint_apply_boundary,
     integrate_ode,
+    liouville_adjoint_apply,
     write_trajectory_csv,
 )
 from hardyliou.cli import console_main, run
@@ -124,11 +127,20 @@ def test_boundary_size_constraint_enforced(tmp_path, capsys):
         ("spectrum", {"N": 8, "f": [1e308, 1e308]}, "symbol f "),
         ("adjoint-check", {"N": 8, "f": [1e308, 1e308], "cases": 1}, "symbol f "),
         ("hs-norm", {"N": 8, "f": [0.3, 0.5], "phi": [0.1, 1e308, 1e308]}, "symbol phi"),
+        ("hs-norm", {"N": 8, "f": [1e308, 0.5], "phi": [0.1, 0.3]}, "symbol f "),
+        (
+            "occupation",
+            {"N": 8, "f": [1e308, 1e308], "ode": {"z0": 0.2, "T": 0.1, "dt": 0.01}},
+            "symbol f ",
+        ),
     ],
 )
 def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, config, symbol):
-    code, _ = _run(tmp_path, command, config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = _run(tmp_path, command, config)
     assert code == 2
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = [line for line in err.splitlines() if line.startswith("error:")]
@@ -221,11 +233,25 @@ def test_adjoint_check_shares_the_criterion_3_battery(tmp_path, capsys):
     report = _report(tmp_path / "a", "adjoint_check_report.json")
     residual = report["certificates"][0]["residual"]
     assert residual == acceptance.criterion_3().residual
-    # a fixed symbol draws nothing for f; the value is pinned bit for bit
+    # a fixed symbol draws nothing for f: replaying only (r, phases) from
+    # the seed through the public routes gives the same value bit for bit
     config = {"N": 32, "cases": 7, "seed": 3, "f": [0.2, [0.1, -0.3], 0.5]}
     run("adjoint-check", config, tmp_path / "b")
     report = _report(tmp_path / "b", "adjoint_check_report.json")
-    assert report["certificates"][0]["residual"] == 2.8741604768012618e-15
+    residual = report["certificates"][0]["residual"]
+    f = TaylorPolynomial([0.2, 0.1 - 0.3j, 0.5])
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(7):
+        r = float(rng.uniform(0.2, 0.8))
+        phases = np.exp(2j * np.pi * rng.uniform(size=33))
+        h = TaylorPolynomial(r ** np.arange(33) * phases)
+        gap = liouville_adjoint_apply(f, h, 32).coeffs - adjoint_apply_boundary(
+            f, h, 32, report["inputs"]["M"]
+        ).coeffs
+        worst = max(worst, float(np.linalg.norm(gap)))
+    assert residual == worst
+    assert residual == 5.425198602104162e-16
 
 
 def test_weighted_command(tmp_path):

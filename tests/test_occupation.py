@@ -9,6 +9,7 @@ from hardyliou import (
     DiskDomainError,
     DiskExitError,
     InsufficientDataError,
+    SymbolOverflowError,
     TaylorPolynomial,
     Trajectory,
     TrajectoryIngestionError,
@@ -166,6 +167,12 @@ def test_integrate_disk_exit():
         integrate_ode(monomial(1), 0.9, 2.0, 1e-3)
     assert info.value.exit_time is not None
     assert 0.0 < info.value.exit_time < 2.0
+
+
+def test_integrate_nonfinite_state_names_symbol():
+    # the state overflows to nan, for which |z| > limit is false
+    with pytest.raises(SymbolOverflowError, match="symbol f .* t = 0.01"):
+        integrate_ode(TaylorPolynomial([1e308, 1e308]), 0.2, 0.1, 0.01)
 
 
 def test_integrate_validation():

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hardyliou import occupation as occupation_module
+from hardyliou import operators as operators_module
 from hardyliou import (
     AliasingError,
     CompositionWarning,
@@ -10,8 +13,10 @@ from hardyliou import (
     KernelSpec,
     OperatorMatrix,
     SingularSymbolError,
+    SymbolOverflowError,
     TaylorPolynomial,
     adjoint_apply_boundary,
+    adjoint_battery,
     adjoint_matrix,
     adjoint_on_derivative_kernel,
     antiderivative,
@@ -19,12 +24,16 @@ from hardyliou import (
     derivative,
     domain_membership_check,
     hermitian_defect,
+    integrate_ode,
     kernel,
+    liouville_adjoint_apply,
     liouville_matrix,
+    liouville_occupation_residual,
     modulus_identity_defect,
     monomial,
     multiply,
     norm,
+    project_h2,
     scaled_liouville_matrix,
     smirnov_decompose,
     szego_kernel,
@@ -172,6 +181,141 @@ def test_adjoint_boundary_aliasing_guard():
         adjoint_apply_boundary(f, h, 16, size=32)  # needs >= 68
     with pytest.raises(ValueError):
         adjoint_apply_boundary(f, szego_kernel(0.5, 32), 16)
+
+
+# ---------------------------------------------------------------------------
+# structured routes against the dense and loop oracles
+# ---------------------------------------------------------------------------
+
+
+def _random_poly(rng, degree):
+    return TaylorPolynomial(
+        rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    )
+
+
+def _loop_liouville(f, order):
+    # column-by-column reference build
+    entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
+    for n in range(1, order + 1):
+        col = n * f.coeffs
+        hi = min(order + 1, n - 1 + col.size)
+        entries[n - 1 : hi, n] = col[: hi - n + 1]
+    return entries
+
+
+def _loop_scaled(f, a, order):
+    entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
+    a = complex(a)
+    power = a
+    for n in range(1, order + 1):
+        col = n * power * f.coeffs
+        hi = min(order + 1, n - 1 + col.size)
+        entries[n - 1 : hi, n] = col[: hi - n + 1]
+        power *= a
+    return entries
+
+
+def _padded_weighted(f, phi, order):
+    # reference build with the weight f * phi' zero-padded to order + 1
+    entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
+    weight = multiply(f, derivative(phi), order)
+    power = TaylorPolynomial(np.ones(1))
+    for n in range(1, order + 1):
+        entries[:, n] = n * multiply(weight, power, order).coeffs
+        power = multiply(power, phi, order)
+    return entries
+
+
+def _horner_boundary_adjoint(f, h, order, size):
+    # boundary route with h and h' sampled by Horner instead of FFT
+    z = unit_circle_points(size)
+    hv, hpv = h(z), derivative(h)(z)
+    combo = np.conj(f(z)) * z * (hv + z * hpv) - np.conj(derivative(f)(z)) * hv
+    return project_h2(BoundaryGrid(combo), order)
+
+
+def test_liouville_builders_match_column_loop():
+    rng = np.random.default_rng(31)
+    scales = (0.5, 0.3 - 0.25j, 1.7 + 0.4j, -0.9j)
+    for degree, order in [(0, 0), (0, 9), (3, 0), (4, 1), (5, 33), (12, 7), (2, 80)]:
+        f = _random_poly(rng, degree)
+        assert np.array_equal(
+            liouville_matrix(f, order).entries, _loop_liouville(f, order)
+        )
+        for a in scales:
+            assert np.array_equal(
+                scaled_liouville_matrix(f, a, order).entries,
+                _loop_scaled(f, a, order),
+            )
+
+
+def test_weighted_build_matches_padded_oracle():
+    rng = np.random.default_rng(32)
+    cases = [(3, 2, 40), (1, 3, 120), (6, 4, 3), (0, 1, 25), (2, 5, 0)]
+    for f_degree, phi_degree, order in cases:
+        f = _random_poly(rng, f_degree)
+        phi = TaylorPolynomial(0.3 * _random_poly(rng, phi_degree).coeffs / phi_degree)
+        built = weighted_liouville_matrix(f, phi, order).entries
+        oracle = _padded_weighted(f, phi, order)
+        scale = max(np.max(np.abs(oracle)), np.finfo(float).tiny)
+        assert np.max(np.abs(built - oracle)) <= 1e-15 * scale
+
+
+def test_adjoint_boundary_fft_sampling_matches_horner():
+    rng = np.random.default_rng(33)
+    for order, size in [(0, 4), (16, 68), (48, 256), (300, 1204)]:
+        f = _random_poly(rng, int(rng.integers(0, 9)))
+        h = TaylorPolynomial(
+            0.97 ** np.arange(order + 1) * np.exp(2j * np.pi * rng.uniform(size=order + 1))
+        )
+        fft = adjoint_apply_boundary(f, h, order, size)
+        horner = _horner_boundary_adjoint(f, h, order, size)
+        scale = 1.0 + norm(horner)
+        assert norm(TaylorPolynomial(fft.coeffs - horner.coeffs)) <= 1e-12 * scale
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    degree=st.integers(0, 10),
+    order=st.integers(0, 80),
+    h_extra=st.integers(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adjoint_stencil_matches_dense_oracle(degree, order, h_extra, seed):
+    rng = np.random.default_rng(seed)
+    f = _random_poly(rng, degree)
+    h = _random_poly(rng, max(0, order + h_extra))  # cut or padded to order
+    stencil = liouville_adjoint_apply(f, h, order)
+    A = liouville_matrix(f, order)
+    oracle = adjoint_matrix(A).apply(h)
+    scale = (order + 1) * norm(f) * norm(h)
+    assert stencil.order == order
+    assert np.max(np.abs(stencil.coeffs - oracle.coeffs)) <= 1e-14 * scale
+    # pairing <A g, h> = <g, A* h> with the stencil on the right
+    g = _random_poly(rng, order)
+    lhs = np.vdot(h.truncated(order).coeffs, A.apply(g).coeffs)
+    rhs = np.vdot(stencil.coeffs, g.coeffs)
+    assert abs(lhs - rhs) <= 1e-13 * scale * norm(g)
+
+
+def test_adjoint_stencil_overflow_names_symbol():
+    with pytest.raises(SymbolOverflowError, match="symbol f "):
+        liouville_adjoint_apply(TaylorPolynomial([1e308, 1e308]), szego_kernel(0.1, 8), 8)
+
+
+def test_hot_adjoint_paths_never_build_the_matrix(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense matrix built on a hot adjoint path")
+
+    for module in (operators_module, occupation_module):
+        for name in ("liouville_matrix", "adjoint_matrix"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    f = TaylorPolynomial([0.2, 0.9j, -0.1])
+    assert adjoint_battery(16, 68, 3, 0) < 1e-8
+    assert adjoint_battery(16, 68, 3, 0, f) < 1e-8
+    traj = integrate_ode(TaylorPolynomial([0.0, 1.0]), 0.2, 1.0, 1e-3)
+    assert liouville_occupation_residual(TaylorPolynomial([0.0, 1.0]), traj, 16) < 1e-6
 
 
 def test_adjoint_on_evaluation_kernel_classic_formula():

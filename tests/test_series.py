@@ -198,6 +198,21 @@ def test_reciprocal_and_exp():
     assert np.allclose(e.coeffs, expected)
 
 
+def test_exp_series_matches_double_loop():
+    rng = np.random.default_rng(13)
+    for size, order in [(1, 6), (4, 0), (9, 40), (300, 256)]:
+        c = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 0.9 ** np.arange(size)
+        loop = np.zeros(order + 1, dtype=np.complex128)
+        loop[0] = np.exp(c[0])
+        for n in range(1, order + 1):
+            acc = 0.0 + 0.0j
+            for k in range(1, min(n, size - 1) + 1):
+                acc += k * c[k] * loop[n - k]
+            loop[n] = acc / n
+        out = exp_series(TaylorPolynomial(c), order).coeffs
+        assert np.max(np.abs(out - loop)) <= 1e-13 * np.max(np.abs(loop))
+
+
 def test_exp_requires_zero_constant_handled():
     # exp of series with constant term: e^(c) factor appears
     g = TaylorPolynomial([1.0, 1.0])

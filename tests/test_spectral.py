@@ -65,6 +65,24 @@ def test_eigendecompose_sorted_and_residuals():
         assert p.residual == pytest.approx(direct, abs=1e-12)
 
 
+def test_blocked_residuals_match_per_column_loop():
+    # 150 columns span two full residual blocks and a partial one
+    rng = np.random.default_rng(8)
+    f = TaylorPolynomial(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    A = liouville_matrix(f, 149)
+    values, vectors = np.linalg.eig(A.entries)
+    order = np.lexsort((values.imag, values.real))
+    bound = 150 * np.finfo(float).eps * np.max(np.sum(np.abs(A.entries), axis=0))
+    pairs = eigendecompose(A)
+    assert len(pairs) == 150
+    for pair, k in zip(pairs, order):
+        vec = vectors[:, k] / np.linalg.norm(vectors[:, k])
+        residual = np.linalg.norm(A.entries @ vec - values[k] * vec)
+        assert pair.value == values[k]
+        assert np.array_equal(pair.vector.coeffs, vec)
+        assert abs(pair.residual - residual) <= bound
+
+
 # ---------------------------------------------------------------------------
 # zero-free certificate
 # ---------------------------------------------------------------------------
