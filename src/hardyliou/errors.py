@@ -38,7 +38,7 @@ class CompositionOutOfDiskError(HardyliouError, ValueError):
 
 
 class SymbolOverflowError(HardyliouError, ValueError):
-    """A finite symbol gives non-finite operator-matrix entries; names the symbol."""
+    """A finite symbol overflows to non-finite values; the message names the symbol."""
 
 
 class DiskExitError(HardyliouError, RuntimeError):

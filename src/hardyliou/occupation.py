@@ -33,7 +33,26 @@ from .operators import (
 )
 from .series import TaylorPolynomial, DEFAULT_ORDER, szego_kernel
 
-DEFAULT_MARGIN = 1e-3
+DISK_MARGIN = 1e-3
+
+
+def _first_invalid_sample(times: np.ndarray, points: np.ndarray):
+    """``(i, reason, error type)`` for the first invalid sample, else ``None``.
+
+    Within one sample the rules are checked in this order: finite, inside
+    ``|z| <= 1 - DISK_MARGIN``, strictly after the previous time.
+    """
+    nonfinite = ~(np.isfinite(times) & np.isfinite(points))
+    outside = np.abs(points) > 1.0 - DISK_MARGIN
+    bad = nonfinite | outside | np.r_[False, times[1:] <= times[:-1]]
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if nonfinite[i]:
+        return i, "is not finite", ValueError
+    if outside[i]:
+        return i, f"lies outside the disk (|z| = {abs(points[i]):.6g})", DiskDomainError
+    return i, "breaks strict time ordering", ValueError
 
 
 @dataclass(frozen=True)
@@ -42,7 +61,6 @@ class Trajectory:
 
     times: np.ndarray
     points: np.ndarray
-    margin: float = DEFAULT_MARGIN
     digest: str | None = None
 
     def __post_init__(self):
@@ -50,17 +68,9 @@ class Trajectory:
         points = np.array(self.points, dtype=np.complex128, copy=True).reshape(-1)
         if times.size != points.size or times.size == 0:
             raise ValueError("times and points must be nonempty and aligned")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(points))):
-            raise ValueError("samples must be finite")
-        if times.size > 1 and np.min(np.diff(times)) <= 0:
-            raise ValueError("times must be strictly increasing")
-        limit = 1.0 - self.margin
-        radii = np.abs(points)
-        if np.max(radii) > limit:
-            worst = int(np.argmax(radii))
-            raise DiskDomainError(
-                f"sample {worst} has |z| = {radii[worst]:.6g} > {limit:.6g}"
-            )
+        invalid = _first_invalid_sample(times, points)
+        if invalid is not None:
+            raise invalid[2](f"sample {invalid[0]} {invalid[1]}")
         times.setflags(write=False)
         points.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -118,43 +128,40 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         handle.write(_csv_bytes(trajectory))
 
 
-def read_trajectory_csv(path, margin: float = DEFAULT_MARGIN) -> Trajectory:
-    """Parse and validate a ``t,re,im`` file; errors cite the offending row."""
+def read_trajectory_csv(path) -> Trajectory:
+    """Parse and validate a ``t,re,im`` file; errors cite the earliest bad row.
+
+    A byte that is not UTF-8 decodes to U+FFFD, so its cell fails to parse.
+    """
     with open(path, "rb") as handle:
         raw = handle.read()
     digest = hashlib.sha256(raw).hexdigest()
-    rows = list(csv.reader(raw.decode("utf-8").splitlines()))
+    rows = list(csv.reader(raw.decode("utf-8", errors="replace").splitlines()))
     if not rows or [cell.strip() for cell in rows[0]] != _CSV_HEADER:
         raise TrajectoryIngestionError(
             f"{path}: first row must be the header 't,re,im'"
         )
-    times, points = [], []
+    if len(rows) == 1:
+        raise TrajectoryIngestionError(f"{path}: no data rows")
+    # an invalid sample before the first unparsable row is the earlier bad row
+    times, points, failure = [], [], None
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
-            raise TrajectoryIngestionError(f"{path}: row {i} must have 3 fields")
+            failure = f"row {i} must have 3 fields"
+            break
         try:
             t, re, im = (float(cell) for cell in row)
         except ValueError as exc:
-            raise TrajectoryIngestionError(f"{path}: row {i}: {exc}") from exc
-        z = complex(re, im)
-        if abs(z) > 1.0 - margin:
-            raise TrajectoryIngestionError(
-                f"{path}: row {i} lies outside the disk (|z| = {abs(z):.6g})"
-            )
-        if times and t <= times[-1]:
-            raise TrajectoryIngestionError(
-                f"{path}: row {i} breaks strict time ordering"
-            )
+            failure = f"row {i}: {exc}"
+            break
         times.append(t)
-        points.append(z)
-    if not times:
-        raise TrajectoryIngestionError(f"{path}: no data rows")
-    times, points = np.array(times), np.array(points)
-    finite = np.isfinite(times) & np.isfinite(points)
-    if not finite.all():
-        row = int(np.argmin(finite)) + 2
-        raise TrajectoryIngestionError(f"{path}: row {row} is not finite")
-    return Trajectory(times=times, points=points, margin=margin, digest=digest)
+        points.append(complex(re, im))
+    invalid = _first_invalid_sample(np.array(times), np.array(points))
+    if invalid is not None:
+        failure = f"row {invalid[0] + 2} {invalid[1]}"
+    if failure is not None:
+        raise TrajectoryIngestionError(f"{path}: {failure}")
+    return Trajectory(times=times, points=points, digest=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +174,11 @@ def integrate_ode(
     z0: complex,
     t_final: float,
     dt: float,
-    margin: float = DEFAULT_MARGIN,
 ) -> Trajectory:
     """Classical fixed-step RK4 for ``zdot = f(z)`` from ``z0`` to ``t_final``.
 
     The step count is rounded to an even number so the samples feed straight
-    into Simpson quadrature.  Leaving ``|z| > 1 - margin`` aborts with the
+    into Simpson quadrature.  Leaving ``|z| > 1 - DISK_MARGIN`` aborts with the
     exit time; solutions of polynomial fields can blow up in finite time, so
     this is a hard error rather than a clamp.  A state that is no longer
     finite raises :class:`SymbolOverflowError` naming ``f`` instead.
@@ -180,9 +186,10 @@ def integrate_ode(
     if not (t_final > 0 and dt > 0):
         raise ValueError("t_final and dt must be positive")
     z0 = complex(z0)
-    limit = 1.0 - margin
-    if abs(z0) > limit:
-        raise DiskDomainError(f"|z0| = {abs(z0):.6g} exceeds {limit:.6g}")
+    invalid = _first_invalid_sample(np.zeros(1), np.array([z0]))
+    if invalid is not None:
+        raise invalid[2](f"z0 {invalid[1]}")
+    limit = 1.0 - DISK_MARGIN
     steps = max(2, round(t_final / dt))
     if steps % 2:
         steps += 1
@@ -215,7 +222,7 @@ def integrate_ode(
                 exit_time=float(times[k + 1]),
             )
         points[k + 1] = z
-    return Trajectory(times=times, points=points, margin=margin)
+    return Trajectory(times=times, points=points)
 
 
 def _quadrature_weights(trajectory: Trajectory) -> tuple[np.ndarray, str]:

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     CompositionWarning,
     DiskDomainError,
+    HardyliouError,
     InvalidIndexError,
     SingularSymbolError,
     SymbolOverflowError,
@@ -36,7 +37,6 @@ from .series import (
     TaylorPolynomial,
     DEFAULT_ORDER,
     antiderivative,
-    complex_pairs,
     default_boundary_size,
     derivative,
     kernel,
@@ -58,11 +58,9 @@ class OperatorMatrix:
     """Matrix of a truncated operator in the monomial basis.
 
     ``entries[m, n]`` is the coefficient of ``z^m`` in the image of ``z^n``.
-    ``kind`` tags the construction route: liouville, scaled, or weighted.
     """
 
     entries: np.ndarray
-    kind: str
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=np.complex128, copy=True)
@@ -72,8 +70,6 @@ class OperatorMatrix:
             raise ValueError("entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        if self.kind not in ("liouville", "scaled", "weighted"):
-            raise ValueError(f"unknown kind {self.kind!r}")
 
     @property
     def order(self) -> int:
@@ -84,36 +80,27 @@ class OperatorMatrix:
         vec = h.truncated(self.order).coeffs
         return TaylorPolynomial(self.entries @ vec)
 
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "kind": self.kind,
-            "entries": complex_pairs(self.entries),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "OperatorMatrix":
-        entries = [
-            [complex(re, im) for re, im in row] for row in data["entries"]
-        ]
-        mat = OperatorMatrix(np.array(entries), data["kind"])
-        if mat.order != data["order"]:
-            raise ValueError("declared order does not match the entries")
-        return mat
-
 
 @contextlib.contextmanager
-def _naming_overflow(symbols: str, kind: str, order: int):
-    # a finite symbol can still overflow to inf/nan entries; the ValueError
-    # that OperatorMatrix or TaylorPolynomial then raises gets the symbol's name
+def _naming_overflow(symbols: str, what: str):
+    # a finite symbol can still overflow to inf/nan; the ValueError a value
+    # type or _finite then raises names the symbol (library errors pass)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
+    except HardyliouError:
+        raise
     except ValueError as exc:
         raise SymbolOverflowError(
-            f"symbol {symbols} overflows the {kind} matrix at order {order}; "
-            "its entries must be finite"
+            f"symbol {symbols} overflows {what}; its values must be finite"
         ) from exc
+
+
+def _finite(values):
+    """``values`` itself; raises ValueError when one of them is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    return values
 
 
 def _diagonals(f: TaylorPolynomial, order: int):
@@ -130,10 +117,10 @@ def _diagonals(f: TaylorPolynomial, order: int):
 def liouville_matrix(f: TaylorPolynomial, order: int = DEFAULT_ORDER) -> OperatorMatrix:
     """Matrix of ``g -> f * g'``: column ``n`` is ``n * f`` shifted by ``n-1``."""
     entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
-    with _naming_overflow("f", "liouville", order):
+    with _naming_overflow("f", f"the liouville matrix at order {order}"):
         for k, n in _diagonals(f, order):
             entries[n - 1 + k, n] = n * f.coeffs[k]
-        return OperatorMatrix(entries, "liouville")
+        return OperatorMatrix(entries)
 
 
 def scaled_liouville_matrix(
@@ -152,10 +139,10 @@ def scaled_liouville_matrix(
     for n in range(1, order + 1):
         scale[n] = n * power
         power *= a
-    with _naming_overflow("f", "scaled", order):
+    with _naming_overflow("f", f"the scaled matrix at order {order}"):
         for k, n in _diagonals(f, order):
             entries[n - 1 + k, n] = scale[n] * f.coeffs[k]
-        return OperatorMatrix(entries, "scaled")
+        return OperatorMatrix(entries)
 
 
 def weighted_liouville_matrix(
@@ -174,7 +161,7 @@ def weighted_liouville_matrix(
             stacklevel=2,
         )
     entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
-    with _naming_overflow("phi (with f)", "weighted", order):
+    with _naming_overflow("phi (with f)", f"the weighted matrix at order {order}"):
         # the exact product keeps each column O(N deg(f phi')); padded to
         # order + 1 it would make each column a full O(N^2) convolution
         weight = multiply(f, derivative(phi))
@@ -183,12 +170,12 @@ def weighted_liouville_matrix(
             col = multiply(weight, power, order)
             entries[:, n] = n * col.coeffs
             power = multiply(power, phi, order)
-        return OperatorMatrix(entries, "weighted")
+        return OperatorMatrix(entries)
 
 
 def adjoint_matrix(matrix: OperatorMatrix) -> OperatorMatrix:
     """Conjugate transpose; the adjoint oracle for every identity here."""
-    return OperatorMatrix(matrix.entries.conj().T, matrix.kind)
+    return OperatorMatrix(matrix.entries.conj().T)
 
 
 def liouville_adjoint_apply(
@@ -205,7 +192,7 @@ def liouville_adjoint_apply(
     """
     hv = h.truncated(order).coeffs
     out = np.zeros(order + 1, dtype=np.complex128)
-    with _naming_overflow("f", "liouville", order):
+    with _naming_overflow("f", f"the liouville matrix at order {order}"):
         for k, n in _diagonals(f, order):
             out[n] += np.conj(n * f.coeffs[k]) * hv[n - 1 + k]
         return TaylorPolynomial(out)
@@ -243,12 +230,13 @@ def adjoint_apply_boundary(
         size = default_boundary_size(order)
     require_grid(size, 4 * (order + 1), f"the adjoint route at order {order}")
     z = unit_circle_points(size)
-    fv = f(z)
-    fpv = derivative(f)(z)
-    hv = to_boundary(h, size).values
-    hpv = to_boundary(derivative(h), size).values
-    combo = np.conj(fv) * z * (hv + z * hpv) - np.conj(fpv) * hv
-    return project_h2(BoundaryGrid(combo), order)
+    with _naming_overflow("f", f"the boundary adjoint route at order {order}"):
+        fv = f(z)
+        fpv = derivative(f)(z)
+        hv = to_boundary(h, size).values
+        hpv = to_boundary(derivative(h), size).values
+        combo = np.conj(fv) * z * (hv + z * hpv) - np.conj(fpv) * hv
+        return project_h2(BoundaryGrid(combo), order)
 
 
 def adjoint_battery(
@@ -346,7 +334,8 @@ def smirnov_decompose(f_boundary: BoundaryGrid, order: int) -> SmirnovPair:
     ``b`` is the analytic projection of ``f * a``.
     """
     fv = f_boundary.values
-    modulus = 1.0 / np.sqrt(1.0 + np.abs(fv) ** 2)
+    with _naming_overflow("f", "the modulus (1 + |f|^2)^(-1/2)"):
+        modulus = 1.0 / np.sqrt(_finite(1.0 + np.abs(fv) ** 2))
     a = outer_from_modulus(BoundaryGrid(modulus), order)
     av = np.asarray(a(unit_circle_points(f_boundary.size)))
     b = project_h2(BoundaryGrid(fv * av), order)

@@ -123,13 +123,6 @@ class TaylorPolynomial:
 
     __rmul__ = __mul__
 
-    def to_json(self) -> dict:
-        return {"coeffs": complex_pairs(self.coeffs)}
-
-    @staticmethod
-    def from_json(data: dict) -> "TaylorPolynomial":
-        return TaylorPolynomial([complex(re, im) for re, im in data["coeffs"]])
-
 
 def monomial(degree: int, order: int | None = None) -> TaylorPolynomial:
     """The monomial ``z**degree``, optionally padded to ``order``."""
@@ -159,17 +152,6 @@ class BoundaryGrid:
     @property
     def size(self) -> int:
         return self.values.size
-
-    @property
-    def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.size) / self.size
-
-    def to_json(self) -> dict:
-        return {"values": complex_pairs(self.values)}
-
-    @staticmethod
-    def from_json(data: dict) -> "BoundaryGrid":
-        return BoundaryGrid([complex(re, im) for re, im in data["values"]])
 
 
 @dataclass(frozen=True)

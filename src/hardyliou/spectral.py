@@ -31,7 +31,6 @@ from .series import (
     TaylorPolynomial,
     DEFAULT_ORDER,
     antiderivative,
-    complex_pairs,
     exp_series,
     kernel,
     reciprocal,
@@ -52,12 +51,6 @@ class EigenPair:
     value: complex
     vector: TaylorPolynomial
     residual: float
-
-    def to_json(self) -> dict:
-        return {
-            "value": complex_pairs(self.value),
-            "residual": float(self.residual),
-        }
 
 
 def eigendecompose(matrix: OperatorMatrix) -> list[EigenPair]:

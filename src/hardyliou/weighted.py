@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompositionOutOfDiskError, DiskDomainError, SymbolOverflowError
+from .errors import CompositionOutOfDiskError, DiskDomainError
 from .occupation import Trajectory, endpoint_kernel_difference, occupation_kernel
 from .series import (
     TaylorPolynomial,
@@ -38,7 +38,9 @@ from .series import (
     szego_kernel,
     unit_circle_points,
 )
-from .operators import weighted_liouville_matrix
+from .operators import _finite, _naming_overflow, weighted_liouville_matrix
+
+DIVERGENCE_THRESHOLD = 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +238,20 @@ def boundedness_bound(
     f: TaylorPolynomial,
     phi: TaylorPolynomial,
     grid: np.ndarray | None = None,
-    divergence_threshold: float = 1e3,
 ) -> BoundednessResult:
     """Grid supremum of the growth expression with a radial divergence probe.
 
     ``diverges`` is set when the per-radius maxima still climb at the outer
-    edge of the grid and have passed ``divergence_threshold`` -- the
-    numerical surrogate for an unbounded supremum.
+    edge of the grid and have passed ``DIVERGENCE_THRESHOLD`` -- the
+    numerical surrogate for an unbounded supremum.  An overflowing growth
+    expression raises :class:`SymbolOverflowError` naming ``f``.
     """
     if grid is None:
         grid = polar_grid()
     if grid.ndim != 2:
         raise ValueError("grid must be a 2-d polar grid (radii x angles)")
-    values = _growth_expression(f, phi, grid)
+    with _naming_overflow("f (with phi)", "the growth expression"):
+        values = _finite(_growth_expression(f, phi, grid))
     per_radius = np.max(values, axis=1)
     radii = np.abs(grid[:, 0])
     profile = RadialProfile(radii=radii, values=per_radius)
@@ -256,7 +259,7 @@ def boundedness_bound(
         per_radius.size >= 3
         and per_radius[-1] > per_radius[-2] > per_radius[-3]
     )
-    diverges = bool(climbing and per_radius[-1] > divergence_threshold)
+    diverges = bool(climbing and per_radius[-1] > DIVERGENCE_THRESHOLD)
     return BoundednessResult(
         supremum=float(np.max(values)), diverges=diverges, profile=profile
     )
@@ -438,14 +441,10 @@ def hs_norm(
     if size is None:
         size = default_boundary_size(max(order, f.order + phi.order))
     z = unit_circle_points(size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        frobenius_sq = float(np.sum(np.abs(matrix.entries) ** 2))
+    with _naming_overflow("f (with phi)", f"the Hilbert-Schmidt norm at order {order}"):
+        frobenius_sq = float(_finite(np.sum(np.abs(matrix.entries) ** 2)))
         base = np.abs(np.asarray(f(z)) * np.asarray(derivative(phi)(z))) ** 2
-    if not (math.isfinite(frobenius_sq) and np.all(np.isfinite(base))):
-        raise SymbolOverflowError(
-            f"symbol f (with phi) overflows the Hilbert-Schmidt norm at order "
-            f"{order}; its squared norms must be finite"
-        )
+        _finite(base)
     r2 = np.abs(np.asarray(phi(z))) ** 2
     if np.max(r2) >= 1.0:
         return HsNormResult(

@@ -133,6 +133,9 @@ def test_boundary_size_constraint_enforced(tmp_path, capsys):
             {"N": 8, "f": [1e308, 1e308], "ode": {"z0": 0.2, "T": 0.1, "dt": 0.01}},
             "symbol f ",
         ),
+        ("adjoint-check", {"N": 1, "M": 8, "f": [1e308, 1e308], "cases": 1}, "symbol f "),
+        ("smirnov", {"N": 8, "f": [0.1, 1e308]}, "symbol f "),
+        ("bounds", {"f": [1e308], "phi": [0, 0.5]}, "symbol f "),
     ],
 )
 def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, config, symbol):
@@ -145,6 +148,50 @@ def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, confi
     assert "Traceback" not in err
     lines = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(lines) == 1 and symbol in lines[0]
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": float("nan"), "T": 0.1, "dt": 0.01}}, "ode.z0"),
+        ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": float("inf"), "T": 0.1, "dt": 0.01}}, "ode.z0"),
+        ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": [0.1, float("-inf")], "T": 0.1, "dt": 0.01}}, "ode.z0"),
+        ("spectrum", {"N": 8, "f": [0.1, float("nan")]}, "f[1]"),
+        ("spectrum", {"N": 8, "f": [0.1, 10**400]}, "f[1]"),
+        ("bounds", {"f": [0.1, 0.5], "phi": [0, float("inf")]}, "phi[1]"),
+        ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": 0.2, "T": float("nan"), "dt": 0.01}}, "T"),
+        ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": 0.2, "T": 0.1, "dt": float("inf")}}, "dt"),
+        ("spectrum", {"N": 8, "f": [0.1, 0.9], "tolerance": float("nan")}, "tolerance"),
+        ("dmd", {"N": 8, "ridge": float("inf")}, "ridge"),
+    ],
+)
+def test_nonfinite_config_number_exits_two_naming_the_field(
+    tmp_path, capsys, command, config, field
+):
+    # json.dumps writes NaN/Infinity tokens, which json.loads accepts
+    code, _ = _run(tmp_path, command, config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and f"'{field}'" in lines[0] and "finite" in lines[0]
+
+
+def test_nonfinite_predict_z0_exits_two(tmp_path, capsys):
+    f = TaylorPolynomial([0.1, 0.9])
+    paths = []
+    for k, z0 in enumerate((0.05, 0.1j, -0.1)):
+        path = tmp_path / f"traj{k}.csv"
+        write_trajectory_csv(integrate_ode(f, z0, 0.5, 1e-2), path)
+        paths.append(str(path))
+    config = {
+        "N": 8,
+        "trajectories": paths,
+        "predict": {"z0": float("nan"), "times": [0.1]},
+    }
+    code, _ = _run(tmp_path, "dmd", config)
+    assert code == 2
+    assert "'predict.z0': must be finite" in capsys.readouterr().err
 
 
 def test_adjoint_check_battery_passes(tmp_path):
@@ -216,6 +263,23 @@ def test_nonfinite_trajectory_sample_cited(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "nan.csv" in err and "row 3" in err and "not finite" in err
+
+
+def test_non_utf8_inputs_exit_two_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"t,re,im\n0,0.1,0\n0.1,0.2\xff,0\n0.2,0.1,0\n")
+    config = {"N": 16, "f": [0.0, 1.0], "trajectories": [str(path)]}
+    code, _ = _run(tmp_path, "occupation", config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "latin.csv" in err and "row 3" in err and "Traceback" not in err
+
+    cfg_path = tmp_path / "latin.json"
+    cfg_path.write_bytes(b'{"N": 8, "f": [0\xff, 1]}')
+    code = console_main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "latin.json" in err and "Traceback" not in err
 
 
 def test_short_trajectory_file_rejected(tmp_path, capsys):

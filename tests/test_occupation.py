@@ -1,9 +1,17 @@
 """Trajectories, quadrature, occupation kernels, and their adjoint identities."""
 
+import contextlib
+import csv
+import hashlib
+import io
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardyliou import occupation
+from hardyliou.cli import console_main
 from hardyliou import (
     CompositionOutOfDiskError,
     DiskDomainError,
@@ -135,6 +143,188 @@ def test_csv_errors_cite_rows(tmp_path):
         read_trajectory_csv(path)
     assert "row" in str(info.value)
 
+
+@pytest.mark.parametrize(
+    "times, points, error, cited",
+    [
+        ([0.0, 1.0, np.inf, np.nan], [0.1, 0.2, 0.3, 0.4], ValueError, "sample 2 is not finite"),
+        ([0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.9995, 2.0], DiskDomainError, "sample 2 lies outside"),
+        ([0.0, 1.0, 1.0, 0.5], [0.1, 0.2, 0.3, 0.4], ValueError, "sample 2 breaks strict"),
+    ],
+)
+def test_trajectory_cites_first_offending_sample(times, points, error, cited):
+    # each rule is broken twice; the earlier sample is cited
+    with pytest.raises(error) as info:
+        Trajectory(np.array(times), np.array(points, dtype=complex))
+    assert str(info.value).startswith(cited)
+
+
+# ---------------------------------------------------------------------------
+# CSV fuzzing against the row-by-row reader
+# ---------------------------------------------------------------------------
+
+
+def _row_by_row_reader(path, margin=1e-3):
+    """The earlier reader: per-row disk and ordering checks, then finiteness."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    digest = hashlib.sha256(raw).hexdigest()
+    rows = list(csv.reader(raw.decode("utf-8").splitlines()))
+    if not rows or [cell.strip() for cell in rows[0]] != ["t", "re", "im"]:
+        raise TrajectoryIngestionError(
+            f"{path}: first row must be the header 't,re,im'"
+        )
+    times, points = [], []
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise TrajectoryIngestionError(f"{path}: row {i} must have 3 fields")
+        try:
+            t, re, im = (float(cell) for cell in row)
+        except ValueError as exc:
+            raise TrajectoryIngestionError(f"{path}: row {i}: {exc}") from exc
+        z = complex(re, im)
+        if abs(z) > 1.0 - margin:
+            raise TrajectoryIngestionError(
+                f"{path}: row {i} lies outside the disk (|z| = {abs(z):.6g})"
+            )
+        if times and t <= times[-1]:
+            raise TrajectoryIngestionError(
+                f"{path}: row {i} breaks strict time ordering"
+            )
+        times.append(t)
+        points.append(z)
+    if not times:
+        raise TrajectoryIngestionError(f"{path}: no data rows")
+    times, points = np.array(times), np.array(points)
+    finite = np.isfinite(times) & np.isfinite(points)
+    if not finite.all():
+        row = int(np.argmin(finite)) + 2
+        raise TrajectoryIngestionError(f"{path}: row {row} is not finite")
+    return Trajectory(times=times, points=points, digest=digest)
+
+
+def _first_bad_row(lines):
+    """Row number (header = 1) of the first line that breaks a rule, or None."""
+    previous = None
+    for i, line in enumerate(lines, start=2):
+        try:
+            cells = line.decode("utf-8").split(",")
+            t, re, im = (float(cell) for cell in cells) if len(cells) == 3 else ()
+        except ValueError:
+            return i
+        z = complex(re, im)
+        if not (np.isfinite(t) and np.isfinite(z)) or abs(z) > 1.0 - 1e-3:
+            return i
+        if previous is not None and t <= previous:
+            return i
+        previous = t
+    return None
+
+
+_DEFECTS = {
+    "fields": lambda k, x: f"{k},{x}".encode(),
+    "extra": lambda k, x: f"{k},{x},0,0".encode(),
+    "cell": lambda k, x: f"{k},oops,{x}".encode(),
+    "nan": lambda k, x: f"{k},nan,{x}".encode(),
+    "nan_t": lambda k, x: f"nan,{x},0".encode(),
+    "inf": lambda k, x: f"{k},{x},-inf".encode(),
+    "inf_t": lambda k, x: f"inf,{x},0".encode(),
+    "disk": lambda k, x: f"{k},{1.0 + abs(x)},{x}".encode(),
+    "edge": lambda k, x: f"{k},0.9995,0".encode(),
+    "order": lambda k, x: f"{k - 1 - abs(x)},{x},0".encode(),
+    "utf8": lambda k, x: f"{k},{x}".encode() + b"\xff,0",
+}
+
+_LINES = st.lists(
+    st.tuples(
+        st.sampled_from(["ok"] * 4 + sorted(_DEFECTS)),
+        st.floats(-0.7, 0.7, allow_nan=False),
+    ),
+    max_size=8,
+)
+
+
+def _csv_lines(spec):
+    # data row k carries time k, so rows without a defect are increasing
+    return [
+        f"{k},{x},{x / 2}".encode() if kind == "ok" else _DEFECTS[kind](k, x)
+        for k, (kind, x) in enumerate(spec)
+    ]
+
+
+@settings(deadline=None, max_examples=300)
+@given(spec=_LINES)
+def test_csv_fuzz_cites_earliest_bad_row(tmp_path_factory, spec):
+    path = tmp_path_factory.mktemp("fuzz") / "traj.csv"
+    lines = _csv_lines(spec)
+    path.write_bytes(b"\n".join([b"t,re,im"] + lines) + b"\n")
+    bad = _first_bad_row(lines)
+    if not lines:
+        with pytest.raises(TrajectoryIngestionError, match="no data rows"):
+            read_trajectory_csv(path)
+    elif bad is None:
+        traj = read_trajectory_csv(path)
+        assert traj.times.size == len(lines)
+        assert traj.content_digest() == hashlib.sha256(path.read_bytes()).hexdigest()
+    else:
+        with pytest.raises(TrajectoryIngestionError) as info:
+            read_trajectory_csv(path)
+        cited = f"{path}: row {bad}"
+        assert str(info.value).startswith(cited)
+        assert str(info.value)[len(cited)] in " :"
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from(sorted(_DEFECTS)),
+    x=st.floats(-0.7, 0.7, allow_nan=False),
+    before=st.integers(0, 4),
+    after=st.integers(0, 4),
+)
+def test_csv_single_defect_matches_row_by_row_reader(
+    tmp_path_factory, kind, x, before, after
+):
+    path = tmp_path_factory.mktemp("fuzz") / "traj.csv"
+    spec = [("ok", 0.1)] * before + [(kind, x)] + [("ok", -0.2)] * after
+    lines = _csv_lines(spec)
+    path.write_bytes(b"\n".join([b"t,re,im"] + lines) + b"\n")
+    row = before + 2
+    if kind == "utf8":
+        # the earlier reader failed on decoding before it saw any row
+        with pytest.raises(TrajectoryIngestionError, match=f"row {row}: could not"):
+            read_trajectory_csv(path)
+        return
+    try:
+        expected = _row_by_row_reader(path)
+    except TrajectoryIngestionError as exc:
+        expected = str(exc)
+    if kind in ("inf", "inf_t"):
+        expected = f"{path}: row {row} is not finite"
+    try:
+        got = read_trajectory_csv(path)
+    except TrajectoryIngestionError as exc:
+        assert str(exc) == expected
+    else:
+        assert np.array_equal(got.times, expected.times)
+        assert np.array_equal(got.points, expected.points)
+        assert got.content_digest() == expected.content_digest()
+
+
+
+@settings(deadline=None, max_examples=100)
+@given(spec=_LINES)
+def test_occupation_command_over_fuzzed_csv_exits_cleanly(tmp_path_factory, spec):
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / "traj.csv"
+    path.write_bytes(b"\n".join([b"t,re,im"] + _csv_lines(spec)) + b"\n")
+    config = folder / "occupation.json"
+    config.write_text(json.dumps({"N": 8, "f": [0.0, 1.0], "trajectories": [str(path)]}))
+    argv = ["occupation", "--config", str(config), "--out", str(folder)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = console_main(argv)
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")
 
 # ---------------------------------------------------------------------------
 # integrator

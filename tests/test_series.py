@@ -73,12 +73,6 @@ def test_taylor_truncated_extends_and_cuts():
     assert np.allclose(p.truncated(4).coeffs, [1, 2, 3, 0, 0])
 
 
-def test_taylor_json_roundtrip():
-    p = TaylorPolynomial([1 + 2j, 3])
-    q = TaylorPolynomial.from_json(p.to_json())
-    assert np.array_equal(p.coeffs, q.coeffs)
-
-
 def test_monomial():
     m = monomial(3)
     assert m.order == 3
