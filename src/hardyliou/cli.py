@@ -25,6 +25,7 @@ from . import acceptance, dmd
 from .errors import (
     ConfigError,
     HardyliouError,
+    StepBudgetError,
     SymbolOverflowError,
     TrajectoryIngestionError,
 )
@@ -153,7 +154,10 @@ def _trajectories_from_config(cfg: dict) -> list[Trajectory]:
         z0 = _parse_complex(_require(ode, "z0"), "ode.z0")
         t_final = _get_float(ode, "T", positive=True)
         dt = _get_float(ode, "dt", positive=True)
-        return [integrate_ode(f, z0, t_final, dt)]
+        try:
+            return [integrate_ode(f, z0, t_final, dt)]
+        except StepBudgetError as exc:
+            raise ConfigError(f"config fields 'ode.T' and 'ode.dt': {exc}") from None
     _fail("trajectories", "either 'trajectories' or 'ode' must be given")
 
 
@@ -335,6 +339,8 @@ def _cmd_dmd(cfg: dict, out_dir: Path) -> dict:
     model_path.write_text(model.to_json())
     return {
         "inputs": {"N": order, "ridge_requested": ridge},
+        "rank": model.rank,
+        "singular_value_ratio": model.singular_value_ratio,
         "regularization": model.regularization,
         "eigenvalues": complex_pairs(model.eigenvalues),
         "mode_residuals": [float(r) for r in model.mode_residuals],
@@ -496,11 +502,17 @@ def run(command: str, config: dict, out_dir) -> int:
         )
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
+    name = config.get("output", f"{command.replace('-', '_')}_report.json")
+    # a plain name keeps the report inside out_dir; the OS refuses a NUL byte
+    if (
+        not isinstance(name, str)
+        or name in ("", ".", "..")
+        or Path(name).name != name
+        or "\0" in name
+    ):
+        _fail("output", f"must be a plain file name inside --out, got {name!r}")
     report = {"schema": _SCHEMA, "command": command}
     report.update(_COMMANDS[command](config, out_path))
-    name = config.get("output", f"{command.replace('-', '_')}_report.json")
-    if not isinstance(name, str) or not name:
-        _fail("output", "must be a nonempty file name")
     _write_report(report, out_path / name)
     for cert in report["certificates"]:
         status = "PASS" if cert["passed"] else "FAIL"
@@ -537,6 +549,8 @@ def console_main(argv=None) -> int:
                 config = json.loads(Path(args.config).read_text())
             except FileNotFoundError:
                 raise ConfigError(f"config file not found: {args.config}")
+            except OSError as exc:  # a directory, no permission, ...
+                raise ConfigError(f"config {args.config} could not be read: {exc}")
             except ValueError as exc:  # not JSON, or not UTF-8 text
                 raise ConfigError(f"config {args.config} is not valid JSON: {exc}")
         return run(args.command, config, args.out)

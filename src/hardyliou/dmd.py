@@ -3,27 +3,37 @@
 Occupation kernels computed from observed trajectories span a finite
 subspace; compressing the adjoint generator to that subspace needs no model
 for the vector field, only the trajectory endpoints.  With basis matrix
-``S`` (columns are occupation-kernel coefficient vectors) and target matrix
-``T`` (columns ``K_end - K_start`` per trajectory), the compression solves
+``S`` ((N+1) x m, columns are occupation-kernel coefficient vectors) and
+target matrix ``T`` (columns ``K_end - K_start`` per trajectory), the
+Tikhonov-regularized compression is
 
-    (S^H S) C = S^H T
+    C = (S^H S + ridge I)^{-1} S^H T.
 
-so that ``C`` represents the compressed adjoint in the basis coordinates.
-Its eigenvalues estimate the adjoint spectrum; conjugating recovers the
-forward generator's spectrum for prediction.
+``S`` has rank at most ``k = min(m, N+1)``, so the fit works in rank
+coordinates (exact DMD on a thin SVD, Tu et al. 2014).  With
+``S = U diag(sigma) V^H`` thin, ``(S^H S + ridge I)^{-1} S^H = V diag(F) U^H``
+with the filter factors ``F = sigma / (sigma^2 + ridge)``, hence
+``C = V diag(F) U^H T`` and ``C V = V K`` for the k x k operator
+
+    K = diag(F) U^H T V.
+
+Its eigenvalues are the nonzero spectrum of ``C`` (``AB`` and ``BA`` share
+their nonzero eigenvalues); the ``m - k`` structural zeros of ``C`` when
+``m > N+1`` come from the null space of ``S`` and are dropped.  An
+eigenvector ``w`` of ``K`` gives the eigenvector ``V w`` of ``C`` and the
+mode ``S V w = U diag(sigma) w``.  Eigenvalues estimate the adjoint
+spectrum; conjugating recovers the forward generator's spectrum for
+prediction.
 
 Prediction evaluates the identity observable pushed through the compressed
-evolution.  Writing ``P`` for the orthogonal projector onto the span of the
-basis, the predictor at time ``t`` is ``conj(first coefficient of
-S V e^{t diag(mu)} V^{-1} p)`` where ``p`` solves ``(G + ridge I) p = y``
-with ``y_i = conj(Gamma_i(z0))``.  At ``t = 0`` this reduces exactly to
-``(P id)(z0)``, the best subspace reconstruction of ``z0`` itself, which is
-the correctness anchor for the whole chain.
-
-Only ``y`` and ``e^{t diag(mu)}`` depend on ``(z0, t)``, and ``y`` is
-``S^H`` applied to the conjugated monomials of ``z0``.  The model therefore
-stores ``W = V^{-1} (G + ridge I)^{-1} S^H`` and ``r = (S V)[1, :]`` once, and
-a forecast is ``conj(r . (e^{mu t} * (W conj(z0)^k)))``.
+evolution.  The forecast at time ``t`` is ``conj(first coefficient of
+U diag(sigma) W e^{t diag(mu)} W^{-1} diag(F) U^H c)`` with
+``c = conj(z0^n)``, n = 0..N.  At ``t = 0`` this reduces exactly to the
+ridge-regularized projection ``S (G + ridge I)^{-1} S^H`` of the identity
+observable evaluated at ``z0``, the correctness anchor for the whole chain.
+Only ``c`` and ``e^{t diag(mu)}`` depend on ``(z0, t)``, so the model
+stores ``W^{-1} diag(F) U^H`` and ``(U diag(sigma) W)[1, :]`` once, and a
+forecast is one k x (N+1) matrix-vector product and k exponentials.
 """
 
 from __future__ import annotations
@@ -42,20 +52,30 @@ from .series import DEFAULT_ORDER, TaylorPolynomial, complex_pairs
 _COND_LIMIT = 1e14
 
 
+def _filter_factors(singular_values: np.ndarray, ridge: float) -> np.ndarray:
+    # Tikhonov on the Gram system: (G + ridge I)^{-1} S^H = V diag(F) U^H
+    return singular_values / (singular_values**2 + ridge)
+
+
 @dataclass(frozen=True)
 class DmdModel:
     """Fitted compression of the adjoint generator onto trajectory data.
 
-    ``eigenvalues`` estimate adjoint eigenvalues mu; the forward generator's
-    eigenvalues are their conjugates.  ``modes[j]`` is the unit-norm
-    eigenfunction estimate for ``eigenvalues[j]``; ``mode_residuals[j]`` is
-    the data-space residual ``||T v - mu S v||`` at ``||S v|| = 1``.
+    ``basis`` is ``S`` and ``left_singular_vectors`` / ``singular_values``
+    its thin SVD at rank ``k = min(m, N+1)``.  ``operator`` is the k x k
+    compression ``K = diag(F) U^H T V``.  ``eigenvalues`` estimate adjoint
+    eigenvalues mu; the forward generator's eigenvalues are their
+    conjugates.  ``eigenvectors[:, j]`` is ``w_j`` in rank coordinates,
+    scaled so that the mode ``U diag(sigma) w_j`` has unit norm;
+    ``modes[j]`` is that eigenfunction estimate and ``mode_residuals[j]``
+    the data-space residual ``||T v - mu S v||`` at ``v = V w_j``.
     ``identity_residual`` measures how well the identity observable is
     captured by the span; predictions degrade once it grows.
     """
 
     basis: np.ndarray
-    gram: np.ndarray
+    left_singular_vectors: np.ndarray
+    singular_values: np.ndarray
     operator: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -70,14 +90,16 @@ class DmdModel:
     _readout: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the (z0, t)-independent part of predict: W = V^{-1} (G + ridge I)^{-1}
-        # S^H and r = (S V)[1, :], both solved against, never inverted
-        regularized = self.gram + self.regularization * np.eye(self.gram.shape[0])
+        # the (z0, t)-independent part of predict: W^{-1} diag(F) U^H, solved
+        # against W, never inverted, and r = (U diag(sigma) W)[1, :]
+        filtered = _filter_factors(self.singular_values, self.regularization)
         forecast_map = np.linalg.solve(
             self.eigenvectors,
-            np.linalg.solve(regularized, self.basis.conj().T),
+            filtered[:, None] * self.left_singular_vectors.conj().T,
         )
-        readout = self.basis[1] @ self.eigenvectors
+        readout = (
+            self.left_singular_vectors[1] * self.singular_values
+        ) @ self.eigenvectors
         forecast_map.setflags(write=False)
         readout.setflags(write=False)
         object.__setattr__(self, "_forecast_map", forecast_map)
@@ -87,14 +109,33 @@ class DmdModel:
     def n_trajectories(self) -> int:
         return self.basis.shape[1]
 
+    @property
+    def rank(self) -> int:
+        """``k = min(m, N+1)``, the number of rank coordinates."""
+        return self.singular_values.size
+
+    @property
+    def singular_value_ratio(self) -> float:
+        """``sigma_k / sigma_1``; for m <= N+1, ``cond(G)`` is its inverse squared."""
+        return float(self.singular_values[-1] / self.singular_values[0])
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The m x m Gram matrix ``S^H S``, computed on each access."""
+        gram = self.basis.conj().T @ self.basis
+        gram.setflags(write=False)
+        return gram
+
     def to_json(self) -> str:
         payload = {
-            "schema": 1,
+            "schema": 2,
             "order": self.order,
             "n_trajectories": self.n_trajectories,
+            "rank": self.rank,
+            "singular_value_ratio": self.singular_value_ratio,
             "regularization": self.regularization,
             "identity_residual": self.identity_residual,
-            "gram": complex_pairs(self.gram),
+            "singular_values": [float(s) for s in self.singular_values],
             "operator": complex_pairs(self.operator),
             "eigenvalues": complex_pairs(self.eigenvalues),
             "mode_residuals": [float(r) for r in self.mode_residuals],
@@ -124,10 +165,13 @@ def fit(
 ) -> DmdModel:
     """Compress the adjoint generator onto the span of occupation kernels.
 
-    ``ridge`` regularizes the Gram system; the default ``1e-10 tr(G)`` keeps
-    the solve stable for nearly parallel trajectories.  Passing ``ridge=0``
-    demands a well-conditioned Gram matrix and raises otherwise; a negative
-    or non-finite ``ridge`` raises ``ValueError``.
+    ``ridge`` regularizes the Gram system ``S^H S + ridge I``, applied as the
+    filter factors ``sigma / (sigma^2 + ridge)`` on the thin SVD of ``S``;
+    the default ``1e-10 tr(G)`` keeps the fit stable for nearly parallel
+    trajectories.  Passing ``ridge=0`` demands a well-conditioned Gram
+    matrix (``(sigma_1 / sigma_m)^2 <= 1e14``, so at most N+1 trajectories)
+    and raises otherwise; a negative or non-finite ``ridge`` raises
+    ``ValueError``.  The model has ``k = min(m, N+1)`` eigenvalues.
     """
     if ridge is not None and not (math.isfinite(ridge) and ridge >= 0.0):
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
@@ -138,39 +182,36 @@ def fit(
         if not isinstance(traj, Trajectory):
             raise TypeError("trajectories must be Trajectory instances")
     basis, targets, digests = _snapshot_matrices(trajectories, order)
-    gram = basis.conj().T @ basis
-    crossed = basis.conj().T @ targets
+    left, sigma, right_h = np.linalg.svd(basis, full_matrices=False)
     if ridge is None:
-        ridge = 1e-10 * float(np.trace(gram).real)
+        ridge = 1e-10 * float(np.sum(sigma**2))
     elif ridge == 0.0:
-        cond = np.linalg.cond(gram)
-        if cond > _COND_LIMIT:
+        # sigma_m is zero when S has more columns than rows
+        smallest = sigma[-1] if sigma.size == basis.shape[1] else 0.0
+        with np.errstate(divide="ignore", over="ignore"):
+            cond = float((sigma[0] / smallest) ** 2)
+        if not cond <= _COND_LIMIT:
             raise IllConditionedError(
                 f"Gram condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}; "
                 "pass a positive ridge"
             )
-    regularized = gram + ridge * np.eye(gram.shape[0])
-    operator = np.linalg.solve(regularized, crossed)
+    targets_v = targets @ right_h.conj().T
+    operator = _filter_factors(sigma, ridge)[:, None] * (left.conj().T @ targets_v)
 
     eigenvalues, eigenvectors = np.linalg.eig(operator)
     perm = np.lexsort((eigenvalues.imag, eigenvalues.real))
     eigenvalues = eigenvalues[perm]
     eigenvectors = eigenvectors[:, perm]
 
-    modes = []
-    residuals = np.zeros(len(eigenvalues))
-    for j in range(len(eigenvalues)):
-        v = eigenvectors[:, j]
-        sv = basis @ v
-        scale = np.linalg.norm(sv)
-        if scale > 0:
-            v = v / scale
-            sv = sv / scale
-            eigenvectors[:, j] = v
-        residuals[j] = float(
-            np.linalg.norm(targets @ v - eigenvalues[j] * sv)
-        )
-        modes.append(TaylorPolynomial(sv))
+    # v = V w: S v = U diag(sigma) w and T v = (T V) w; scale to ||S v|| = 1
+    modes = left @ (sigma[:, None] * eigenvectors)
+    scale = np.linalg.norm(modes, axis=0)
+    scale[scale == 0.0] = 1.0  # a zero mode stays unnormalized
+    eigenvectors /= scale
+    modes /= scale
+    residuals = np.linalg.norm(
+        targets_v @ eigenvectors - modes * eigenvalues, axis=0
+    )
 
     id_coeffs = np.zeros(order + 1, dtype=np.complex128)
     id_coeffs[1] = 1.0
@@ -180,19 +221,16 @@ def fit(
     else:
         identity_residual = float(np.linalg.norm(basis @ solution - id_coeffs))
 
-    gram.setflags(write=False)
-    operator.setflags(write=False)
-    eigenvalues.setflags(write=False)
-    eigenvectors.setflags(write=False)
-    residuals.setflags(write=False)
-    basis.setflags(write=False)
+    for array in (basis, left, sigma, operator, eigenvalues, eigenvectors, residuals):
+        array.setflags(write=False)
     return DmdModel(
         basis=basis,
-        gram=gram,
+        left_singular_vectors=left,
+        singular_values=sigma,
         operator=operator,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
-        modes=tuple(modes),
+        modes=tuple(TaylorPolynomial(column) for column in modes.T),
         mode_residuals=residuals,
         regularization=float(ridge),
         identity_residual=identity_residual,
@@ -205,13 +243,14 @@ def predict(model: DmdModel, z0: complex, t: float | np.ndarray):
     """Forecast the state at time ``t`` for the trajectory started at ``z0``.
 
     Pushes the identity observable through the compressed evolution:
-    coefficients of ``z0`` against the basis come from the regularized Gram
-    solve, the eigen-coordinates evolve by ``exp(mu t)``, and the forecast is
-    the conjugated linear coefficient of the evolved combination.  At
-    ``t = 0`` the output is exactly the subspace reconstruction of ``z0``.
+    coefficients of ``z0`` in rank coordinates come from the filter factors,
+    the eigen-coordinates evolve by ``exp(mu t)``, and the forecast is the
+    conjugated linear coefficient of the evolved combination.  At ``t = 0``
+    the output is exactly the subspace reconstruction of ``z0``.
 
-    Both solves are factored once when the model is built, so a forecast
-    costs one matrix-vector product and ``m`` exponentials.  A scalar ``t``
+    The solve against the eigenvectors is factored once when the model is
+    built, so a forecast costs one matrix-vector product and ``k``
+    exponentials.  A scalar ``t``
     returns a ``complex``; a 1-d array of times returns an array of
     forecasts.  A forecast that is not finite (far outside the data span)
     emits ``LowConfidenceWarning``.

@@ -41,6 +41,10 @@ class SymbolOverflowError(HardyliouError, ValueError):
     """A finite symbol overflows to non-finite values; the message names the symbol."""
 
 
+class StepBudgetError(HardyliouError, ValueError):
+    """A requested step count exceeds the fixed budget; raised before allocating."""
+
+
 class DiskExitError(HardyliouError, RuntimeError):
     """An integrated trajectory left the allowed disk before the final time."""
 

@@ -22,6 +22,7 @@ from .errors import (
     DiskDomainError,
     DiskExitError,
     InsufficientDataError,
+    StepBudgetError,
     SymbolOverflowError,
     TrajectoryIngestionError,
     TrajectoryMismatchWarning,
@@ -34,6 +35,9 @@ from .operators import (
 from .series import TaylorPolynomial, DEFAULT_ORDER, szego_kernel
 
 DISK_MARGIN = 1e-3
+# 100x the longest integration in the demos, tests and benchmark (10^4 steps); a
+# trajectory this long already holds 24 MB of samples
+MAX_RK4_STEPS = 1_000_000
 
 
 def _first_invalid_sample(times: np.ndarray, points: np.ndarray):
@@ -181,10 +185,17 @@ def integrate_ode(
     into Simpson quadrature.  Leaving ``|z| > 1 - DISK_MARGIN`` aborts with the
     exit time; solutions of polynomial fields can blow up in finite time, so
     this is a hard error rather than a clamp.  A state that is no longer
-    finite raises :class:`SymbolOverflowError` naming ``f`` instead.
+    finite raises :class:`SymbolOverflowError` naming ``f`` instead.  More
+    than ``MAX_RK4_STEPS`` steps raise :class:`StepBudgetError` before
+    anything is allocated.
     """
     if not (t_final > 0 and dt > 0):
         raise ValueError("t_final and dt must be positive")
+    if not t_final / dt <= MAX_RK4_STEPS:  # also true for an overflow to inf
+        raise StepBudgetError(
+            f"t_final / dt = {t_final / dt:.6g} exceeds the RK4 step budget "
+            f"of {MAX_RK4_STEPS} steps"
+        )
     z0 = complex(z0)
     invalid = _first_invalid_sample(np.zeros(1), np.array([z0]))
     if invalid is not None:

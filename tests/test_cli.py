@@ -100,6 +100,14 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_config_that_is_a_directory_exits_two(tmp_path, capsys):
+    code = console_main(["spectrum", "--config", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"config {tmp_path} could not be read" in err
+
+
 def test_malformed_json_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -175,6 +183,36 @@ def test_nonfinite_config_number_exits_two_naming_the_field(
     assert "Traceback" not in err
     lines = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(lines) == 1 and f"'{field}'" in lines[0] and "finite" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "ode", [{"z0": 0.2, "T": 1e300, "dt": 1e-300}, {"z0": 0.2, "T": 1.0, "dt": 1e-7}]
+)
+def test_ode_over_step_budget_exits_two_naming_t_and_dt(tmp_path, capsys, ode):
+    code, _ = _run(tmp_path, "occupation", {"N": 8, "f": [0, 1], "ode": ode})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1
+    assert "'ode.T'" in lines[0] and "'ode.dt'" in lines[0] and "budget" in lines[0]
+
+
+@pytest.mark.parametrize(
+    # None stands for an absolute path
+    "name", ["../x/../../escape.json", "../up.json", "sub/r.json", "..", ".", "a\0b", None]
+)
+def test_output_outside_out_dir_exits_two_before_computing(tmp_path, capsys, name):
+    if name is None:
+        name = str(tmp_path / "abs.json")
+    config = {"N": 8, "f": [0.1, 0.9], "ode": _ODE, "output": name}
+    code, _ = _run(tmp_path, "dmd", config, out="a/o")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "'output'" in err
+    # dmd writes its model file first, so nothing under tmp_path means
+    # nothing was computed
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dmd_cfg.json"]
 
 
 def test_nonfinite_predict_z0_exits_two(tmp_path, capsys):
@@ -354,7 +392,10 @@ def test_dmd_command_fits_and_predicts(tmp_path):
     t0 = complex(*report["predictions"][0]["value"])
     assert abs(t0 - 0.2) < 1e-3
     model = json.loads((out / "dmd_model.json").read_text())
-    assert model["schema"] == 1
+    assert model["schema"] == 2
+    assert report["rank"] == model["rank"] == 12
+    ratio = report["singular_value_ratio"]
+    assert ratio == model["singular_value_ratio"] and 0.0 < ratio < 1.0
 
 
 def test_bounds_writes_profile_csv(tmp_path):

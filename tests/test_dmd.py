@@ -1,9 +1,11 @@
 """Data-driven compression: fit, spectrum recovery, prediction."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardyliou import (
     IllConditionedError,
@@ -145,17 +147,15 @@ def test_predict_warns_on_thin_data():
 
 
 def _two_solve_predict(model, z0, t):
-    # oracle: rebuilds G + ridge I and solves against it and against V
-    # on every call
+    # oracle: applies the filter factors sigma / (sigma^2 + ridge) and solves
+    # against the rank-coordinate eigenvectors W on every call
     z0 = complex(z0)
-    powers = z0 ** np.arange(model.order + 1)
-    y = np.conj(model.basis.T @ powers)
-    regularized = model.gram + model.regularization * np.eye(model.gram.shape[0])
-    p = np.linalg.solve(regularized, y)
-    evolved = model.eigenvectors @ (
-        np.exp(model.eigenvalues * t) * np.linalg.solve(model.eigenvectors, p)
-    )
-    coeffs = model.basis @ evolved
+    left, sigma = model.left_singular_vectors, model.singular_values
+    c = np.conj(z0 ** np.arange(model.order + 1))
+    p = sigma / (sigma**2 + model.regularization) * (left.conj().T @ c)
+    w = model.eigenvectors
+    evolved = w @ (np.exp(model.eigenvalues * t) * np.linalg.solve(w, p))
+    coeffs = left @ (sigma * evolved)
     return complex(np.conj(coeffs[1]))
 
 
@@ -205,6 +205,70 @@ def test_predict_warns_when_forecast_not_finite():
         assert np.isfinite(values[0]) and not np.isfinite(values[1])
 
 
+def _gram_fit(trajectories, order, ridge):
+    # oracle: the m x m Gram route, C = (G + ridge I)^{-1} S^H T
+    # eigendecomposed in trajectory space, with its own factor-once predictor
+    basis, targets, _ = dmd._snapshot_matrices(trajectories, order)
+    gram = basis.conj().T @ basis
+    if ridge is None:
+        ridge = 1e-10 * float(np.trace(gram).real)
+    regularized = gram + ridge * np.eye(gram.shape[0])
+    mu, vectors = np.linalg.eig(
+        np.linalg.solve(regularized, basis.conj().T @ targets)
+    )
+    forecast_map = np.linalg.solve(
+        vectors, np.linalg.solve(regularized, basis.conj().T)
+    )
+    readout = basis[1] @ vectors
+
+    def predict(z0, t):
+        coords = forecast_map @ np.conj(complex(z0) ** np.arange(order + 1))
+        return complex(np.conj((np.exp(mu * t) * coords) @ readout))
+
+    return mu, predict, ridge, np.linalg.cond(gram), np.linalg.cond(regularized)
+
+
+# Over 750 random draws (N in {8, 16, 24}, m up to 2N + 10, the three ridges)
+# the largest gaps between the routes were 0.82 eps kappa (resolved
+# eigenvalues) and 0.80 eps kappa (forecasts), kappa the condition number of
+# the G + ridge I that the Gram route solves against; 800 examples of the test
+# below pass at ten times that
+_ORACLE_MARGIN = 10.0 * np.finfo(float).eps
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    order=st.sampled_from([8, 16, 24]),
+    count=st.integers(1, 50),
+    ridge=st.sampled_from([None, 1e-8, 0.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_space_fit_matches_gram_oracle(order, count, ridge, seed):
+    # count spans both sides of N+1: above it S has a null space and the
+    # Gram route carries count - (N+1) structural zero eigenvalues
+    rng = np.random.default_rng(seed)
+    batch = _disk_batch(rng, count)
+    mu, oracle_predict, rho, cond, kappa = _gram_fit(batch, order, ridge)
+    try:
+        model = dmd.fit(batch, order=order, ridge=ridge)
+    except IllConditionedError:
+        assert ridge == 0.0 and cond > 0.5e14  # the two estimates of cond(G)
+        return  # differ by rounding only near the 1e14 limit
+    assert not (ridge == 0.0 and cond > 2e14)
+    assert model.rank == min(count, order + 1)
+    assert model.regularization == pytest.approx(rho, rel=1e-12)
+    margin = _ORACLE_MARGIN * kappa
+    for lam in model.eigenvalues[model.mode_residuals <= 1e-3]:
+        assert np.min(np.abs(mu - lam)) <= margin
+    starts = 0.5 * np.sqrt(rng.uniform(size=4)) * np.exp(
+        2j * np.pi * rng.uniform(size=4)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LowConfidenceWarning)  # thin batches
+        for z0, t in zip(starts, rng.uniform(0.0, 1.0, 4)):
+            assert abs(dmd.predict(model, z0, t) - oracle_predict(z0, t)) <= margin
+
+
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
@@ -215,13 +279,38 @@ def test_model_json_deterministic(affine_model):
     b = affine_model.to_json()
     assert a == b
     assert a.endswith("\n")
-    import json
-
     payload = json.loads(a)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["n_trajectories"] == 20
+    assert payload["rank"] == 20
+    assert payload["singular_value_ratio"] == affine_model.singular_value_ratio
+    assert 0.0 < payload["singular_value_ratio"] < 1.0
     assert len(payload["eigenvalues"]) == 20
     assert len(payload["trajectory_digests"]) == 20
+    assert dmd.fit(_affine_batch(dt=5e-3), order=48).to_json() == a
+
+
+def test_wide_batch_model_holds_no_m_by_m_array():
+    # m = 30 trajectories at N = 8: rank k = 9, and 21 structural zero
+    # eigenvalues of the m x m Gram operator are gone
+    rng = np.random.default_rng(7)
+    model = dmd.fit(_disk_batch(rng, 30), order=8)
+    assert model.rank == 9 and model.eigenvalues.shape == (9,)
+    # the largest array is the (N+1) x m basis itself
+    arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 9 and max(a.size for a in arrays) == 9 * 30
+    payload = json.loads(model.to_json())
+    assert sorted(payload) == [
+        "eigenvalues", "identity_residual", "mode_residuals", "modes",
+        "n_trajectories", "operator", "order", "rank", "regularization",
+        "schema", "singular_value_ratio", "singular_values",
+        "trajectory_digests",
+    ]
+    assert len(payload["operator"]) == 9
+    assert all(len(row) == 9 for row in payload["operator"])
+    assert len(payload["singular_values"]) == len(payload["modes"]) == 9
+    # the Gram matrix is still there on demand, read-only
+    assert model.gram.shape == (30, 30) and not model.gram.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hardyliou import (
     DiskDomainError,
     DiskExitError,
     InsufficientDataError,
+    StepBudgetError,
     SymbolOverflowError,
     TaylorPolynomial,
     Trajectory,
@@ -363,6 +364,13 @@ def test_integrate_nonfinite_state_names_symbol():
     # the state overflows to nan, for which |z| > limit is false
     with pytest.raises(SymbolOverflowError, match="symbol f .* t = 0.01"):
         integrate_ode(TaylorPolynomial([1e308, 1e308]), 0.2, 0.1, 0.01)
+
+
+@pytest.mark.parametrize("t_final, dt", [(1e300, 1e-300), (1.0, 1e-7)])
+def test_integrate_refuses_more_steps_than_the_budget(t_final, dt):
+    # raised before round() overflows or the samples are allocated
+    with pytest.raises(StepBudgetError, match="step budget"):
+        integrate_ode(monomial(1), 0.2, t_final, dt)
 
 
 def test_integrate_validation():
