@@ -64,7 +64,14 @@ def _require(cfg: dict, field: str):
     return cfg[field]
 
 
-def _get_int(cfg: dict, field: str, default=None, minimum=1):
+# memory budgets, checked before anything is allocated: one dense (N+1)^2
+# complex matrix at N = MAX_ORDER takes 269 MB, and one complex sample array
+# on MAX_BOUNDARY_SIZE points 16.8 MB
+MAX_ORDER = 4096
+MAX_BOUNDARY_SIZE = 2**20
+
+
+def _get_int(cfg: dict, field: str, default=None, minimum=1, maximum=None):
     value = cfg.get(field, default)
     if value is None:
         _fail(field, "is required for this command")
@@ -72,7 +79,13 @@ def _get_int(cfg: dict, field: str, default=None, minimum=1):
         _fail(field, f"must be an integer, got {value!r}")
     if value < minimum:
         _fail(field, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        _fail(field, f"must be <= {maximum} (memory budget), got {value}")
     return value
+
+
+def _get_order(cfg: dict, default=None):
+    return _get_int(cfg, "N", default=default, maximum=MAX_ORDER)
 
 
 def _get_float(cfg: dict, field: str, default=None, positive=False):
@@ -115,7 +128,7 @@ def _parse_coeffs(cfg: dict, field: str, required=True) -> TaylorPolynomial | No
 def _check_boundary_size(cfg: dict, order: int, default: int | None = None):
     if "M" not in cfg and default is None:
         return None
-    size = _get_int(cfg, "M", default=default, minimum=2)
+    size = _get_int(cfg, "M", default=default, minimum=2, maximum=MAX_BOUNDARY_SIZE)
     if size < 2 * order + 2:
         _fail("M", f"must be >= 2N+2 = {2 * order + 2}, got {size}")
     return size
@@ -196,7 +209,7 @@ def _write_report(payload: dict, path: Path) -> None:
 
 
 def _cmd_spectrum(cfg: dict, out_dir: Path) -> dict:
-    order = _get_int(cfg, "N")
+    order = _get_order(cfg)
     f = _parse_coeffs(cfg, "f")
     tolerance = _get_float(cfg, "tolerance", default=1e-8, positive=True)
     pairs = eigendecompose(liouville_matrix(f, order))
@@ -215,7 +228,7 @@ def _cmd_spectrum(cfg: dict, out_dir: Path) -> dict:
 
 
 def _cmd_adjoint_check(cfg: dict, out_dir: Path) -> dict:
-    order = _get_int(cfg, "N", default=64)
+    order = _get_order(cfg, default=64)
     size = _check_boundary_size(cfg, order, default=max(512, 4 * (order + 1)))
     cases = _get_int(cfg, "cases", default=100)
     seed = _get_int(cfg, "seed", default=0, minimum=0)
@@ -240,7 +253,7 @@ def _cmd_adjoint_check(cfg: dict, out_dir: Path) -> dict:
 
 
 def _cmd_occupation(cfg: dict, out_dir: Path) -> dict:
-    order = _get_int(cfg, "N", default=80)
+    order = _get_order(cfg, default=80)
     f = _parse_coeffs(cfg, "f")
     tolerance = _get_float(cfg, "tolerance", default=1e-6, positive=True)
     trajectories = _trajectories_from_config(cfg)
@@ -263,7 +276,7 @@ def _cmd_occupation(cfg: dict, out_dir: Path) -> dict:
 
 
 def _cmd_weighted(cfg: dict, out_dir: Path) -> dict:
-    order = _get_int(cfg, "N", default=80)
+    order = _get_order(cfg, default=80)
     f = _parse_coeffs(cfg, "f")
     phi = _parse_coeffs(cfg, "phi")
     tolerance = _get_float(cfg, "tolerance", default=1e-6, positive=True)
@@ -292,7 +305,7 @@ def _cmd_weighted(cfg: dict, out_dir: Path) -> dict:
 
 
 def _cmd_dmd(cfg: dict, out_dir: Path) -> dict:
-    order = _get_int(cfg, "N", default=64)
+    order = _get_order(cfg, default=64)
     tolerance = _get_float(cfg, "tolerance", default=1e-2, positive=True)
     ridge = cfg.get("ridge")
     if ridge is not None:
@@ -301,9 +314,9 @@ def _cmd_dmd(cfg: dict, out_dir: Path) -> dict:
             _fail("ridge", "must be nonnegative")
     trajectories = _trajectories_from_config(cfg)
     model = dmd.fit(trajectories, order=order, ridge=ridge)
-    gram_eigs = np.linalg.eigvalsh(model.gram)
-    psd_defect = float(max(0.0, -np.min(gram_eigs)))
-    psd_floor = 1e-12 * float(np.trace(model.gram).real)
+    gram = model.gram
+    psd_defect = float(max(0.0, -np.min(np.linalg.eigvalsh(gram))))
+    psd_floor = 1e-12 * float(np.trace(gram).real)
     certs = [
         _certificate(
             "gram_positive_semidefinite",
@@ -401,7 +414,7 @@ def _cmd_bounds(cfg: dict, out_dir: Path) -> dict:
 
 
 def _cmd_hs_norm(cfg: dict, out_dir: Path) -> dict:
-    order = _get_int(cfg, "N", default=64)
+    order = _get_order(cfg, default=64)
     f = _parse_coeffs(cfg, "f")
     phi = _parse_coeffs(cfg, "phi")
     size = _check_boundary_size(cfg, order)
@@ -441,7 +454,7 @@ def _cmd_hs_norm(cfg: dict, out_dir: Path) -> dict:
 
 
 def _cmd_smirnov(cfg: dict, out_dir: Path) -> dict:
-    order = _get_int(cfg, "N", default=256)
+    order = _get_order(cfg, default=256)
     f = _parse_coeffs(cfg, "f")
     size = _check_boundary_size(cfg, order, default=max(1024, 4 * (order + 1)))
     tolerance = _get_float(cfg, "tolerance", default=1e-10, positive=True)

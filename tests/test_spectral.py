@@ -1,14 +1,19 @@
 """Spectra, eigenfunction families, and the flow relation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardyliou import (
     DiskDomainError,
     InvalidIndexError,
+    OperatorMatrix,
     SymbolHasZerosError,
     TaylorPolynomial,
     TrajectoryMismatchWarning,
+    acceptance,
     adjoint_matrix,
     derivative,
     eigendecompose,
@@ -23,6 +28,7 @@ from hardyliou import (
     zero_eigenspace,
     zero_free_certificate,
 )
+from hardyliou.cli import run
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +87,120 @@ def test_blocked_residuals_match_per_column_loop():
         assert pair.value == values[k]
         assert np.array_equal(pair.vector.coeffs, vec)
         assert abs(pair.residual - residual) <= bound
+
+
+def _dense_oracle(A):
+    # np.linalg.eig itself, sorted and normalised as eigendecompose promises
+    values, vectors = np.linalg.eig(A.entries)
+    order = np.lexsort((values.imag, values.real))
+    units = [vectors[:, k] / np.linalg.norm(vectors[:, k]) for k in order]
+    return values[order], np.array(units).T
+
+
+def _forbidden_eig(*args, **kwargs):
+    raise AssertionError("dense eig ran on a triangular truncation")
+
+
+def _count_dense_eig(monkeypatch):
+    calls = []
+    dense = np.linalg.eig
+
+    def counted(a):
+        calls.append(a.shape)
+        return dense(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    return calls
+
+
+def _triangular_symbol(kind, complex_coeffs, degree, seed):
+    # |f_1| >= 0.5 and the other taps smaller keep every eigenvector's
+    # coefficients below 1e154 up to N = 200, so no draw overflows to the
+    # dense route
+    rng = np.random.default_rng(seed)
+
+    def draw(low, high, size):
+        modulus = rng.uniform(low, high, size)
+        if complex_coeffs:
+            return modulus * np.exp(2j * np.pi * rng.uniform(size=size))
+        return modulus * rng.choice([-1.0, 1.0], size)
+
+    slope = draw(0.5, 1.5, 1)
+    if kind == "affine":  # upper bidiagonal
+        return TaylorPolynomial(np.concatenate([draw(0.0, 1.0, 1), slope]))
+    if kind == "diagonal":  # f = c z
+        return TaylorPolynomial(np.concatenate([[0.0], slope]))
+    # f(0) = 0: lower triangular with degree - 1 subdiagonals
+    return TaylorPolynomial(np.concatenate([[0.0], slope, draw(0.0, 0.5, degree - 1)]))
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    kind=st.sampled_from(["affine", "diagonal", "vanishing at 0"]),
+    complex_coeffs=st.booleans(),
+    degree=st.integers(2, 5),
+    order=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_triangular_route_matches_dense_oracle(kind, complex_coeffs, degree, order, seed):
+    A = liouville_matrix(_triangular_symbol(kind, complex_coeffs, degree, seed), order)
+    values, vectors = _dense_oracle(A)
+    with mock.patch.object(np.linalg, "eig", _forbidden_eig):
+        pairs = eigendecompose(A)
+    assert np.array_equal([p.value for p in pairs], values)
+    # backward-error scale; over 600 seeded draws the largest residual was
+    # 0.05 of it (the dense oracle's 0.12)
+    scale = (order + 1) * np.finfo(float).eps * np.max(np.sum(np.abs(A.entries), axis=0))
+    for k, pair in enumerate(pairs):
+        overlap = np.vdot(pair.vector.coeffs, vectors[:, k])
+        # measured: 1 - |overlap| <= 8.9e-16 and a gap of 1.8e-14 after
+        # phase alignment, over the same 600 draws
+        assert abs(overlap) == pytest.approx(1.0, abs=1e-13)
+        aligned = vectors[:, k] * np.conj(overlap) / abs(overlap)
+        assert np.linalg.norm(pair.vector.coeffs - aligned) <= 1e-12
+        assert pair.residual <= scale
+
+
+def test_lower_triangular_pairs_are_the_reversed_upper_ones():
+    # reversing the basis order is a permutation similarity: it must carry
+    # every value, vector and residual with it, each to its own pair
+    A = liouville_matrix(TaylorPolynomial([0.0, 1 + 1j, 0.5, -0.3j]), 40)
+    reversed_pairs = eigendecompose(OperatorMatrix(A.entries[::-1, ::-1]))
+    for pair, twin in zip(eigendecompose(A), reversed_pairs, strict=True):
+        assert pair.value == twin.value and pair.residual == twin.residual
+        assert np.array_equal(pair.vector.coeffs, twin.vector.coeffs[::-1])
+
+
+def test_repeated_diagonal_takes_dense_route(monkeypatch):
+    # f = 0.5 is nilpotent on the truncation: every diagonal entry is 0
+    A = liouville_matrix(TaylorPolynomial([0.5, 0.0]), 12)
+    values, vectors = _dense_oracle(A)
+    calls = _count_dense_eig(monkeypatch)
+    pairs = eigendecompose(A)
+    assert calls == [(13, 13)]
+    assert np.array_equal([p.value for p in pairs], values)
+    assert all(np.array_equal(p.vector.coeffs, vectors[:, k]) for k, p in enumerate(pairs))
+
+
+def test_overflowing_substitution_takes_dense_route(monkeypatch):
+    # the eigenvector for 0.01 n is (1 + 0.01 z)^n scaled to v_n = 1, whose
+    # constant coefficient 100^n overflows long before n = 256
+    A = liouville_matrix(TaylorPolynomial([1.0, 0.01]), 256)
+    values, _ = _dense_oracle(A)
+    calls = _count_dense_eig(monkeypatch)
+    pairs = eigendecompose(A)
+    assert calls == [(257, 257)]
+    assert np.array_equal([p.value for p in pairs], values)
+    assert max(p.residual for p in pairs) <= 1e-12
+
+
+def test_spectrum_and_criteria_1_2_never_call_dense_eig(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eig", _forbidden_eig)
+    # perfbench's operators-deep spectrum input
+    assert run("spectrum", {"N": 1024, "f": [0.1, 0.9]}, tmp_path) == 0
+    assert "PASS eigenpair_residual" in capsys.readouterr().out
+    assert acceptance.criterion_1().passed
+    assert acceptance.criterion_2().passed
 
 
 # ---------------------------------------------------------------------------
