@@ -66,9 +66,13 @@ def _require(cfg: dict, field: str):
 
 # memory budgets, checked before anything is allocated: one dense (N+1)^2
 # complex matrix at N = MAX_ORDER takes 269 MB, and one complex sample array
-# on MAX_BOUNDARY_SIZE points 16.8 MB
+# on MAX_BOUNDARY_SIZE points (the M circle, or the bounds polar grid) 16.8 MB
 MAX_ORDER = 4096
 MAX_BOUNDARY_SIZE = 2**20
+# run-time budget for the adjoint battery, 10x its default: one case takes
+# about 0.5 ms at the default N = 64 and 0.44 s at N = MAX_ORDER with
+# M = MAX_BOUNDARY_SIZE, so the longest battery stays under 8 minutes
+MAX_CASES = 1000
 
 
 def _get_int(cfg: dict, field: str, default=None, minimum=1, maximum=None):
@@ -231,6 +235,8 @@ def _cmd_adjoint_check(cfg: dict, out_dir: Path) -> dict:
     order = _get_order(cfg, default=64)
     size = _check_boundary_size(cfg, order, default=max(512, 4 * (order + 1)))
     cases = _get_int(cfg, "cases", default=100)
+    if cases > MAX_CASES:
+        _fail("cases", f"must be <= {MAX_CASES} (run-time budget), got {cases}")
     seed = _get_int(cfg, "seed", default=0, minimum=0)
     tolerance = _get_float(cfg, "tolerance", default=1e-8, positive=True)
     f = _parse_coeffs(cfg, "f", required=False)
@@ -369,6 +375,11 @@ def _cmd_bounds(cfg: dict, out_dir: Path) -> dict:
     phi = _parse_coeffs(cfg, "phi")
     n_radii = _get_int(cfg, "n_radii", default=64)
     n_angles = _get_int(cfg, "n_angles", default=256)
+    if n_radii * n_angles > MAX_BOUNDARY_SIZE:
+        raise ConfigError(
+            f"config fields 'n_radii' and 'n_angles': n_radii * n_angles must be "
+            f"<= {MAX_BOUNDARY_SIZE} (memory budget), got {n_radii * n_angles}"
+        )
     r_max = _get_float(cfg, "r_max", default=0.995, positive=True)
     if not r_max < 1.0:
         _fail("r_max", f"must be < 1, got {r_max}")

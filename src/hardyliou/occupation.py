@@ -10,7 +10,6 @@ backbone of the data-driven identification in :mod:`hardyliou.dmd`.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import warnings
 from dataclasses import dataclass
@@ -132,35 +131,55 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         handle.write(_csv_bytes(trajectory))
 
 
+def _float_rows(rows: list[str]) -> np.ndarray:
+    """Rows of exactly two commas each as a (rows x 3) float64 array, in one pass."""
+    if not rows:
+        return np.empty((0, 3))
+    cells = ",".join(rows).split(",")
+    return np.fromiter(map(float, cells), np.float64, len(cells)).reshape(-1, 3)
+
+
 def read_trajectory_csv(path) -> Trajectory:
     """Parse and validate a ``t,re,im`` file; errors cite the earliest bad row.
 
-    A byte that is not UTF-8 decodes to U+FFFD, so its cell fails to parse.
+    Cells are unquoted and comma-separated, and each holds anything Python's
+    ``float`` accepts (padding, ``1_0``, ``inf``, ``nan``), so a quoted cell
+    fails to parse.  A byte that is not UTF-8 decodes to U+FFFD, so its cell
+    fails to parse too.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
     digest = hashlib.sha256(raw).hexdigest()
-    rows = list(csv.reader(raw.decode("utf-8", errors="replace").splitlines()))
-    if not rows or [cell.strip() for cell in rows[0]] != _CSV_HEADER:
+    lines = raw.decode("utf-8", errors="replace").splitlines()
+    if not lines or [cell.strip() for cell in lines[0].split(",")] != _CSV_HEADER:
         raise TrajectoryIngestionError(
             f"{path}: first row must be the header 't,re,im'"
         )
-    if len(rows) == 1:
+    rows = lines[1:]
+    if not rows:
         raise TrajectoryIngestionError(f"{path}: no data rows")
+    # the rows before the first with the wrong field count go through one
+    # float pass; only when it fails does a row loop find the row it refuses
+    end = next((i for i, row in enumerate(rows) if row.count(",") != 2), len(rows))
+    failure = f"row {end + 2} must have 3 fields" if end < len(rows) else None
+    try:
+        values = _float_rows(rows[:end])
+    except ValueError:
+        for end, row in enumerate(rows):
+            try:
+                _float_rows([row])
+            except ValueError as exc:
+                failure = f"row {end + 2}: {exc}"
+                break
+        values = _float_rows(rows[:end])
+    times = values[:, 0]
+    # .real/.imag keep the bytes of complex(re, im); re + 1j * im would turn
+    # an infinite imaginary part into a NaN real part
+    points = np.empty(len(values), dtype=np.complex128)
+    points.real = values[:, 1]
+    points.imag = values[:, 2]
     # an invalid sample before the first unparsable row is the earlier bad row
-    times, points, failure = [], [], None
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            failure = f"row {i} must have 3 fields"
-            break
-        try:
-            t, re, im = (float(cell) for cell in row)
-        except ValueError as exc:
-            failure = f"row {i}: {exc}"
-            break
-        times.append(t)
-        points.append(complex(re, im))
-    invalid = _first_invalid_sample(np.array(times), np.array(points))
+    invalid = _first_invalid_sample(times, points)
     if invalid is not None:
         failure = f"row {invalid[0] + 2} {invalid[1]}"
     if failure is not None:

@@ -203,16 +203,24 @@ def test_ode_over_step_budget_exits_two_naming_t_and_dt(tmp_path, capsys, ode):
     [
         ("spectrum", {"N": 1_000_000, "f": [0.1, 0.9]}, "N"),
         ("hs-norm", {"N": 8, "M": 10**12, "f": [0.1, 0.9], "phi": [0, 0.5]}, "M"),
+        (
+            "bounds",
+            {"f": [0.1], "phi": [0, 0.5], "n_radii": 1_000_000, "n_angles": 1_000_000},
+            "n_radii,n_angles",
+        ),
+        ("adjoint-check", {"N": 8, "cases": 10**12}, "cases"),
     ],
 )
 def test_order_and_boundary_size_over_budget_exit_two(tmp_path, capsys, command, config, field):
-    # without the budgets both die in numpy's allocator with a traceback
+    # without the budgets all but adjoint-check die in numpy's allocator with a
+    # traceback; adjoint-check would run for years
     code, _ = _run(tmp_path, command, config)
     assert code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(lines) == 1 and f"'{field}'" in lines[0] and "budget" in lines[0]
+    assert len(lines) == 1 and "budget" in lines[0]
+    assert all(f"'{name}'" in lines[0] for name in field.split(","))
 
 
 @pytest.mark.parametrize(

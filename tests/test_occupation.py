@@ -327,6 +327,140 @@ def test_occupation_command_over_fuzzed_csv_exits_cleanly(tmp_path_factory, spec
     assert code in (0, 1, 2)
     assert (code == 2) == err.getvalue().startswith("error: ")
 
+
+# ---------------------------------------------------------------------------
+# bulk reader against the csv.reader-based reader it replaced
+# ---------------------------------------------------------------------------
+
+
+def _csv_module_reader(path):
+    """The earlier reader: one ``csv.reader`` list and one float per cell."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    digest = hashlib.sha256(raw).hexdigest()
+    rows = list(csv.reader(raw.decode("utf-8", errors="replace").splitlines()))
+    if not rows or [cell.strip() for cell in rows[0]] != ["t", "re", "im"]:
+        raise TrajectoryIngestionError(
+            f"{path}: first row must be the header 't,re,im'"
+        )
+    if len(rows) == 1:
+        raise TrajectoryIngestionError(f"{path}: no data rows")
+    times, points, failure = [], [], None
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            failure = f"row {i} must have 3 fields"
+            break
+        try:
+            t, re, im = (float(cell) for cell in row)
+        except ValueError as exc:
+            failure = f"row {i}: {exc}"
+            break
+        times.append(t)
+        points.append(complex(re, im))
+    invalid = occupation._first_invalid_sample(np.array(times), np.array(points))
+    if invalid is not None:
+        failure = f"row {invalid[0] + 2} {invalid[1]}"
+    if failure is not None:
+        raise TrajectoryIngestionError(f"{path}: {failure}")
+    return Trajectory(times=times, points=points, digest=digest)
+
+
+def _read_outcome(reader, path):
+    try:
+        traj = reader(path)
+    except TrajectoryIngestionError as exc:
+        return str(exc)
+    return traj.times.tobytes(), traj.points.tobytes(), traj.content_digest()
+
+
+# No cell holds a double quote, where csv.reader's quoting differs on purpose,
+# nor NUL, which csv.reader refuses before Python 3.11.  U+2028, \x0b and
+# \x85 are line breaks to str.splitlines.
+_VALID_CELLS = [b" 0.25 ", b"\t-0.5", b"-0", b"+0.0", b"1e-3", b"0_0"]
+_BAD_CELLS = [
+    b"1_0", b"1__0", b"+inf", b"-inf", b"nan", b"-nan", b"0.9995", b"0x1p-3",
+    b"", b"oops", b"\xff", b"0.\xc3", b"\xe2\x80\xa80.1", b"0.1\x0b",
+    b"\xc2\x850", b"\xef\xbb\xbf0",
+]
+_GOOD_CELL = st.one_of(
+    st.floats(-0.7, 0.7).map(lambda x: repr(x).encode()),
+    st.sampled_from(_VALID_CELLS),
+)
+_ANY_CELL = st.one_of(_GOOD_CELL, st.sampled_from(_BAD_CELLS))
+# (time cell, other cells); a None time becomes the row index, so a good row
+# is accepted, and about one row in six may break anything
+_GOOD_ROW = st.tuples(st.none(), st.lists(_GOOD_CELL, min_size=2, max_size=2))
+_ANY_ROW = st.tuples(
+    st.one_of(st.none(), _ANY_CELL),
+    st.one_of(st.lists(_ANY_CELL, min_size=2, max_size=2), st.lists(_ANY_CELL, max_size=4)),
+)
+_ROW = st.tuples(st.integers(0, 5), _GOOD_ROW, _ANY_ROW).map(
+    lambda pick: pick[2] if pick[0] == 0 else pick[1]
+)
+_HEADER = st.one_of(
+    st.just(b"t,re,im"),
+    st.just(b"t,re,im"),
+    st.just(b" t , re ,im\t"),
+    st.sampled_from(
+        [b"t,re", b"t,re,im,", b"time,x,y", b"T,RE,IM", b"", b"t,r\xffe,im",
+         b"\xef\xbb\xbft,re,im", b"t,re,im\x0b"]
+    ),
+)
+# the last two leave a blank line
+_ENDINGS = st.sampled_from([b"\n", b"\r\n", b"\r"] * 4 + [b"\n\n", b"\r\r\n"])
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    header=_HEADER,
+    rows=st.lists(st.tuples(_ROW, _ENDINGS), max_size=8),
+    tail=st.sampled_from([b"", b"\n", b"\r\n", b"\r"] * 2 + [b"\n\n", b"\r\n\r\n"]),
+)
+def test_bulk_reader_matches_csv_module_reader(tmp_path_factory, header, rows, tail):
+    parts = [header]
+    for k, (row, ending) in enumerate(rows):
+        time, cells = row
+        parts.append(ending)
+        parts.append(b",".join([str(k).encode() if time is None else time] + cells))
+    path = tmp_path_factory.mktemp("parity") / "traj.csv"
+    path.write_bytes(b"".join(parts) + tail)
+    assert _read_outcome(read_trajectory_csv, path) == _read_outcome(
+        _csv_module_reader, path
+    )
+
+
+def test_cell_longer_than_csv_field_limit_parses(tmp_path):
+    # csv.reader raised an uncaught _csv.Error on cells over 131072 characters
+    cell = "0." + "0" * 200_000 + "1"
+    path = tmp_path / "traj.csv"
+    path.write_text(f"t,re,im\n0,{cell},0\n1,0.1,0\n")
+    traj = read_trajectory_csv(path)
+    assert traj.points.tobytes() == np.array([float(cell), 0.1], dtype=complex).tobytes()
+
+
+def test_quoted_cells_exit_two_naming_the_row(tmp_path):
+    def occupation_exit(text):
+        path = tmp_path / "traj.csv"
+        path.write_text(text)
+        config = tmp_path / "occupation.json"
+        config.write_text(
+            json.dumps({"N": 8, "f": [0.0, 1.0], "trajectories": [str(path)]})
+        )
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = console_main(["occupation", "--config", str(config), "--out", str(tmp_path)])
+        return code, path, err.getvalue()
+
+    # the writer never quotes, so a quoted cell is a cell float() refuses
+    code, path, err = occupation_exit('t,re,im\n0,0.1,0\n1,"0.1",0\n2,0.2,0\n')
+    assert code == 2 and "Traceback" not in err
+    assert err == f"error: {path}: row 3: could not convert string to float: '\"0.1\"'\n"
+
+    code, path, err = occupation_exit('"t","re","im"\n0,0.1,0\n1,0.1,0\n2,0.2,0\n')
+    assert code == 2 and "Traceback" not in err
+    assert err == f"error: {path}: first row must be the header 't,re,im'\n"
+
+
 # ---------------------------------------------------------------------------
 # integrator
 # ---------------------------------------------------------------------------
