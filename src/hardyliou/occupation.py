@@ -26,11 +26,7 @@ from .errors import (
     TrajectoryIngestionError,
     TrajectoryMismatchWarning,
 )
-from .operators import (
-    adjoint_matrix,
-    liouville_adjoint_apply,
-    weighted_liouville_matrix,
-)
+from .operators import _weighted_columns, liouville_adjoint_apply
 from .series import TaylorPolynomial, DEFAULT_ORDER, szego_kernel
 
 DISK_MARGIN = 1e-3
@@ -388,10 +384,13 @@ def weighted_occupation_residual(
         raise CompositionOutOfDiskError(
             f"phi maps a sample to |w| = {top:.6g} >= 1"
         )
-    gamma = occupation_kernel(trajectory, order).series
-    lhs = adjoint_matrix(weighted_liouville_matrix(f, phi, order)).apply(gamma)
+    gamma = occupation_kernel(trajectory, order).series.coeffs
+    # (A* Gamma)_n = <column n, Gamma>: no (N+1)^2 matrix
+    lhs = np.zeros(order + 1, dtype=np.complex128)
+    for n, column in _weighted_columns(f, phi, order):
+        lhs[n] = np.vdot(column, gamma)
     rhs = endpoint_kernel_difference(trajectory, order, phi)
-    return float(np.linalg.norm(lhs.coeffs - rhs.coeffs))
+    return float(np.linalg.norm(lhs - rhs.coeffs))
 
 
 def adjoint_on_signal(

@@ -11,7 +11,11 @@ conjugate transpose of the truncated matrix (the oracle) and the boundary
 formula.  Tests certify that they agree, which is what makes the closed-form
 kernel identities in the rest of the package trustworthy.  On the hot paths
 the conjugate transpose is applied as a banded stencil
-(:func:`liouville_adjoint_apply`); the dense matrix stays as its oracle.
+(:func:`liouville_adjoint_apply`), and the weighted columns come one at a
+time from the recurrence ``q_(n+1) = trunc(q_n * phi)``
+(``_weighted_columns``), which the Hilbert-Schmidt sum and the weighted
+occupation adjoint consume in O(N) memory.  The dense matrices stay as
+their oracles.
 """
 
 from __future__ import annotations
@@ -145,32 +149,55 @@ def scaled_liouville_matrix(
         return OperatorMatrix(entries)
 
 
-def weighted_liouville_matrix(
-    f: TaylorPolynomial, phi: TaylorPolynomial, order: int = DEFAULT_ORDER
-) -> OperatorMatrix:
-    """Matrix of ``g -> f * phi' * (g' o phi)``.
+def _weighted_columns(f: TaylorPolynomial, phi: TaylorPolynomial, order: int):
+    """Columns of :func:`weighted_liouville_matrix`, one at a time.
 
-    Column ``n`` is the truncation of ``n * f * phi' * phi^(n-1)``; powers of
-    ``phi`` are accumulated by truncated multiplication.
+    Yields ``(n, n * q_n)`` for ``n = 1 .. order``, where
+    ``q_1 = trunc(f * phi')`` and ``q_(n+1) = trunc(q_n * phi)``.  The step
+    is exact in real arithmetic: ``phi`` has no negative powers, so
+    ``trunc(trunc(P) * phi) = trunc(P * phi)``.  Each step is ``deg phi + 1``
+    shifted multiply-adds on one length-``order + 1`` buffer: all columns
+    take O(N^2 deg phi) time and O(N) memory.  Warns for the caller of the
+    consumer when ``phi(0)`` leaves the disk; a non-finite column raises
+    :class:`SymbolOverflowError` naming ``phi``.
     """
     if abs(phi(0.0)) >= 1.0:
         warnings.warn(
             "phi(0) lies outside the open unit disk; composition leaves the "
             "Hardy space",
             CompositionWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+    where = f"the weighted matrix at order {order}"
+    taps = phi.coeffs[: order + 1]
+    q = np.zeros(order + 1, dtype=np.complex128)
+    with _naming_overflow("phi (with f)", where):
+        weight = np.convolve(f.coeffs, derivative(phi).coeffs)[: order + 1]
+        q[: weight.size] = _finite(weight)
+    for n in range(1, order + 1):
+        # an overflowing step leaves inf/nan in q, caught by the next column
+        with _naming_overflow("phi (with f)", where):
+            column = _finite(n * q)
+            step = taps[0] * q
+            for j in range(1, taps.size):
+                step[j:] += taps[j] * q[: q.size - j]
+        yield n, column
+        q = step
+
+
+def weighted_liouville_matrix(
+    f: TaylorPolynomial, phi: TaylorPolynomial, order: int = DEFAULT_ORDER
+) -> OperatorMatrix:
+    """Matrix of ``g -> f * phi' * (g' o phi)``.
+
+    Column ``n`` is the truncation of ``n * f * phi' * phi^(n-1)``, filled
+    from :func:`_weighted_columns`.  The hot paths consume those columns
+    without forming this matrix; it stays as their oracle.
+    """
     entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
-    with _naming_overflow("phi (with f)", f"the weighted matrix at order {order}"):
-        # the exact product keeps each column O(N deg(f phi')); padded to
-        # order + 1 it would make each column a full O(N^2) convolution
-        weight = multiply(f, derivative(phi))
-        power = TaylorPolynomial(np.ones(1))
-        for n in range(1, order + 1):
-            col = multiply(weight, power, order)
-            entries[:, n] = n * col.coeffs
-            power = multiply(power, phi, order)
-        return OperatorMatrix(entries)
+    for n, column in _weighted_columns(f, phi, order):
+        entries[:, n] = column
+    return OperatorMatrix(entries)
 
 
 def adjoint_matrix(matrix: OperatorMatrix) -> OperatorMatrix:

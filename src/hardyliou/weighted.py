@@ -38,7 +38,12 @@ from .series import (
     szego_kernel,
     unit_circle_points,
 )
-from .operators import _finite, _naming_overflow, weighted_liouville_matrix
+from .operators import (
+    _finite,
+    _naming_overflow,
+    _weighted_columns,
+    weighted_liouville_matrix,
+)
 
 DIVERGENCE_THRESHOLD = 1e3
 
@@ -435,14 +440,17 @@ def hs_norm(
     carries ``finite=False`` and an infinite quadrature value while the
     Frobenius sum of the truncation stays finite.  A finite symbol whose
     squared Frobenius sum or boundary weight ``|f phi'|^2`` overflows raises
-    :class:`SymbolOverflowError` naming ``f``.
+    :class:`SymbolOverflowError` naming ``f``.  The Frobenius sum takes the
+    columns one at a time and never forms the (N+1)^2 matrix.
     """
-    matrix = weighted_liouville_matrix(f, phi, order)
+    column_sq = np.zeros(order + 1)
+    for n, column in _weighted_columns(f, phi, order):
+        column_sq[n] = np.vdot(column, column).real
     if size is None:
         size = default_boundary_size(max(order, f.order + phi.order))
     z = unit_circle_points(size)
     with _naming_overflow("f (with phi)", f"the Hilbert-Schmidt norm at order {order}"):
-        frobenius_sq = float(_finite(np.sum(np.abs(matrix.entries) ** 2)))
+        frobenius_sq = float(_finite(np.sum(column_sq)))
         base = np.abs(np.asarray(f(z)) * np.asarray(derivative(phi)(z))) ** 2
         _finite(base)
     r2 = np.abs(np.asarray(phi(z))) ** 2

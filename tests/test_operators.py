@@ -1,8 +1,11 @@
 """Operator truncations, the two adjoint routes, and Smirnov factorization."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hardyliou import occupation as occupation_module
 from hardyliou import operators as operators_module
@@ -15,6 +18,8 @@ from hardyliou import (
     SingularSymbolError,
     SymbolOverflowError,
     TaylorPolynomial,
+    Trajectory,
+    TrajectoryMismatchWarning,
     adjoint_apply_boundary,
     adjoint_battery,
     adjoint_matrix,
@@ -23,7 +28,9 @@ from hardyliou import (
     default_boundary_size,
     derivative,
     domain_membership_check,
+    endpoint_kernel_difference,
     hermitian_defect,
+    hs_norm,
     integrate_ode,
     kernel,
     liouville_adjoint_apply,
@@ -33,6 +40,7 @@ from hardyliou import (
     monomial,
     multiply,
     norm,
+    occupation_kernel,
     project_h2,
     scaled_liouville_matrix,
     smirnov_decompose,
@@ -40,6 +48,7 @@ from hardyliou import (
     to_boundary,
     unit_circle_points,
     weighted_liouville_matrix,
+    weighted_occupation_residual,
 )
 from hardyliou.series import BoundaryGrid
 
@@ -109,10 +118,20 @@ def test_weighted_forward_action_matches_pointwise():
 
 
 def test_weighted_warns_when_origin_leaves_disk():
+    # the warning names the caller of each route, not a library line
     f = monomial(1)
-    phi = TaylorPolynomial([1.5, 0.1])
-    with pytest.warns(CompositionWarning):
-        weighted_liouville_matrix(f, phi, 8)
+    phi = TaylorPolynomial([1.0, -0.5])  # |phi(0)| = 1, but phi(0.2..0.6) is inside
+    traj = integrate_ode(f, 0.2, 1.0, 1e-2)
+    calls = [
+        lambda: weighted_liouville_matrix(f, phi, 8),
+        lambda: weighted_liouville_matrix(f, TaylorPolynomial([1.5, 0.1]), 8),
+        lambda: hs_norm(f, phi, 8),
+        lambda: weighted_occupation_residual(f, phi, traj, 8),
+    ]
+    for call in calls:
+        with pytest.warns(CompositionWarning) as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
 
 
 def test_operator_matrix_validation_and_json():
@@ -254,6 +273,94 @@ def test_weighted_build_matches_padded_oracle():
         oracle = _padded_weighted(f, phi, order)
         scale = max(np.max(np.abs(oracle)), np.finfo(float).tiny)
         assert np.max(np.abs(built - oracle)) <= 1e-15 * scale
+
+
+def _disk_poly(coeffs, radius):
+    # scaled so that sum |c_k| <= radius, hence |phi| <= radius on the disk
+    c = np.asarray(coeffs, dtype=np.complex128)
+    total = float(np.sum(np.abs(c)))
+    return TaylorPolynomial(c * (radius / total) if total > radius else c)
+
+
+# parts below 1e-30 are flushed to zero: squares below the normal range
+# lose relative precision in the oracle's Frobenius sum itself
+_part = st.floats(-1.0, 1.0).map(lambda x: x if abs(x) >= 1e-30 else 0.0)
+_complex = st.builds(complex, _part, _part)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_complex, min_size=1, max_size=7),
+    st.lists(_complex, min_size=2, max_size=6),
+    st.integers(0, 160),
+)
+@example([1.0, 0.5j], [0.1, 0.2, 0.1, -0.3, 0.1, 0.1], 2)
+def test_weighted_column_routes_match_padded_oracle(f_coeffs, phi_coeffs, order):
+    f = TaylorPolynomial(f_coeffs)
+    phi = _disk_poly(phi_coeffs, 0.9)
+    oracle = _padded_weighted(f, phi, order)
+    scale = max(np.max(np.abs(oracle)), np.finfo(float).tiny)
+    built = weighted_liouville_matrix(f, phi, order).entries
+    assert np.max(np.abs(built - oracle)) <= 1e-15 * scale
+
+    oracle_sq = float(np.sum(np.abs(oracle) ** 2))
+    frobenius_sq = hs_norm(f, phi, order).frobenius_sq
+    assert abs(frobenius_sq - oracle_sq) <= 1e-14 * oracle_sq
+
+    # any path inside the disk will do: only the adjoint side is compared
+    times = np.linspace(0.0, 1.0, 21)
+    traj = Trajectory(times, 0.5 * np.exp(1j * times))
+    gamma = occupation_kernel(traj, order).series.coeffs
+    rhs = endpoint_kernel_difference(traj, order, phi).coeffs
+    expected = np.linalg.norm(oracle.conj().T @ gamma - rhs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TrajectoryMismatchWarning)
+        residual = weighted_occupation_residual(f, phi, traj, order)
+    bound = 1e-14 * np.linalg.norm(oracle) * np.linalg.norm(gamma)
+    assert abs(residual - expected) <= bound
+
+
+def test_weighted_overflow_messages():
+    matrix = (
+        "symbol phi (with f) overflows the weighted matrix at order 16; "
+        "its values must be finite"
+    )
+    with pytest.raises(SymbolOverflowError) as info:
+        hs_norm(TaylorPolynomial([1e200]), TaylorPolynomial([0, 1e200]), 16)
+    assert str(info.value) == matrix
+    with pytest.raises(SymbolOverflowError) as info:
+        hs_norm(TaylorPolynomial([1e300]), TaylorPolynomial([0, 0.5]), 16)
+    assert str(info.value) == (
+        "symbol f (with phi) overflows the Hilbert-Schmidt norm at order 16; "
+        "its values must be finite"
+    )
+    # column 3 is 3 * 0.81 * 9e307; phi = 0.9z keeps the samples inside
+    traj = integrate_ode(TaylorPolynomial([0.0, 1.0]), 0.2, 1.0, 1e-2)
+    with pytest.warns(TrajectoryMismatchWarning), pytest.raises(SymbolOverflowError) as info:
+        weighted_occupation_residual(
+            TaylorPolynomial([1e308]), TaylorPolynomial([0, 0.9]), traj, 16
+        )
+    assert str(info.value) == matrix
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_weighted_column_routes_stay_in_linear_memory():
+    # one (N+1)^2 complex matrix at N = 1024 is 16.8 MB
+    f = TaylorPolynomial([0.3, 0.5])
+    phi = TaylorPolynomial([0.1, 0.5, 0.2])
+    assert _traced_peak(lambda: hs_norm(f, phi, 1024)) < 2_000_000
+    field = TaylorPolynomial([0.05, 0.5, 0.1])
+    traj = integrate_ode(field, 0.1, 1.0, 1e-3)
+    peak = _traced_peak(lambda: weighted_occupation_residual(field, phi, traj, 1024))
+    assert peak < 2_000_000
 
 
 def test_adjoint_boundary_fft_sampling_matches_horner():
