@@ -11,6 +11,7 @@ backbone of the data-driven identification in :mod:`hardyliou.dmd`.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -174,13 +175,17 @@ def read_trajectory_csv(path) -> Trajectory:
     points = np.empty(len(values), dtype=np.complex128)
     points.real = values[:, 1]
     points.imag = values[:, 2]
+    if failure is None:
+        # Trajectory applies the validity rule; the row is found only on failure
+        try:
+            return Trajectory(times=times, points=points, digest=digest)
+        except ValueError:
+            pass
     # an invalid sample before the first unparsable row is the earlier bad row
     invalid = _first_invalid_sample(times, points)
     if invalid is not None:
         failure = f"row {invalid[0] + 2} {invalid[1]}"
-    if failure is not None:
-        raise TrajectoryIngestionError(f"{path}: {failure}")
-    return Trajectory(times=times, points=points, digest=digest)
+    raise TrajectoryIngestionError(f"{path}: {failure}")
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +225,35 @@ def integrate_ode(
     if steps % 2:
         steps += 1
     h = t_final / steps
+    half, sixth = 0.5 * h, h / 6.0
+    # Horner from the top coefficient c_d.  A loop from 0j would first form
+    # 0j * z + c_d, which is c_d bit for bit unless c_d has a -0.0 part (its
+    # sign then depends on z); such a c_d, and a constant field, get a 0j
+    # top so every field value keeps the bytes of the loop from 0j
     coeffs = [complex(c) for c in f.coeffs[::-1]]
+    if len(coeffs) == 1 or any(
+        part == 0.0 and math.copysign(1.0, part) < 0.0
+        for part in (coeffs[0].real, coeffs[0].imag)
+    ):
+        coeffs.insert(0, 0j)
+    top, second, rest = coeffs[0], coeffs[1], coeffs[2:]
 
     def field(z: complex) -> complex:
-        acc = 0j
-        for c in coeffs:
+        acc = top * z + second
+        for c in rest:
             acc = acc * z + c
         return acc
 
     times = np.linspace(0.0, t_final, steps + 1)
-    points = np.empty(steps + 1, dtype=np.complex128)
-    points[0] = z = z0
+    samples = [z0]
+    append = samples.append
+    z = z0
     for k in range(steps):
         k1 = field(z)
-        k2 = field(z + 0.5 * h * k1)
-        k3 = field(z + 0.5 * h * k2)
+        k2 = field(z + half * k1)
+        k3 = field(z + half * k2)
         k4 = field(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not abs(z) <= limit:  # also true for a nan state
             if not np.isfinite(z):
                 raise SymbolOverflowError(
@@ -247,8 +264,8 @@ def integrate_ode(
                 f"trajectory left |z| <= {limit:.6g} at t = {times[k + 1]:.6g}",
                 exit_time=float(times[k + 1]),
             )
-        points[k + 1] = z
-    return Trajectory(times=times, points=points)
+        append(z)
+    return Trajectory(times=times, points=np.array(samples, dtype=np.complex128))
 
 
 def _quadrature_weights(trajectory: Trajectory) -> tuple[np.ndarray, str]:

@@ -6,6 +6,7 @@ inspects the exit code, the printed certificate lines, and the JSON report.
 
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -491,6 +492,56 @@ def test_verify_all_covers_every_criterion(tmp_path, capsys):
     text = (tmp_path / "verify_all_report.json").read_text()
     # measured wall-clock never lands in a report; fixed budgets may
     assert "runtime_seconds" not in text
+
+
+def _count_fits(monkeypatch, on_fit=None):
+    calls = []
+    fit = acceptance.dmd.fit
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        if on_fit is not None:
+            on_fit()
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance.dmd, "fit", spy)
+    return calls
+
+
+def test_verify_all_fits_the_standard_batch_once_per_run(
+    tmp_path, monkeypatch, capsys
+):
+    # criterion 12 and the identity-capture finding share one fit per run,
+    # and the shared model does not outlive the run
+    calls = _count_fits(monkeypatch)
+    assert run("verify-all", {}, tmp_path / "a") == 0
+    assert run("verify-all", {}, tmp_path / "b") == 0
+    assert len(calls) == 2
+    first = (tmp_path / "a" / "verify_all_report.json").read_bytes()
+    assert (tmp_path / "b" / "verify_all_report.json").read_bytes() == first
+    # called alone, criterion 12 and findings() each fit afresh
+    acceptance.criterion_12()
+    acceptance.findings()
+    assert len(calls) == 4
+
+
+def test_verify_all_times_the_standard_fit_inside_criterion_12(
+    tmp_path, monkeypatch, capsys
+):
+    # a fit that takes 100 s on the patched clock breaks only criterion 12's
+    # 60 s budget, so the shared fit runs inside that criterion's timed region
+    now = [0.0]
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(monotonic=lambda: now[0]))
+
+    def hundred_seconds():
+        now[0] += 100.0
+
+    calls = _count_fits(monkeypatch, on_fit=hundred_seconds)
+    assert run("verify-all", {}, tmp_path) == 1
+    assert len(calls) == 1
+    report = _report(tmp_path, "verify_all_report.json")
+    failed = [c["name"] for c in report["certificates"] if not c["passed"]]
+    assert failed == ["criterion_12_data_driven_spectrum_and_forecast"]
 
 
 def test_unknown_command_rejected_by_argparse(capsys):

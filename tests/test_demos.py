@@ -2,8 +2,11 @@
 
 Each demo script runs to completion, and every function the benchmark's
 tracer wraps by name still exists, so a rename cannot silently drop a span.
+Every Python file also parses with the grammar of the oldest supported
+Python, 3.10.
 """
 
+import ast
 import importlib.util
 import runpy
 from pathlib import Path
@@ -34,3 +37,16 @@ def test_benchmark_trace_targets_resolve():
     targets += [(owner, attr) for owner, attr, _ in tracing.COUNTERS]
     for owner, attr in targets:
         assert callable(getattr(owner, attr, None)), f"{owner!r}.{attr}"
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml and the CI matrix claim 3.10; a newer interpreter runs
+    # the tests, so only the parser's feature_version sees newer syntax
+    paths = [
+        path
+        for folder in ("src", "tests", "demos", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

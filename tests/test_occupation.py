@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hardyliou import occupation
 from hardyliou.cli import console_main
@@ -438,6 +438,28 @@ def test_cell_longer_than_csv_field_limit_parses(tmp_path):
     assert traj.points.tobytes() == np.array([float(cell), 0.1], dtype=complex).tobytes()
 
 
+def test_accepted_file_is_validated_once(tmp_path, monkeypatch):
+    # Trajectory applies the validity rule; the reader applies it again only
+    # to cite the row of a file that fails it
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(integrate_ode(monomial(1), 0.2, 1.0, 0.1), path)
+    calls = []
+    rule = occupation._first_invalid_sample
+
+    def counted(times, points):
+        calls.append(times.size)
+        return rule(times, points)
+
+    monkeypatch.setattr(occupation, "_first_invalid_sample", counted)
+    assert read_trajectory_csv(path).times.size == 11
+    assert calls == [11]
+    path.write_text("t,re,im\n0,0.1,0\n1,0.2,0\n1,0.3,0\n")
+    with pytest.raises(TrajectoryIngestionError) as info:
+        read_trajectory_csv(path)
+    assert str(info.value) == f"{path}: row 4 breaks strict time ordering"
+    assert calls == [11, 3, 3]
+
+
 def test_quoted_cells_exit_two_naming_the_row(tmp_path):
     def occupation_exit(text):
         path = tmp_path / "traj.csv"
@@ -505,6 +527,85 @@ def test_integrate_refuses_more_steps_than_the_budget(t_final, dt):
     # raised before round() overflows or the samples are allocated
     with pytest.raises(StepBudgetError, match="step budget"):
         integrate_ode(monomial(1), 0.2, t_final, dt)
+
+
+def _rk4_from_zero(f, z0, t_final, dt):
+    """The RK4 loop whose bytes ``integrate_ode`` keeps: a Horner loop from 0j,
+    inline step constants and a preallocated sample array.  The oracle for
+    inputs that pass ``integrate_ode``'s checks before the loop."""
+    limit = 1.0 - occupation.DISK_MARGIN
+    steps = max(2, round(t_final / dt))
+    if steps % 2:
+        steps += 1
+    h = t_final / steps
+    coeffs = [complex(c) for c in f.coeffs[::-1]]
+
+    def field(z):
+        acc = 0j
+        for c in coeffs:
+            acc = acc * z + c
+        return acc
+
+    times = np.linspace(0.0, t_final, steps + 1)
+    points = np.empty(steps + 1, dtype=np.complex128)
+    points[0] = z = complex(z0)
+    for k in range(steps):
+        k1 = field(z)
+        k2 = field(z + 0.5 * h * k1)
+        k3 = field(z + 0.5 * h * k2)
+        k4 = field(z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not abs(z) <= limit:
+            if not np.isfinite(z):
+                raise SymbolOverflowError(
+                    f"symbol f overflows the RK4 state at t = {times[k + 1]:.6g}; "
+                    "the state must stay finite"
+                )
+            raise DiskExitError(
+                f"trajectory left |z| <= {limit:.6g} at t = {times[k + 1]:.6g}",
+                exit_time=float(times[k + 1]),
+            )
+        points[k + 1] = z
+    return times, points
+
+
+def _rk4_outcome(integrate, f, z0, t_final, dt):
+    try:
+        out = integrate(f, z0, t_final, dt)
+    # abs() of a finite state with parts near 1e308 raises OverflowError
+    except (DiskExitError, SymbolOverflowError, OverflowError) as exc:
+        return type(exc), str(exc), getattr(exc, "exit_time", None)
+    times, points = (out.times, out.points) if isinstance(out, Trajectory) else out
+    return times.tobytes(), points.tobytes()
+
+
+# zeros of both signs, a few magnitudes, and parts that overflow the state
+_RK4_PART = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308]),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+# starting points on and off the axes, inside the disk
+_Z0_PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.65, 0.65))
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    coeffs=st.lists(st.builds(complex, _RK4_PART, _RK4_PART), min_size=1, max_size=6),
+    z0=st.builds(complex, _Z0_PART, _Z0_PART),
+    t_final=st.sampled_from([0.05, 0.3, 1.0, 3.0]),
+    intervals=st.integers(1, 60),
+)
+# a top coefficient with a -0.0 part: 0j * z + c_1 flips the sign of that zero
+@example([complex(-0.5, -0.0), complex(0.5, -0.0)], complex(0.2, -0.0), 0.3, 6)
+@example([complex(-0.0, 0.0), complex(0.5, -0.0)], complex(-0.0, 0.0), 0.3, 6)
+@example([complex(-0.0, 0.5), complex(-0.0, -0.0)], complex(-0.0, -0.2), 0.3, 6)
+def test_integrate_keeps_the_bytes_of_the_rk4_loop_from_zero(coeffs, z0, t_final, intervals):
+    # same samples, or the same error at the same time, for degrees 0-5
+    f = TaylorPolynomial(coeffs)
+    dt = t_final / intervals
+    assert _rk4_outcome(integrate_ode, f, z0, t_final, dt) == _rk4_outcome(
+        _rk4_from_zero, f, z0, t_final, dt
+    )
 
 
 def test_integrate_validation():
