@@ -8,19 +8,7 @@ representation.  The :mod:`hardyliou.dmd` submodule fits the data-driven
 compression from trajectory snapshots.
 """
 
-import os as _os
-
-# HARDYLIOU_THREADS caps BLAS parallelism; must land before numpy loads
-_threads = _os.environ.get("HARDYLIOU_THREADS")
-if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        _os.environ.setdefault(_var, _threads)
-del _os, _threads
+from types import ModuleType as _ModuleType
 
 from .errors import (
     AliasingError,
@@ -91,14 +79,12 @@ from .spectral import (
     exp_eigenfunction,
     flow_check,
     hk_eigenfunction,
-    monic_from_zeros,
     zero_eigenspace,
     zero_free_certificate,
 )
 from .occupation import (
     OccupationKernel,
     Trajectory,
-    adjoint_on_signal,
     endpoint_kernel_difference,
     field_defect,
     integrate_ode,
@@ -114,10 +100,8 @@ from .weighted import (
     HsNormResult,
     RadialProfile,
     SelfAdjointDefect,
-    blaschke_bound,
     blaschke_ratio_profile,
     boundedness_bound,
-    compactness_profile,
     hs_norm,
     monomial_norm_sequence,
     normalized_kernel_action_sq,
@@ -130,98 +114,10 @@ from . import dmd
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AliasingError",
-    "BlaschkeProduct",
-    "BoundaryGrid",
-    "BoundednessResult",
-    "CompositionOutOfDiskError",
-    "CompositionWarning",
-    "ConfigError",
-    "DEFAULT_ORDER",
-    "DiskDomainError",
-    "DiskExitError",
-    "EigenConvergenceError",
-    "EigenPair",
-    "HardyliouError",
-    "HsNormResult",
-    "IllConditionedError",
-    "InsufficientDataError",
-    "InvalidIndexError",
-    "InvalidKernelSpecError",
-    "KernelSpec",
-    "LogDomainError",
-    "LowConfidenceWarning",
-    "OccupationKernel",
-    "OperatorMatrix",
-    "RadialProfile",
-    "SelfAdjointDefect",
-    "SingularSymbolError",
-    "SmirnovPair",
-    "StepBudgetError",
-    "SymbolHasZerosError",
-    "SymbolOverflowError",
-    "TaylorPolynomial",
-    "Trajectory",
-    "TrajectoryIngestionError",
-    "TrajectoryMismatchWarning",
-    "adjoint_apply_boundary",
-    "adjoint_battery",
-    "adjoint_matrix",
-    "adjoint_on_derivative_kernel",
-    "adjoint_on_signal",
-    "antiderivative",
-    "blaschke_bound",
-    "blaschke_ratio_profile",
-    "boundedness_bound",
-    "compactness_profile",
-    "compose",
-    "default_boundary_size",
-    "derivative",
-    "derivative_kernel",
-    "dmd",
-    "domain_membership_check",
-    "eigendecompose",
-    "endpoint_kernel_difference",
-    "exp_eigenfunction",
-    "exp_series",
-    "field_defect",
-    "flow_check",
-    "geometric_tail",
-    "hermitian_defect",
-    "hk_eigenfunction",
-    "hs_norm",
-    "inner_product",
-    "integrate_ode",
-    "kernel",
-    "kernel_tail",
-    "liouville_adjoint_apply",
-    "liouville_matrix",
-    "liouville_occupation_residual",
-    "modulus_identity_defect",
-    "monic_from_zeros",
-    "monomial",
-    "monomial_norm_sequence",
-    "multiply",
-    "norm",
-    "normalized_kernel_action_sq",
-    "occupation_kernel",
-    "occupation_self_adjoint_relation",
-    "outer_from_modulus",
-    "polar_grid",
-    "project_h2",
-    "read_trajectory_csv",
-    "reciprocal",
-    "scaled_liouville_matrix",
-    "self_adjoint_symbol_relation",
-    "smirnov_decompose",
-    "szego_kernel",
-    "to_boundary",
-    "unit_circle_points",
-    "weighted_adjoint_on_kernel",
-    "weighted_liouville_matrix",
-    "weighted_occupation_residual",
-    "write_trajectory_csv",
-    "zero_eigenspace",
-    "zero_free_certificate",
-]
+# every imported public name; dmd is the one submodule in the public API
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_")
+    and (name == "dmd" or not isinstance(value, _ModuleType))
+)

@@ -17,7 +17,9 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .occupation import (
     weighted_occupation_residual,
 )
 from .operators import (
+    _naming_overflow,
     adjoint_battery,
     liouville_matrix,
     modulus_identity_defect,
@@ -88,10 +91,6 @@ def _get_int(cfg: dict, field: str, default=None, minimum=1, maximum=None):
     return value
 
 
-def _get_order(cfg: dict, default=None):
-    return _get_int(cfg, "N", default=default, maximum=MAX_ORDER)
-
-
 def _get_float(cfg: dict, field: str, default=None, positive=False):
     value = cfg.get(field, default)
     if value is None:
@@ -129,13 +128,49 @@ def _parse_coeffs(cfg: dict, field: str, required=True) -> TaylorPolynomial | No
     return TaylorPolynomial(coeffs)
 
 
-def _check_boundary_size(cfg: dict, order: int, default: int | None = None):
-    if "M" not in cfg and default is None:
-        return None
-    size = _get_int(cfg, "M", default=default, minimum=2, maximum=MAX_BOUNDARY_SIZE)
-    if size < 2 * order + 2:
-        _fail("M", f"must be >= 2N+2 = {2 * order + 2}, got {size}")
-    return size
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: the fields it shares with others, then its own body.
+
+    ``order`` is the default of ``N`` (or "required"), ``boundary`` the
+    floor of the default ``M = max(floor, 4(N+1))`` (or "optional": no
+    default, echoed as null), ``tolerance`` the default tolerance and
+    ``symbols`` the coefficient lists it reads.  ``None`` skips a field.
+    """
+
+    body: Callable[[dict, dict, Path], dict]
+    order: int | str | None = None
+    boundary: int | str | None = None
+    tolerance: float | None = None
+    symbols: tuple[str, ...] = ()
+
+
+def _read_shared(cfg: dict, command: _Command) -> tuple[dict, dict]:
+    """Parse the fields ``command`` shares; returns them and their echo."""
+    got = {}
+    if command.order is not None:
+        default = None if command.order == "required" else command.order
+        got["N"] = _get_int(cfg, "N", default=default, maximum=MAX_ORDER)
+    if command.boundary is not None:
+        order, optional = got["N"], command.boundary == "optional"
+        got["M"] = None
+        if "M" in cfg or not optional:
+            default = None if optional else max(command.boundary, 4 * (order + 1))
+            size = _get_int(cfg, "M", default, minimum=2, maximum=MAX_BOUNDARY_SIZE)
+            if size < 2 * order + 2:
+                _fail("M", f"must be >= 2N+2 = {2 * order + 2}, got {size}")
+            got["M"] = size
+    for name in command.symbols:
+        got[name] = _parse_coeffs(cfg, name)
+    echo = {
+        k: complex_pairs(v.coeffs) if k in command.symbols else v
+        for k, v in got.items()
+    }
+    if command.tolerance is not None:
+        got["tolerance"] = _get_float(
+            cfg, "tolerance", default=command.tolerance, positive=True
+        )
+    return got, echo
 
 
 def ingest_trajectories(paths) -> list[Trajectory]:
@@ -208,48 +243,41 @@ def _write_report(payload: dict, path: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns its report body; run() adds schema and command
+# subcommands: each gets the shared fields _read_shared parsed and returns
+# its report body, with its own fields under "inputs"; run() adds schema,
+# command and the shared inputs echo
 # ---------------------------------------------------------------------------
 
 
-def _cmd_spectrum(cfg: dict, out_dir: Path) -> dict:
-    order = _get_order(cfg)
-    f = _parse_coeffs(cfg, "f")
-    tolerance = _get_float(cfg, "tolerance", default=1e-8, positive=True)
-    pairs = eigendecompose(liouville_matrix(f, order))
+def _cmd_spectrum(cfg: dict, got: dict, out_dir: Path) -> dict:
+    pairs = eigendecompose(liouville_matrix(got["f"], got["N"]))
     cert = _certificate(
         "eigenpair_residual",
         max(p.residual for p in pairs),
-        tolerance,
+        got["tolerance"],
         "max_k ||A v_k - lambda_k v_k||_2 <= tolerance, unit v_k",
     )
     return {
-        "inputs": {"N": order, "f": complex_pairs(f.coeffs)},
         "eigenvalues": complex_pairs([p.value for p in pairs]),
         "residuals": [p.residual for p in pairs],
         "certificates": [cert],
     }
 
 
-def _cmd_adjoint_check(cfg: dict, out_dir: Path) -> dict:
-    order = _get_order(cfg, default=64)
-    size = _check_boundary_size(cfg, order, default=max(512, 4 * (order + 1)))
+def _cmd_adjoint_check(cfg: dict, got: dict, out_dir: Path) -> dict:
     cases = _get_int(cfg, "cases", default=100)
     if cases > MAX_CASES:
         _fail("cases", f"must be <= {MAX_CASES} (run-time budget), got {cases}")
     seed = _get_int(cfg, "seed", default=0, minimum=0)
-    tolerance = _get_float(cfg, "tolerance", default=1e-8, positive=True)
     f = _parse_coeffs(cfg, "f", required=False)
     cert = _certificate(
         "adjoint_route_agreement",
-        adjoint_battery(order, size, cases, seed, f),
-        tolerance,
+        adjoint_battery(got["N"], got["M"], cases, seed, f),
+        got["tolerance"],
         "max over battery of ||transpose_route - boundary_route||_2 <= tolerance",
     )
     return {
         "inputs": {
-            "N": order,
-            "M": size,
             "cases": cases,
             "seed": seed,
             "f": None if f is None else complex_pairs(f.coeffs),
@@ -258,68 +286,40 @@ def _cmd_adjoint_check(cfg: dict, out_dir: Path) -> dict:
     }
 
 
-def _cmd_occupation(cfg: dict, out_dir: Path) -> dict:
-    order = _get_order(cfg, default=80)
-    f = _parse_coeffs(cfg, "f")
-    tolerance = _get_float(cfg, "tolerance", default=1e-6, positive=True)
+def _cmd_occupation(cfg: dict, got: dict, out_dir: Path) -> dict:
+    """``occupation``, and ``weighted`` when the row reads a ``phi``."""
+    f, phi, order = got["f"], got.get("phi"), got["N"]
     trajectories = _trajectories_from_config(cfg)
-    residuals = [
-        float(liouville_occupation_residual(f, traj, order))
-        for traj in trajectories
-    ]
+    if phi is None:
+        residuals = [liouville_occupation_residual(f, t, order) for t in trajectories]
+        name, endpoints = "occupation_adjoint_identity", "K_end_i - K_start_i"
+    else:
+        residuals = [
+            weighted_occupation_residual(f, phi, t, order) for t in trajectories
+        ]
+        name = "weighted_occupation_adjoint_identity"
+        endpoints = "K_phi(end_i) - K_phi(start_i)"
     cert = _certificate(
-        "occupation_adjoint_identity",
+        name,
         max(residuals),
-        tolerance,
-        "max_i ||A*_matrix Gamma_i - (K_end_i - K_start_i)||_2 <= tolerance",
+        got["tolerance"],
+        f"max_i ||A*_matrix Gamma_i - ({endpoints})||_2 <= tolerance",
     )
     return {
-        "inputs": {"N": order, "f": complex_pairs(f.coeffs)},
         "residuals": residuals,
         "trajectory_digests": [t.content_digest() for t in trajectories],
         "certificates": [cert],
     }
 
 
-def _cmd_weighted(cfg: dict, out_dir: Path) -> dict:
-    order = _get_order(cfg, default=80)
-    f = _parse_coeffs(cfg, "f")
-    phi = _parse_coeffs(cfg, "phi")
-    tolerance = _get_float(cfg, "tolerance", default=1e-6, positive=True)
-    trajectories = _trajectories_from_config(cfg)
-    residuals = [
-        float(weighted_occupation_residual(f, phi, traj, order))
-        for traj in trajectories
-    ]
-    cert = _certificate(
-        "weighted_occupation_adjoint_identity",
-        max(residuals),
-        tolerance,
-        "max_i ||A*_matrix Gamma_i - (K_phi(end_i) - K_phi(start_i))||_2 "
-        "<= tolerance",
-    )
-    return {
-        "inputs": {
-            "N": order,
-            "f": complex_pairs(f.coeffs),
-            "phi": complex_pairs(phi.coeffs),
-        },
-        "residuals": residuals,
-        "trajectory_digests": [t.content_digest() for t in trajectories],
-        "certificates": [cert],
-    }
-
-
-def _cmd_dmd(cfg: dict, out_dir: Path) -> dict:
-    order = _get_order(cfg, default=64)
-    tolerance = _get_float(cfg, "tolerance", default=1e-2, positive=True)
+def _cmd_dmd(cfg: dict, got: dict, out_dir: Path) -> dict:
     ridge = cfg.get("ridge")
     if ridge is not None:
         ridge = _get_float(cfg, "ridge")
         if ridge < 0:
             _fail("ridge", "must be nonnegative")
     trajectories = _trajectories_from_config(cfg)
-    model = dmd.fit(trajectories, order=order, ridge=ridge)
+    model = dmd.fit(trajectories, order=got["N"], ridge=ridge)
     gram = model.gram
     psd_defect = float(max(0.0, -np.min(np.linalg.eigvalsh(gram))))
     psd_floor = 1e-12 * float(np.trace(gram).real)
@@ -333,7 +333,7 @@ def _cmd_dmd(cfg: dict, out_dir: Path) -> dict:
         _certificate(
             "identity_observable_capture",
             model.identity_residual,
-            tolerance,
+            got["tolerance"],
             "||least-squares residual of id(z)=z against kernel span||_2 "
             "<= tolerance",
         ),
@@ -350,6 +350,8 @@ def _cmd_dmd(cfg: dict, out_dir: Path) -> dict:
         for k, t in enumerate(times):
             if isinstance(t, bool) or not isinstance(t, (int, float)):
                 _fail(f"predict.times[{k}]", "must be a real number")
+            if isinstance(t, int) and not abs(t) <= sys.float_info.max:
+                _fail(f"predict.times[{k}]", f"must be finite, got {t!r}")
         times = [float(t) for t in times]
         values = complex_pairs(dmd.predict(model, z0, np.array(times)))
         predictions = [{"t": t, "value": v} for t, v in zip(times, values)]
@@ -357,7 +359,7 @@ def _cmd_dmd(cfg: dict, out_dir: Path) -> dict:
     model_path.parent.mkdir(parents=True, exist_ok=True)
     model_path.write_text(model.to_json())
     return {
-        "inputs": {"N": order, "ridge_requested": ridge},
+        "inputs": {"ridge_requested": ridge},
         "rank": model.rank,
         "singular_value_ratio": model.singular_value_ratio,
         "regularization": model.regularization,
@@ -370,9 +372,7 @@ def _cmd_dmd(cfg: dict, out_dir: Path) -> dict:
     }
 
 
-def _cmd_bounds(cfg: dict, out_dir: Path) -> dict:
-    f = _parse_coeffs(cfg, "f")
-    phi = _parse_coeffs(cfg, "phi")
+def _cmd_bounds(cfg: dict, got: dict, out_dir: Path) -> dict:
     n_radii = _get_int(cfg, "n_radii", default=64)
     n_angles = _get_int(cfg, "n_angles", default=256)
     if n_radii * n_angles > MAX_BOUNDARY_SIZE:
@@ -383,7 +383,8 @@ def _cmd_bounds(cfg: dict, out_dir: Path) -> dict:
     r_max = _get_float(cfg, "r_max", default=0.995, positive=True)
     if not r_max < 1.0:
         _fail("r_max", f"must be < 1, got {r_max}")
-    result = boundedness_bound(f, phi, polar_grid(n_radii, n_angles, r_max))
+    grid = polar_grid(n_radii, n_angles, r_max)
+    result = boundedness_bound(got["f"], got["phi"], grid)
     expect = cfg.get("expect_diverges")
     if expect is not None and not isinstance(expect, bool):
         _fail("expect_diverges", "must be a boolean")
@@ -410,13 +411,7 @@ def _cmd_bounds(cfg: dict, out_dir: Path) -> dict:
         lines.append(f"{r:.17g},{v:.17g}")
     csv_path.write_text("\n".join(lines) + "\n")
     return {
-        "inputs": {
-            "f": complex_pairs(f.coeffs),
-            "phi": complex_pairs(phi.coeffs),
-            "n_radii": n_radii,
-            "n_angles": n_angles,
-            "r_max": r_max,
-        },
+        "inputs": {"n_radii": n_radii, "n_angles": n_angles, "r_max": r_max},
         "supremum": result.supremum,
         "diverges": result.diverges,
         "profile_csv": csv_path.name,
@@ -424,18 +419,13 @@ def _cmd_bounds(cfg: dict, out_dir: Path) -> dict:
     }
 
 
-def _cmd_hs_norm(cfg: dict, out_dir: Path) -> dict:
-    order = _get_order(cfg, default=64)
-    f = _parse_coeffs(cfg, "f")
-    phi = _parse_coeffs(cfg, "phi")
-    size = _check_boundary_size(cfg, order)
-    tolerance = _get_float(cfg, "tolerance", default=1e-8, positive=True)
-    result = hs_norm(f, phi, order, size)
+def _cmd_hs_norm(cfg: dict, got: dict, out_dir: Path) -> dict:
+    result = hs_norm(got["f"], got["phi"], got["N"], got["M"])
     if result.finite:
         cert = _certificate(
             "hilbert_schmidt_dual_route",
             abs(result.frobenius_sq - result.quadrature_sq),
-            tolerance,
+            got["tolerance"],
             "|Frobenius^2 - quadrature^2| <= tolerance",
         )
     else:
@@ -451,12 +441,6 @@ def _cmd_hs_norm(cfg: dict, out_dir: Path) -> dict:
             passed=not expect_finite,
         )
     return {
-        "inputs": {
-            "N": order,
-            "M": size,
-            "f": complex_pairs(f.coeffs),
-            "phi": complex_pairs(phi.coeffs),
-        },
         "frobenius_sq": result.frobenius_sq,
         "quadrature_sq": result.quadrature_sq,
         "finite": result.finite,
@@ -464,27 +448,25 @@ def _cmd_hs_norm(cfg: dict, out_dir: Path) -> dict:
     }
 
 
-def _cmd_smirnov(cfg: dict, out_dir: Path) -> dict:
-    order = _get_order(cfg, default=256)
-    f = _parse_coeffs(cfg, "f")
-    size = _check_boundary_size(cfg, order, default=max(1024, 4 * (order + 1)))
-    tolerance = _get_float(cfg, "tolerance", default=1e-10, positive=True)
-    pair = smirnov_decompose(to_boundary(f.truncated(order), size), order)
+def _cmd_smirnov(cfg: dict, got: dict, out_dir: Path) -> dict:
+    order, size = got["N"], got["M"]
+    with _naming_overflow("f", "its boundary samples"):
+        samples = to_boundary(got["f"].truncated(order), size)
+    pair = smirnov_decompose(samples, order)
     cert = _certificate(
         "modulus_identity",
         modulus_identity_defect(pair.a, pair.b, size),
-        tolerance,
+        got["tolerance"],
         "max over boundary grid of ||a|^2 + |b|^2 - 1| <= tolerance",
     )
     return {
-        "inputs": {"N": order, "M": size, "f": complex_pairs(f.coeffs)},
         "normalized": pair.normalized,
         "a0": complex_pairs(pair.a(0)),
         "certificates": [cert],
     }
 
 
-def _cmd_verify_all(cfg: dict, out_dir: Path) -> dict:
+def _cmd_verify_all(cfg: dict, got: dict, out_dir: Path) -> dict:
     # criterion 12 fits the standard batch; findings() reuses that model
     with acceptance.standard_fit_scope():
         results = acceptance.run_all()
@@ -507,16 +489,17 @@ def _cmd_verify_all(cfg: dict, out_dir: Path) -> dict:
     return {"certificates": certs, "findings": findings}
 
 
+# name: (body, N default, M floor, tolerance default, symbols); see _Command
 _COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "adjoint-check": _cmd_adjoint_check,
-    "occupation": _cmd_occupation,
-    "weighted": _cmd_weighted,
-    "dmd": _cmd_dmd,
-    "bounds": _cmd_bounds,
-    "hs-norm": _cmd_hs_norm,
-    "smirnov": _cmd_smirnov,
-    "verify-all": _cmd_verify_all,
+    "spectrum": _Command(_cmd_spectrum, "required", None, 1e-8, ("f",)),
+    "adjoint-check": _Command(_cmd_adjoint_check, 64, 512, 1e-8),
+    "occupation": _Command(_cmd_occupation, 80, None, 1e-6, ("f",)),
+    "weighted": _Command(_cmd_occupation, 80, None, 1e-6, ("f", "phi")),
+    "dmd": _Command(_cmd_dmd, 64, None, 1e-2),
+    "bounds": _Command(_cmd_bounds, symbols=("f", "phi")),
+    "hs-norm": _Command(_cmd_hs_norm, 64, "optional", 1e-8, ("f", "phi")),
+    "smirnov": _Command(_cmd_smirnov, 256, 1024, 1e-10, ("f",)),
+    "verify-all": _Command(_cmd_verify_all),
 }
 
 
@@ -539,8 +522,13 @@ def run(command: str, config: dict, out_dir) -> int:
         or "\0" in name
     ):
         _fail("output", f"must be a plain file name inside --out, got {name!r}")
-    report = {"schema": _SCHEMA, "command": command}
-    report.update(_COMMANDS[command](config, out_path))
+    row = _COMMANDS[command]
+    got, inputs = _read_shared(config, row)
+    body = row.body(config, got, out_path)
+    inputs.update(body.pop("inputs", {}))
+    report = {"schema": _SCHEMA, "command": command, **body}
+    if inputs:
+        report["inputs"] = inputs
     _write_report(report, out_path / name)
     for cert in report["certificates"]:
         status = "PASS" if cert["passed"] else "FAIL"

@@ -248,23 +248,27 @@ def integrate_ode(
     samples = [z0]
     append = samples.append
     z = z0
-    for k in range(steps):
-        k1 = field(z)
-        k2 = field(z + half * k1)
-        k3 = field(z + half * k2)
-        k4 = field(z + h * k3)
-        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not abs(z) <= limit:  # also true for a nan state
-            if not np.isfinite(z):
-                raise SymbolOverflowError(
-                    f"symbol f overflows the RK4 state at t = {times[k + 1]:.6g}; "
-                    "the state must stay finite"
+    overflow = (
+        "symbol f overflows the RK4 state at t = {:.6g}; the state must stay finite"
+    )
+    try:
+        for k in range(steps):
+            k1 = field(z)
+            k2 = field(z + half * k1)
+            k3 = field(z + half * k2)
+            k4 = field(z + h * k3)
+            z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not abs(z) <= limit:  # also true for a nan state
+                if not np.isfinite(z):
+                    raise SymbolOverflowError(overflow.format(times[k + 1]))
+                raise DiskExitError(
+                    f"trajectory left |z| <= {limit:.6g} at t = {times[k + 1]:.6g}",
+                    exit_time=float(times[k + 1]),
                 )
-            raise DiskExitError(
-                f"trajectory left |z| <= {limit:.6g} at t = {times[k + 1]:.6g}",
-                exit_time=float(times[k + 1]),
-            )
-        append(z)
+            append(z)
+    # abs() of a finite state with parts near 1e308 raises OverflowError
+    except OverflowError as exc:
+        raise SymbolOverflowError(overflow.format(times[k + 1])) from exc
     return Trajectory(times=times, points=np.array(samples, dtype=np.complex128))
 
 
@@ -408,21 +412,3 @@ def weighted_occupation_residual(
         lhs[n] = np.vdot(column, gamma)
     rhs = endpoint_kernel_difference(trajectory, order, phi)
     return float(np.linalg.norm(lhs - rhs.coeffs))
-
-
-def adjoint_on_signal(
-    f: TaylorPolynomial, trajectory: Trajectory, order: int = DEFAULT_ORDER
-) -> TaylorPolynomial:
-    """Adjoint action on the occupation kernel of an arbitrary signal.
-
-    The signal need not solve any ODE.  Coefficient ``n`` is
-    ``n * integral conj(f(theta(t))) conj(theta(t))^(n-1) dt``: the kernel
-    point of the first-derivative kernel rides along the signal.  Matches
-    the conjugate-transpose oracle applied to the occupation kernel.
-    """
-    weights, _ = _quadrature_weights(trajectory)
-    fbar = np.conj(np.asarray(f(trajectory.points)))
-    moments = _conj_moments(weights * fbar, trajectory.points, order)
-    coeffs = np.zeros(order + 1, dtype=np.complex128)
-    coeffs[1:] = np.arange(1, order + 1) * moments
-    return TaylorPolynomial(coeffs)

@@ -205,18 +205,6 @@ def hk_eigenfunction(
     return TaylorPolynomial(coeffs)
 
 
-def monic_from_zeros(zeros: list[tuple[complex, int]]) -> TaylorPolynomial:
-    """The monic polynomial ``prod (z - z_i)^(m_i)``."""
-    coeffs = np.array([1.0 + 0.0j])
-    for point, multiplicity in zeros:
-        if int(multiplicity) != multiplicity or multiplicity < 1:
-            raise InvalidIndexError("multiplicities must be positive integers")
-        factor = np.array([-complex(point), 1.0 + 0.0j])
-        for _ in range(int(multiplicity)):
-            coeffs = np.convolve(coeffs, factor)
-    return TaylorPolynomial(coeffs)
-
-
 def zero_eigenspace(
     zeros: list[tuple[complex, int]], order: int = DEFAULT_ORDER
 ) -> list[TaylorPolynomial]:

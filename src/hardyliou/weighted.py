@@ -270,22 +270,6 @@ def boundedness_bound(
     )
 
 
-def compactness_profile(
-    f: TaylorPolynomial,
-    phi: TaylorPolynomial,
-    radii: np.ndarray | None = None,
-    n_angles: int = 256,
-) -> RadialProfile:
-    """Per-radius maxima of the growth expression; compactness needs decay to 0."""
-    if radii is None:
-        radii = np.linspace(0.5, 0.995, 34)
-    radii = np.asarray(radii, dtype=np.float64)
-    angles = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-    grid = radii[:, None] * angles[None, :]
-    values = np.max(_growth_expression(f, phi, grid), axis=1)
-    return RadialProfile(radii=radii, values=values)
-
-
 # ---------------------------------------------------------------------------
 # Blaschke symbols
 # ---------------------------------------------------------------------------
@@ -350,27 +334,6 @@ class BlaschkeProduct:
     def boundary_unimodularity_defect(self, size: int = 1024) -> float:
         values = self(unit_circle_points(size))
         return float(np.max(np.abs(np.abs(values) - 1.0)))
-
-
-def blaschke_bound(
-    f: TaylorPolynomial,
-    phi: BlaschkeProduct,
-    grid: np.ndarray | None = None,
-) -> float:
-    """Simplified necessary bound for Blaschke composition symbols.
-
-    For inner ``phi`` the growth expression collapses to
-    ``|f(w)|^2 (1 + |phi(w)|^2) / (1 - |phi(w)|^2)^2`` because the hyperbolic
-    derivative ratio tends to 1; returns its grid supremum.
-    """
-    if grid is None:
-        grid = polar_grid()
-    pv = phi(grid)
-    r2 = np.abs(pv) ** 2
-    if np.max(r2) >= 1.0:
-        raise CompositionOutOfDiskError("phi exits the disk on the grid")
-    values = np.abs(np.asarray(f(grid))) ** 2 * (1.0 + r2) / (1.0 - r2) ** 2
-    return float(np.max(values))
 
 
 def blaschke_ratio_profile(

@@ -145,6 +145,7 @@ def test_boundary_size_constraint_enforced(tmp_path, capsys):
         ("adjoint-check", {"N": 1, "M": 8, "f": [1e308, 1e308], "cases": 1}, "symbol f "),
         ("smirnov", {"N": 8, "f": [0.1, 1e308]}, "symbol f "),
         ("bounds", {"f": [1e308], "phi": [0, 0.5]}, "symbol f "),
+        ("smirnov", {"N": 8, "f": [1e308, 1e308]}, "symbol f "),
     ],
 )
 def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, config, symbol):
@@ -172,6 +173,16 @@ def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, confi
         ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": 0.2, "T": 0.1, "dt": float("inf")}}, "dt"),
         ("spectrum", {"N": 8, "f": [0.1, 0.9], "tolerance": float("nan")}, "tolerance"),
         ("dmd", {"N": 8, "ridge": float("inf")}, "ridge"),
+        (
+            "dmd",
+            {
+                "N": 8,
+                "f": [0, 1],
+                "ode": {"z0": 0.2, "T": 0.1, "dt": 0.01},
+                "predict": {"z0": 0.1, "times": [0.5, 10**400]},
+            },
+            "predict.times[1]",
+        ),
     ],
 )
 def test_nonfinite_config_number_exits_two_naming_the_field(

@@ -1,16 +1,22 @@
-"""The report contract of every CLI command.
+"""The report contract of every CLI command, and config fuzzing.
 
 The contract pins what a reader of a report relies on: the top-level keys,
 the ``inputs`` echo, each certificate's name, tolerance and formula, and the
 message a config with one bad field gets.  Only strings and values copied
 from the config or fixed in the code are pinned, never a computed float, so
-the contract holds on every BLAS build.
+the contract holds on every BLAS build.  The fuzzing drives each command
+with valid, malformed, huge and non-finite values for every field: the exit
+code is 0, 1 or 2, and no exception escapes.
 """
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from hardyliou import TaylorPolynomial, integrate_ode, write_trajectory_csv
 from hardyliou.cli import console_main
 
 _ACCEPTANCE = "fixed acceptance tolerance; see tests/test_acceptance.py"
@@ -219,3 +225,93 @@ def test_verify_all_report_contract(tmp_path, capsys):
         "error: config field 'output': must be a plain file name inside "
         "--out, got '../x'\n"
     )
+
+
+# values no field accepts, or only at its edge
+_JUNK = st.sampled_from(
+    [None, True, "x", [], {}, [1, "a"], -1, 0, 1.5, 10**400, 1e308, -1e308]
+    + [math.nan, math.inf, -math.inf]
+)
+
+
+def _or_junk(valid):
+    return st.one_of(valid, _JUNK)
+
+
+_PART = st.one_of(
+    st.floats(-1.0, 1.0), st.sampled_from([1e308, 2.9e307, math.nan, math.inf])
+)
+_COMPLEX = _or_junk(st.one_of(_PART, st.lists(_PART, min_size=2, max_size=2)))
+_SYMBOL = _or_junk(st.lists(_COMPLEX, min_size=1, max_size=4))
+# the valid sizes stay small, so one example costs milliseconds
+_FIELDS = {
+    "N": _or_junk(st.one_of(st.integers(1, 24), st.just(4097))),
+    "M": _or_junk(st.one_of(st.integers(2, 160), st.just(2**20 + 1))),
+    "tolerance": _or_junk(st.sampled_from([1e-30, 1e-8, 1.0])),
+    "cases": _or_junk(st.one_of(st.integers(1, 4), st.just(1001))),
+    "seed": _or_junk(st.integers(0, 3)),
+    "ridge": _or_junk(st.sampled_from([0, 1e-8, 1.0])),
+    "n_radii": _or_junk(st.one_of(st.integers(1, 12), st.just(2**21))),
+    "n_angles": _or_junk(st.integers(1, 12)),
+    "r_max": _or_junk(st.sampled_from([0.5, 0.995, 1.0])),
+    "expect_diverges": _or_junk(st.booleans()),
+    "expect_finite": _or_junk(st.booleans()),
+    "output": _or_junk(st.sampled_from(["r.json", "..", "a/b", ""])),
+    "f": _SYMBOL,
+    "phi": _SYMBOL,
+    "ode": _or_junk(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "z0": _COMPLEX,
+                "T": _or_junk(st.sampled_from([0.2, 1.0, 8.8, 1e300])),
+                "dt": _or_junk(st.sampled_from([0.01, 0.05, 4.4, 1e-300])),
+            },
+        )
+    ),
+    "trajectories": _or_junk(
+        st.lists(
+            st.sampled_from(["orbit.csv", "missing.csv", 3]), min_size=1, max_size=3
+        )
+    ),
+    "predict": _or_junk(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "z0": _COMPLEX,
+                "times": _or_junk(st.lists(_or_junk(st.floats(0.0, 2.0)), max_size=3)),
+            },
+        )
+    ),
+}
+
+
+# one field set to one value; a few of these change a contract config
+_CHANGE = st.one_of(*(st.tuples(st.just(k), v) for k, v in _FIELDS.items()))
+
+
+@settings(
+    deadline=None,
+    max_examples=300,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(command=st.sampled_from(sorted(CONTRACT)), changes=st.lists(_CHANGE, max_size=3))
+# an RK4 state whose |z| overflows a float, though both its parts are finite
+@example(
+    "occupation",
+    [("N", 8), ("f", [[2.9e307, 2.9e307]]), ("ode", {"z0": 0.0, "T": 8.8, "dt": 4.4})],
+)
+# a JSON integer too large for a float, as a forecast time
+@example("dmd", [("predict", {"z0": 0.0, "times": [10**400]})])
+def test_any_config_exits_zero_one_or_two(
+    tmp_path, monkeypatch, capsys, command, changes
+):
+    monkeypatch.chdir(tmp_path)
+    if not (tmp_path / "orbit.csv").exists():
+        orbit = integrate_ode(TaylorPolynomial([0.0, -0.5 + 1.0j]), 0.3, 0.2, 0.01)
+        write_trajectory_csv(orbit, tmp_path / "orbit.csv")
+    config = dict(CONTRACT[command][0], **dict(changes))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code = console_main([command, "--config", "config.json", "--out", "out"])
+    assert code in (0, 1, 2)
+    capsys.readouterr()  # one example's output at a time

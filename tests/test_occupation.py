@@ -22,16 +22,12 @@ from hardyliou import (
     TaylorPolynomial,
     Trajectory,
     TrajectoryIngestionError,
-    adjoint_matrix,
-    adjoint_on_signal,
     endpoint_kernel_difference,
     field_defect,
     inner_product,
     integrate_ode,
-    liouville_matrix,
     liouville_occupation_residual,
     monomial,
-    norm,
     occupation_kernel,
     read_trajectory_csv,
     szego_kernel,
@@ -522,6 +518,12 @@ def test_integrate_nonfinite_state_names_symbol():
         integrate_ode(TaylorPolynomial([1e308, 1e308]), 0.2, 0.1, 0.01)
 
 
+def test_integrate_overflowing_abs_names_symbol():
+    # the first step lands on a finite state whose |z| overflows a float
+    with pytest.raises(SymbolOverflowError, match="symbol f .* t = 4.4;"):
+        integrate_ode(TaylorPolynomial([complex(2.9e307, 2.9e307)]), 0.0, 8.8, 4.4)
+
+
 @pytest.mark.parametrize("t_final, dt", [(1e300, 1e-300), (1.0, 1e-7)])
 def test_integrate_refuses_more_steps_than_the_budget(t_final, dt):
     # raised before round() overflows or the samples are allocated
@@ -572,8 +574,11 @@ def _rk4_from_zero(f, z0, t_final, dt):
 def _rk4_outcome(integrate, f, z0, t_final, dt):
     try:
         out = integrate(f, z0, t_final, dt)
-    # abs() of a finite state with parts near 1e308 raises OverflowError
     except (DiskExitError, SymbolOverflowError, OverflowError) as exc:
+        # abs() of a finite state with parts near 1e308 raises OverflowError
+        # in the oracle, which integrate_ode turns into SymbolOverflowError
+        if isinstance(exc, OverflowError) or isinstance(exc.__cause__, OverflowError):
+            return SymbolOverflowError, "abs() overflow"
         return type(exc), str(exc), getattr(exc, "exit_time", None)
     times, points = (out.times, out.points) if isinstance(out, Trajectory) else out
     return times.tobytes(), points.tobytes()
@@ -654,11 +659,6 @@ def test_running_product_moments_match_power_formula():
     expected = weights @ powers
     got = occupation_kernel(traj, order).series.coeffs
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-    fbar = np.conj(f(traj.points))
-    moments = (weights * fbar) @ powers[:, :order]
-    expected = np.concatenate(([0.0], np.arange(1, order + 1) * moments))
-    got = adjoint_on_signal(f, traj, order).coeffs
-    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_occupation_kernel_trapezoid_tag():
@@ -716,12 +716,3 @@ def test_weighted_occupation_residual_out_of_disk():
     phi = TaylorPolynomial([0, 2.0])  # pushes 0.54 out to 1.09
     with pytest.raises(CompositionOutOfDiskError):
         weighted_occupation_residual(f, phi, traj, 32)
-
-
-def test_adjoint_on_signal_matches_matrix_route():
-    f = TaylorPolynomial([0.1, 0.8, 0.05])
-    traj = integrate_ode(f, 0.15, 1.0, 1e-3)
-    gamma = occupation_kernel(traj, 48).series
-    oracle = adjoint_matrix(liouville_matrix(f, 48)).apply(gamma)
-    signal = adjoint_on_signal(f, traj, 48)
-    assert norm(TaylorPolynomial(oracle.coeffs - signal.coeffs)) < 1e-8

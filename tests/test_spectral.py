@@ -22,7 +22,6 @@ from hardyliou import (
     hk_eigenfunction,
     integrate_ode,
     liouville_matrix,
-    monic_from_zeros,
     monomial,
     norm,
     zero_eigenspace,
@@ -296,16 +295,9 @@ def test_hk_eigenfunction_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_monic_from_zeros_frozen():
-    p = monic_from_zeros([(1.0, 1), (2.0, 1)])
-    assert np.allclose(p.coeffs, [2.0, -3.0, 1.0])
-    q = monic_from_zeros([(0.5, 2)])
-    assert np.allclose(q.coeffs, [0.25, -1.0, 1.0])
-
-
 def test_zero_eigenspace_annihilated_by_adjoint():
     zeros = [(0.3, 1), (-0.2 + 0.1j, 2)]
-    f = monic_from_zeros(zeros)
+    f = TaylorPolynomial(np.poly([0.3, -0.2 + 0.1j, -0.2 + 0.1j])[::-1])
     order = 64
     Astar = adjoint_matrix(liouville_matrix(f, order))
     basis = zero_eigenspace(zeros, order)

@@ -9,10 +9,8 @@ from hardyliou import (
     DiskDomainError,
     TaylorPolynomial,
     adjoint_matrix,
-    blaschke_bound,
     blaschke_ratio_profile,
     boundedness_bound,
-    compactness_profile,
     hs_norm,
     integrate_ode,
     monomial,
@@ -137,12 +135,6 @@ def test_boundedness_identity_composition_diverges():
     assert result.supremum > 1e3
 
 
-def test_compactness_profile_decays_for_contractive_phi():
-    profile = compactness_profile(monomial(0), TaylorPolynomial([0, 0.5]))
-    assert profile.values[-1] < 0.01
-    assert profile.values[-1] < profile.values[0]
-
-
 # ---------------------------------------------------------------------------
 # Blaschke symbols
 # ---------------------------------------------------------------------------
@@ -185,20 +177,6 @@ def test_blaschke_ratio_tends_to_one():
     assert profile.values[0] > 1e-3
     assert np.all(np.diff(profile.values) < 0)
     assert profile.values[-1] < 1e-4
-
-
-def test_blaschke_bound_formula():
-    f = TaylorPolynomial([0.2, 0.5])
-    b = BlaschkeProduct((0.3,))
-    grid = polar_grid(8, 32, 0.8)
-    value = blaschke_bound(f, b, grid)
-    pv = b(grid)
-    manual = np.max(
-        np.abs(np.asarray(f(grid))) ** 2
-        * (1 + np.abs(pv) ** 2)
-        / (1 - np.abs(pv) ** 2) ** 2
-    )
-    assert value == pytest.approx(manual)
 
 
 # ---------------------------------------------------------------------------
