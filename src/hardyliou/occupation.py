@@ -136,18 +136,44 @@ def _float_rows(rows: list[str]) -> np.ndarray:
     return np.fromiter(map(float, cells), np.float64, len(cells)).reshape(-1, 3)
 
 
+def _c_float_rows(text: str, rows: list[str]) -> np.ndarray | None:
+    """``rows`` as a (rows x 3) array by NumPy's C reader, or ``None``.
+
+    The C reader converts each cell with the routine ``float`` uses, so an
+    array with one row per line holds ``float``'s bytes.  It differs only in
+    what it accepts: it strips U+001F as padding and skips blank lines, which
+    ``float`` refuses, and it refuses underscores and non-ASCII digits, which
+    ``float`` accepts.  Each of these gives ``None``, and the caller falls
+    back to ``float``.
+    """
+    if "\x1f" in text:
+        return None
+    with warnings.catch_warnings():
+        # an all-blank input warns "input contained no data"
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(
+                rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2
+            )
+        except (ValueError, Warning):
+            return None
+    return values if values.shape == (len(rows), 3) else None
+
+
 def read_trajectory_csv(path) -> Trajectory:
     """Parse and validate a ``t,re,im`` file; errors cite the earliest bad row.
 
     Cells are unquoted and comma-separated, and each holds anything Python's
     ``float`` accepts (padding, ``1_0``, ``inf``, ``nan``), so a quoted cell
     fails to parse.  A byte that is not UTF-8 decodes to U+FFFD, so its cell
-    fails to parse too.
+    fails to parse too.  NumPy's C reader parses a file of plain ASCII cells;
+    any other file takes a row-by-row path with the same result.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
     digest = hashlib.sha256(raw).hexdigest()
-    lines = raw.decode("utf-8", errors="replace").splitlines()
+    text = raw.decode("utf-8", errors="replace")
+    lines = text.splitlines()
     if not lines or [cell.strip() for cell in lines[0].split(",")] != _CSV_HEADER:
         raise TrajectoryIngestionError(
             f"{path}: first row must be the header 't,re,im'"
@@ -155,20 +181,23 @@ def read_trajectory_csv(path) -> Trajectory:
     rows = lines[1:]
     if not rows:
         raise TrajectoryIngestionError(f"{path}: no data rows")
-    # the rows before the first with the wrong field count go through one
-    # float pass; only when it fails does a row loop find the row it refuses
-    end = next((i for i, row in enumerate(rows) if row.count(",") != 2), len(rows))
-    failure = f"row {end + 2} must have 3 fields" if end < len(rows) else None
-    try:
-        values = _float_rows(rows[:end])
-    except ValueError:
-        for end, row in enumerate(rows):
-            try:
-                _float_rows([row])
-            except ValueError as exc:
-                failure = f"row {end + 2}: {exc}"
-                break
-        values = _float_rows(rows[:end])
+    failure = None
+    values = _c_float_rows(text, rows)
+    if values is None:
+        # the rows before the first with the wrong field count go through one
+        # float pass; only when it fails does a row loop find the row it refuses
+        end = next((i for i, row in enumerate(rows) if row.count(",") != 2), len(rows))
+        failure = f"row {end + 2} must have 3 fields" if end < len(rows) else None
+        try:
+            values = _float_rows(rows[:end])
+        except ValueError:
+            for end, row in enumerate(rows):
+                try:
+                    _float_rows([row])
+                except ValueError as exc:
+                    failure = f"row {end + 2}: {exc}"
+                    break
+            values = _float_rows(rows[:end])
     times = values[:, 0]
     # .real/.imag keep the bytes of complex(re, im); re + 1j * im would turn
     # an infinite imaginary part into a NaN real part

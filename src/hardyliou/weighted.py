@@ -366,6 +366,12 @@ def blaschke_ratio_profile(
 # ---------------------------------------------------------------------------
 
 
+def _modulus_sq(values) -> np.ndarray:
+    """``|values|^2``, where a modulus past sqrt(max float) is ``inf`` without a warning."""
+    with np.errstate(over="ignore"):
+        return np.abs(np.asarray(values)) ** 2
+
+
 def monomial_norm_sequence(
     f: TaylorPolynomial,
     phi: TaylorPolynomial,
@@ -383,7 +389,7 @@ def monomial_norm_sequence(
         size = default_boundary_size(content)
     z = unit_circle_points(size)
     base = np.abs(np.asarray(f(z)) * np.asarray(derivative(phi)(z))) ** 2
-    r2 = np.abs(np.asarray(phi(z))) ** 2
+    r2 = _modulus_sq(phi(z))
     out = np.zeros(n_max + 1)
     for n in range(1, n_max + 1):
         out[n] = n * n * float(np.mean(base * r2 ** (n - 1)))
@@ -416,7 +422,7 @@ def hs_norm(
         frobenius_sq = float(_finite(np.sum(column_sq)))
         base = np.abs(np.asarray(f(z)) * np.asarray(derivative(phi)(z))) ** 2
         _finite(base)
-    r2 = np.abs(np.asarray(phi(z))) ** 2
+    r2 = _modulus_sq(phi(z))
     if np.max(r2) >= 1.0:
         return HsNormResult(
             frobenius_sq=frobenius_sq, quadrature_sq=math.inf, finite=False

@@ -303,6 +303,8 @@ _CHANGE = st.one_of(*(st.tuples(st.just(k), v) for k, v in _FIELDS.items()))
 )
 # a JSON integer too large for a float, as a forecast time
 @example("dmd", [("predict", {"z0": 0.0, "times": [10**400]})])
+# a constant phi whose |phi|^2 overflows a float
+@example("hs-norm", [("N", 8), ("f", [1.0]), ("phi", [1e308])])
 def test_any_config_exits_zero_one_or_two(
     tmp_path, monkeypatch, capsys, command, changes
 ):

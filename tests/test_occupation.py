@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -371,12 +372,18 @@ def _read_outcome(reader, path):
 
 # No cell holds a double quote, where csv.reader's quoting differs on purpose,
 # nor NUL, which csv.reader refuses before Python 3.11.  U+2028, \x0b and
-# \x85 are line breaks to str.splitlines.
-_VALID_CELLS = [b" 0.25 ", b"\t-0.5", b"-0", b"+0.0", b"1e-3", b"0_0"]
+# \x85 are line breaks to str.splitlines.  NumPy's C reader strips the
+# non-ASCII padding as float() does, refuses the underscores and the
+# Arabic-Indic digits that float() accepts, and strips the U+001F that
+# float() refuses.
+_VALID_CELLS = [
+    b" 0.25 ", b"\t-0.5", b"-0", b"+0.0", b"1e-3", b"0_0", b"0.1_5",
+    "\u00a00.25\u00a0".encode(), "\u3000-0.5\u3000".encode(), "\u0660.\u0661".encode(),
+]
 _BAD_CELLS = [
     b"1_0", b"1__0", b"+inf", b"-inf", b"nan", b"-nan", b"0.9995", b"0x1p-3",
     b"", b"oops", b"\xff", b"0.\xc3", b"\xe2\x80\xa80.1", b"0.1\x0b",
-    b"\xc2\x850", b"\xef\xbb\xbf0",
+    b"\xc2\x850", b"\xef\xbb\xbf0", b"\x1f0.1", b"0.1\x1f", "\u0661".encode(),
 ]
 _GOOD_CELL = st.one_of(
     st.floats(-0.7, 0.7).map(lambda x: repr(x).encode()),
@@ -384,14 +391,17 @@ _GOOD_CELL = st.one_of(
 )
 _ANY_CELL = st.one_of(_GOOD_CELL, st.sampled_from(_BAD_CELLS))
 # (time cell, other cells); a None time becomes the row index, so a good row
-# is accepted, and about one row in six may break anything
+# is accepted; one row in eight may break anything and one in eight is blank
 _GOOD_ROW = st.tuples(st.none(), st.lists(_GOOD_CELL, min_size=2, max_size=2))
 _ANY_ROW = st.tuples(
     st.one_of(st.none(), _ANY_CELL),
     st.one_of(st.lists(_ANY_CELL, min_size=2, max_size=2), st.lists(_ANY_CELL, max_size=4)),
 )
-_ROW = st.tuples(st.integers(0, 5), _GOOD_ROW, _ANY_ROW).map(
-    lambda pick: pick[2] if pick[0] == 0 else pick[1]
+# a blank or whitespace-only row: refused as a row of one field, though the C
+# reader skips an empty one
+_BLANK_ROW = st.sampled_from([b"", b" ", b"\t", b"  \t "]).map(lambda cell: (cell, []))
+_ROW = st.tuples(st.integers(0, 7), _GOOD_ROW, _ANY_ROW, _BLANK_ROW).map(
+    lambda pick: pick[2] if pick[0] == 0 else pick[3] if pick[0] == 1 else pick[1]
 )
 _HEADER = st.one_of(
     st.just(b"t,re,im"),
@@ -412,6 +422,11 @@ _ENDINGS = st.sampled_from([b"\n", b"\r\n", b"\r"] * 4 + [b"\n\n", b"\r\r\n"])
     rows=st.lists(st.tuples(_ROW, _ENDINGS), max_size=8),
     tail=st.sampled_from([b"", b"\n", b"\r\n", b"\r"] * 2 + [b"\n\n", b"\r\n\r\n"]),
 )
+# float() refuses U+001F padding, which the C reader strips
+@example(header=b"t,re,im", rows=[((None, [b"\x1f0.1", b"0"]), b"\n")], tail=b"\n")
+@example(header=b"t,re,im", rows=[((b"0", [b"0.1\x1f", b"0"]), b"\n")], tail=b"")
+# a body of blank rows, which the C reader skips with a warning
+@example(header=b"t,re,im", rows=[((b"", []), b"\n"), ((b"", []), b"\n")], tail=b"\n")
 def test_bulk_reader_matches_csv_module_reader(tmp_path_factory, header, rows, tail):
     parts = [header]
     for k, (row, ending) in enumerate(rows):
@@ -454,6 +469,63 @@ def test_accepted_file_is_validated_once(tmp_path, monkeypatch):
         read_trajectory_csv(path)
     assert str(info.value) == f"{path}: row 4 breaks strict time ordering"
     assert calls == [11, 3, 3]
+
+
+def _write_ode_csv(path):
+    write_trajectory_csv(integrate_ode(monomial(1), 0.2, 1.0, 1e-3), path)
+    return path
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_reader_lets_no_warning_escape(tmp_path, action):
+    # an all-blank body makes NumPy's C reader warn "input contained no data"
+    accepted = _write_ode_csv(tmp_path / "accepted.csv")
+    refused = tmp_path / "refused.csv"
+    refused.write_text("t,re,im\n0,0.1,0\n1,oops,0\n")
+    blank = tmp_path / "blank.csv"
+    blank.write_text("t,re,im\n\n\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        assert read_trajectory_csv(accepted).times.size == 1001
+        with pytest.raises(TrajectoryIngestionError) as info:
+            read_trajectory_csv(refused)
+        assert str(info.value) == (
+            f"{refused}: row 3: could not convert string to float: 'oops'"
+        )
+        with pytest.raises(TrajectoryIngestionError) as info:
+            read_trajectory_csv(blank)
+        assert str(info.value) == f"{blank}: row 2 must have 3 fields"
+    assert caught == []
+
+
+def test_plain_ascii_file_skips_the_float_rows_path(tmp_path, monkeypatch):
+    calls = []
+    float_rows = occupation._float_rows
+
+    def counted(rows):
+        calls.append(len(rows))
+        return float_rows(rows)
+
+    monkeypatch.setattr(occupation, "_float_rows", counted)
+    path = _write_ode_csv(tmp_path / "traj.csv")
+    expected = path.read_bytes()
+    traj = read_trajectory_csv(path)
+    assert calls == []
+    assert occupation._csv_bytes(traj) == expected
+    # float() reads 0.001_0 as 0.001; the C reader refuses the underscore
+    lines = expected.decode().splitlines()
+    lines[2] = lines[2].replace("1", "1_0", 1)
+    path.write_text("\n".join(lines) + "\n")
+    underscored = read_trajectory_csv(path)
+    assert calls == [1001]
+    assert np.array_equal(underscored.times, traj.times)
+    calls.clear()
+    lines[2] = "1,oops,0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrajectoryIngestionError) as info:
+        read_trajectory_csv(path)
+    assert str(info.value) == f"{path}: row 3: could not convert string to float: 'oops'"
+    assert calls != []
 
 
 def test_quoted_cells_exit_two_naming_the_row(tmp_path):

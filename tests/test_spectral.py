@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hardyliou import (
     DiskDomainError,
@@ -133,6 +133,48 @@ def _triangular_symbol(kind, complex_coeffs, degree, seed):
     return TaylorPolynomial(np.concatenate([[0.0], slope, draw(0.0, 0.5, degree - 1)]))
 
 
+def _componentwise_condition(entries, value):
+    """First-order forward-error factor of the unit eigenvector of ``value``.
+
+    On a triangular matrix (rows and columns reversed if it is lower) the
+    eigenvector x with x_j = 1 solves ``(T - value) v = -b``, where [T b]
+    are the first j rows of columns 0..j.  A relative change eps in every
+    entry moves v by at most ``eps |(T - value)^-1| (|[T b]| |x| + |value| |v|)``;
+    the factor is that vector's norm over ``||x||``.
+    """
+    upper = entries[::-1, ::-1] if np.tril(entries, -1).any() else entries
+    j = int(np.flatnonzero(np.diagonal(upper) == value)[0])
+    if j == 0:
+        return 0.0
+    # gesv on a triangular matrix pivots nowhere: it is back substitution
+    inverse = np.linalg.inv(upper[:j, :j] - value * np.eye(j))
+    x = np.append(inverse @ -upper[:j, j], 1.0)
+    moved = np.abs(upper[:j, : j + 1]) @ np.abs(x) + abs(value) * np.abs(x[:j])
+    return float(np.linalg.norm(np.abs(inverse) @ moved) / np.linalg.norm(x))
+
+
+def _pairs_off_the_oracle(A, pairs):
+    """Indices of pairs whose vector is further from the dense oracle's than
+    rounding in the entries explains."""
+    _, vectors = _dense_oracle(A)
+    off = []
+    for k, pair in enumerate(pairs):
+        overlap = np.vdot(pair.vector.coeffs, vectors[:, k])
+        aligned = vectors[:, k] * np.conj(overlap) / abs(overlap)
+        gap = np.linalg.norm(pair.vector.coeffs - aligned)
+        # both routes solve the same triangular system, so each may miss the
+        # exact vector by eps times its componentwise condition (over 3000
+        # draws of kind "vanishing at 0", degree 4-5 and order 100-200 the gap
+        # stayed below 0.07 of that); the 1e-12 floor spares computing the
+        # condition of the well-conditioned vectors
+        if abs(overlap) != pytest.approx(1.0, abs=1e-13) or (
+            gap > 1e-12
+            and gap > np.finfo(float).eps * _componentwise_condition(A.entries, pair.value)
+        ):
+            off.append(k)
+    return off
+
+
 @settings(deadline=None, max_examples=120)
 @given(
     kind=st.sampled_from(["affine", "diagonal", "vanishing at 0"]),
@@ -141,23 +183,30 @@ def _triangular_symbol(kind, complex_coeffs, degree, seed):
     order=st.integers(1, 200),
     seed=st.integers(0, 2**32 - 1),
 )
+# ill-conditioned eigenvectors: gaps of 1.0e-12 and 1.2e-11 between the routes
+@example("vanishing at 0", False, 5, 152, 22208028)
+@example("vanishing at 0", False, 4, 169, 1990018143)
 def test_triangular_route_matches_dense_oracle(kind, complex_coeffs, degree, order, seed):
     A = liouville_matrix(_triangular_symbol(kind, complex_coeffs, degree, seed), order)
-    values, vectors = _dense_oracle(A)
+    values, _ = _dense_oracle(A)
     with mock.patch.object(np.linalg, "eig", _forbidden_eig):
         pairs = eigendecompose(A)
     assert np.array_equal([p.value for p in pairs], values)
+    assert _pairs_off_the_oracle(A, pairs) == []
     # backward-error scale; over 600 seeded draws the largest residual was
     # 0.05 of it (the dense oracle's 0.12)
     scale = (order + 1) * np.finfo(float).eps * np.max(np.sum(np.abs(A.entries), axis=0))
-    for k, pair in enumerate(pairs):
-        overlap = np.vdot(pair.vector.coeffs, vectors[:, k])
-        # measured: 1 - |overlap| <= 8.9e-16 and a gap of 1.8e-14 after
-        # phase alignment, over the same 600 draws
-        assert abs(overlap) == pytest.approx(1.0, abs=1e-13)
-        aligned = vectors[:, k] * np.conj(overlap) / abs(overlap)
-        assert np.linalg.norm(pair.vector.coeffs - aligned) <= 1e-12
-        assert pair.residual <= scale
+    assert all(pair.residual <= scale for pair in pairs)
+
+
+def test_oracle_check_refuses_a_planted_band_error():
+    # the draw whose gap of 1.0e-12 needed the conditioned bound: an error
+    # of 1e-9 relative in the first band must still show
+    A = liouville_matrix(_triangular_symbol("vanishing at 0", False, 5, 22208028), 152)
+    planted = A.entries.copy()
+    band = np.arange(1, planted.shape[0])
+    planted[band, band - 1] *= 1.0 + 1e-9
+    assert _pairs_off_the_oracle(A, eigendecompose(OperatorMatrix(planted))) != []
 
 
 def test_lower_triangular_pairs_are_the_reversed_upper_ones():
