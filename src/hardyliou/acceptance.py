@@ -106,17 +106,20 @@ def standard_fit_scope():
         _SCOPED_MODEL.reset(token)
 
 
-def _standard_model() -> dmd.DmdModel:
+def _standard_batch() -> list:
     # the standard batch: 20 orbits of zdot = 0.1 + 0.9 z on four radii
-    memo = _SCOPED_MODEL.get()
-    if memo:
-        return memo[0]
-    batch = [
+    return [
         integrate_ode(_BATCH_FIELD, r * np.exp(2j * np.pi * k / 5), 1.0, 1e-3)
         for r in (0.075, 0.15, 0.225, 0.3)
         for k in range(5)
     ]
-    model = dmd.fit(batch, order=64)
+
+
+def _standard_model() -> dmd.DmdModel:
+    memo = _SCOPED_MODEL.get()
+    if memo:
+        return memo[0]
+    model = dmd.fit(_standard_batch(), order=64)
     if memo is not None:
         memo.append(model)
     return model

@@ -389,7 +389,8 @@ def monomial_norm_sequence(
         size = default_boundary_size(content)
     z = unit_circle_points(size)
     base = np.abs(np.asarray(f(z)) * np.asarray(derivative(phi)(z))) ** 2
-    r2 = _modulus_sq(phi(z))
+    # where phi' = 0 every term is 0, however large |phi| is: no 0 * inf
+    r2 = np.where(base == 0, 1.0, _modulus_sq(phi(z)))
     out = np.zeros(n_max + 1)
     for n in range(1, n_max + 1):
         out[n] = n * n * float(np.mean(base * r2 ** (n - 1)))

@@ -5,13 +5,15 @@ import csv
 import hashlib
 import io
 import json
+import struct
+import types
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hardyliou import occupation
+from hardyliou import acceptance, occupation
 from hardyliou.cli import console_main
 from hardyliou import (
     CompositionOutOfDiskError,
@@ -109,6 +111,121 @@ def test_csv_bytes_match_per_row_fstring():
     for t, z in zip(traj.times, traj.points):
         lines.append(f"{t:.17g},{z.real:.17g},{z.imag:.17g}")
     assert occupation._csv_bytes(traj) == ("\n".join(lines) + "\n").encode()
+
+
+def _g17_oracle(trajectory):
+    """The canonical CSV text, one ``f"{x:.17g}"`` per cell."""
+    points = trajectory.points
+    cells = zip(trajectory.times.tolist(), points.real.tolist(), points.imag.tolist())
+    rows = "".join(f"{t:.17g},{re:.17g},{im:.17g}\n" for t, re, im in cells)
+    return ("t,re,im\n" + rows).encode()
+
+
+def _cells_trajectory(cells):
+    # _csv_bytes reads only ``times`` and ``points``; these cells need not be
+    # a valid trajectory
+    values = np.asarray(cells, dtype=np.float64).reshape(-1, 3)
+    points = np.empty(len(values), dtype=np.complex128)
+    points.real, points.imag = values[:, 1], values[:, 2]
+    return types.SimpleNamespace(times=values[:, 0], points=points)
+
+
+def _double(sign, exponent, mantissa):
+    return struct.unpack("<d", struct.pack("<Q", sign << 63 | exponent << 52 | mantissa))[0]
+
+
+# any finite double by its bit pattern; half the draws take an exponent in or
+# next to the formatter's fast range 1e-5 <= |x| < 2**52
+_FINITE_DOUBLES = st.builds(
+    _double,
+    st.integers(0, 1),
+    st.one_of(st.integers(0, 2046), st.integers(1023 - 19, 1023 + 54)),
+    st.integers(0, 2**52 - 1),
+)
+# each power of ten's double and its neighbours: where log10 misses E by one,
+# and (below each 10**k) the largest 17-digit roundings the fast range has
+_POWER_NEIGHBOURS = [
+    float(np.nextafter(float(f"1e{k}"), toward))
+    for k in range(-12, 18)
+    for toward in (0.0, np.inf)
+] + [float(f"1e{k}") for k in range(-12, 18)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(_FINITE_DOUBLES, min_size=1, max_size=60))
+# below 10**k: a kernel that takes E from the rounded product prints 1e-07
+@example(cells=[1e-7, 1e-6, -1e-7])
+@example(cells=_POWER_NEIGHBOURS)
+@example(cells=[0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+@example(cells=[2.0**52 - 1, 2.0**52, 2.0**52 + 1, 1e-5, float(np.nextafter(1e-5, 0.0)),
+                float(np.nextafter(1e-5, 1.0))])
+# 17-digit rounding carries into the next decade (all outside the fast range)
+@example(cells=[1e-14, 1e-305, 1e-176, 1e-79, 1e98, 1e153])
+# ties at the 18th digit: half to even keeps ...62 and rounds ...87 up
+@example(cells=[123456789012345.625, 123456789012345.875, 12345678901234.5625])
+def test_csv_bytes_match_per_cell_g17(cells):
+    cells = cells + [0.0] * (-len(cells) % 3)
+    trajectory = _cells_trajectory(cells)
+    assert occupation._csv_bytes(trajectory) == _g17_oracle(trajectory)
+
+
+def test_plain_orbit_takes_the_fast_path(tmp_path, monkeypatch):
+    cells = []
+    template = occupation._g17_cells
+
+    def counted(values):
+        cells.extend(values)
+        return template(values)
+
+    monkeypatch.setattr(occupation, "_g17_cells", counted)
+    # one cell in 1e-5 <= |x| < 1e-4 takes the exponent form; none is smaller
+    orbit = integrate_ode(TaylorPolynomial([0, -0.5 + 1j]), 0.3 + 0.2j, 1.0, 1e-3)
+    path = tmp_path / "orbit.csv"
+    write_trajectory_csv(orbit, path)
+    assert orbit.times.size == 1001 and cells == []
+    assert b"e-05," in path.read_bytes()
+    assert path.read_bytes() == _g17_oracle(orbit)
+    points = orbit.points.copy()
+    points[7] = complex(3e-6, points[7].imag)
+    small = Trajectory(orbit.times, points)
+    write_trajectory_csv(small, path)
+    assert cells == [3e-6]
+    assert small.content_digest() == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert b"\n0.0070000000000000001,3.0000000000000001e-06," in path.read_bytes()
+
+
+# sha256 of each orbit of the acceptance standard batch as written before the
+# vectorised formatter; the CSV bytes are a contract, on every supported NumPy
+_STANDARD_BATCH_DIGESTS = [
+    "f41ba5d6f376a522b0e76acf73b8015eb776e912cb30d045a375bd3e9c5173dd",
+    "9ad252e077e4e8d2c19879163c274b2aee0590b0e9469b527842d2593426408d",
+    "455e7ce659097709f1b1cfed540c4773a00a2a7ce20685ebfd30ec78a64f0b09",
+    "a241cefb6934e8540ef0f110401c88302b370774ec9fe7994b58632e5e9ac3cb",
+    "b54221d8eeff0613fc6bccd985bf4024300fa32a5c2dd60599e7a468e9cfe39e",
+    "861e9ef0b02af5e674f72065e2427880b74482093d29e5a3876b0425971be925",
+    "12ab4a488d382b6507e5ca74d3d7bd3834b914144a7b013432864353c2437305",
+    "9c1bc5b68f1ffbd78587725ca6c749f9b42acf4d4eec53effade1c43d659b16e",
+    "e90325e2f8141b3208200ac9f92749a57529b951e0c0efaece6cc680d9a26df0",
+    "db0dec8eba875b3947aabaf0a1f025775f741a0f470b93212a173a8981d2cfdc",
+    "4fddd94f3b85ebeb0f78796dcd37345d8e07634cefb69e158b5d60db0bae6e9b",
+    "09fdc5a7e685e5adab1e20ccc35415077e667a22d9c8030d8a28b3b9f6b13e37",
+    "1c82d32a1fc7038f6416f39111120a070feb64711f45495d764d632a730adf02",
+    "c3fd4ffac4f5b3662193a6ebb130f451561ccf115176c8a9ce65d69bb6316382",
+    "2f7b27377bca4ccb65eda760d529fc8b8f26916d95c34f27ab229a7dba7e6a19",
+    "d9f3bce3cfb7d40624dd366681fc48176172d7536e4efa24a5b5cc23d7622c4e",
+    "2cfb5bf389ac72f7bbb05311bc52aa64771fcb02e875c60db4ff9df4e0da2cbe",
+    "2fcbc63caa761324c9ee68de2e639f1f46c6894ed8ea836f9729d286cc417100",
+    "4350442837e0cd69b3c3f240b8f9866c64ffb8da2f63df4bad44429e6adc4ebe",
+    "c1261a8471e364242bf8a0f62fbd298634b3d9fce65e865a572db74341881023",
+]
+
+
+def test_standard_batch_digests_are_pinned():
+    batch = acceptance._standard_batch()
+    for orbit in batch:
+        # a failure here is the formatter's; one only below is the orbits'
+        assert occupation._csv_bytes(orbit) == _g17_oracle(orbit)
+    assert [orbit.content_digest() for orbit in batch] == _STANDARD_BATCH_DIGESTS
 
 
 def test_csv_header_required(tmp_path):

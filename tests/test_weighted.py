@@ -1,5 +1,7 @@
 """Growth certificates, Blaschke symbols, and the dual Hilbert-Schmidt routes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,14 @@ def test_monomial_norm_sequence_matches_matrix_columns():
     for n in range(7):
         column_sq = float(np.sum(np.abs(A.entries[:, n]) ** 2))
         assert seq[n] == pytest.approx(column_sq, abs=1e-12)
+
+
+def test_monomial_norm_sequence_is_zero_for_a_constant_phi_that_overflows():
+    # phi' = 0, so every ||A z^n||^2 is 0 although |phi|^2 overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        seq = monomial_norm_sequence(TaylorPolynomial([1.0]), TaylorPolynomial([1e308]), 4)
+    assert seq.tolist() == [0.0] * 5
 
 
 def test_hs_norm_frozen_twenty_over_27():
