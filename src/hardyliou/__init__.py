@@ -74,7 +74,7 @@ from .operators import (
     weighted_liouville_matrix,
 )
 from .spectral import (
-    EigenPair,
+    Eigendecomposition,
     eigendecompose,
     exp_eigenfunction,
     flow_check,

@@ -250,16 +250,16 @@ def _write_report(payload: dict, path: Path) -> None:
 
 
 def _cmd_spectrum(cfg: dict, got: dict, out_dir: Path) -> dict:
-    pairs = eigendecompose(liouville_matrix(got["f"], got["N"]))
+    result = eigendecompose(liouville_matrix(got["f"], got["N"]))
     cert = _certificate(
         "eigenpair_residual",
-        max(p.residual for p in pairs),
+        float(np.max(result.residuals)),
         got["tolerance"],
         "max_k ||A v_k - lambda_k v_k||_2 <= tolerance, unit v_k",
     )
     return {
-        "eigenvalues": complex_pairs([p.value for p in pairs]),
-        "residuals": [p.residual for p in pairs],
+        "eigenvalues": complex_pairs(result.values),
+        "residuals": result.residuals.tolist(),
         "certificates": [cert],
     }
 

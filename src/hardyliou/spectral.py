@@ -49,15 +49,20 @@ _RESIDUAL_BLOCK = 64
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    """Eigenvalue, unit-norm eigenvector, and its certified residual."""
+class Eigendecomposition:
+    """All eigenpairs of a truncation, sorted by (real, imag), read-only.
 
-    value: complex
-    vector: TaylorPolynomial
-    residual: float
+    ``values[k]`` is an eigenvalue, ``vectors[:, k]`` its unit-norm
+    eigenvector (coefficients in the monomial basis) and ``residuals[k]``
+    the certified ``||A v_k - values[k] v_k||``.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+    residuals: np.ndarray
 
 
-def eigendecompose(matrix: OperatorMatrix) -> list[EigenPair]:
+def eigendecompose(matrix: OperatorMatrix) -> Eigendecomposition:
     """All eigenpairs, sorted by (real, imag), with recomputed residuals.
 
     A triangular matrix with a pairwise-distinct diagonal takes the banded
@@ -69,14 +74,14 @@ def eigendecompose(matrix: OperatorMatrix) -> list[EigenPair]:
     entries = matrix.entries
     found = _triangular_eigenpairs(entries)
     values, vectors, residuals = _dense_eigenpairs(entries) if found is None else found
-    return [
-        EigenPair(
-            value=complex(values[k]),
-            vector=TaylorPolynomial(vectors[:, k]),
-            residual=float(residuals[k]),
-        )
-        for k in np.lexsort((values.imag, values.real))
-    ]
+    order = np.lexsort((values.imag, values.real))
+    # an ascending diagonal (f = a + bz with Re b > 0) is already sorted, and
+    # gathering would copy the (N+1)^2 vectors for nothing
+    if not np.array_equal(order, np.arange(values.size)):
+        values, vectors, residuals = values[order], vectors[:, order], residuals[order]
+    for array in (values, vectors, residuals):
+        array.setflags(write=False)
+    return Eigendecomposition(values, vectors, residuals)
 
 
 def _dense_eigenpairs(entries: np.ndarray):
@@ -113,7 +118,7 @@ def _triangular_eigenpairs(entries: np.ndarray):
         return None
     upper = entries[::-1, ::-1] if flip else entries
     band = int(np.max(np.abs(offsets), initial=0))
-    values = np.diagonal(upper)
+    values = np.diagonal(upper).copy()
     if np.unique(values).size < values.size:
         return None
     n = values.size
