@@ -41,12 +41,18 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditionedError, InsufficientDataError, LowConfidenceWarning
-from .occupation import Trajectory, endpoint_kernel_difference, occupation_kernel
+from .errors import (
+    IllConditionedError,
+    InsufficientDataError,
+    InvalidIndexError,
+    LowConfidenceWarning,
+)
+from .occupation import Trajectory, _conj_moments, endpoint_kernel_difference
 from .series import DEFAULT_ORDER, TaylorPolynomial, complex_pairs
 
 _COND_LIMIT = 1e14
@@ -150,12 +156,20 @@ def _snapshot_matrices(trajectories, order):
     m = len(trajectories)
     basis = np.zeros((n, m), dtype=np.complex128)
     targets = np.zeros((n, m), dtype=np.complex128)
-    digests = []
+    # orbits that share a sample count share blocks of the moment computation
+    by_length = defaultdict(list)
     for j, traj in enumerate(trajectories):
-        basis[:, j] = occupation_kernel(traj, order).series.coeffs
+        by_length[traj.times.size].append(j)
+    for columns in by_length.values():
+        basis[:, columns] = _conj_moments([trajectories[j] for j in columns], n).T
+    if not np.isfinite(basis).all():
+        # the rule of the TaylorPolynomial each column is; weights overflow
+        # when a time span exceeds the largest double
+        raise ValueError("coefficients must be finite")
+    for j, traj in enumerate(trajectories):
         targets[:, j] = endpoint_kernel_difference(traj, order).coeffs
-        digests.append(traj.content_digest())
-    return basis, targets, tuple(digests)
+    digests = tuple(traj.content_digest() for traj in trajectories)
+    return basis, targets, digests
 
 
 def fit(
@@ -171,8 +185,12 @@ def fit(
     trajectories.  Passing ``ridge=0`` demands a well-conditioned Gram
     matrix (``(sigma_1 / sigma_m)^2 <= 1e14``, so at most N+1 trajectories)
     and raises otherwise; a negative or non-finite ``ridge`` raises
-    ``ValueError``.  The model has ``k = min(m, N+1)`` eigenvalues.
+    ``ValueError``.  ``order`` must be at least 1, since the identity
+    observable is the coefficient of ``z``.  The model has
+    ``k = min(m, N+1)`` eigenvalues.
     """
+    if not order >= 1:
+        raise InvalidIndexError(f"order must be at least 1, got {order!r}")
     if ridge is not None and not (math.isfinite(ridge) and ridge >= 0.0):
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
     trajectories = list(trajectories)

@@ -22,6 +22,7 @@ from .errors import (
     DiskDomainError,
     DiskExitError,
     InsufficientDataError,
+    InvalidIndexError,
     StepBudgetError,
     SymbolOverflowError,
     TrajectoryIngestionError,
@@ -406,36 +407,62 @@ def integrate_ode(
     return Trajectory(times=times, points=np.array(samples, dtype=np.complex128))
 
 
-def _quadrature_weights(trajectory: Trajectory) -> tuple[np.ndarray, str]:
+def _quadrature_rule(trajectory: Trajectory) -> str:
+    """Composite Simpson on a uniform grid with an even interval count, else trapezoid."""
     times = trajectory.times
     if times.size < 3:
         raise InsufficientDataError("quadrature needs at least 3 samples")
-    intervals = times.size - 1
-    if trajectory.uniform and intervals % 2 == 0:
+    if trajectory.uniform and (times.size - 1) % 2 == 0:
+        return "simpson"
+    return "trapezoid"
+
+
+def _quadrature_weights(trajectory: Trajectory) -> np.ndarray:
+    times = trajectory.times
+    if _quadrature_rule(trajectory) == "simpson":
+        intervals = times.size - 1
         h = trajectory.duration / intervals
         weights = np.full(times.size, 2.0)
         weights[1::2] = 4.0
         weights[0] = weights[-1] = 1.0
-        return weights * (h / 3.0), "simpson"
+        return weights * (h / 3.0)
     weights = np.zeros(times.size)
     gaps = np.diff(times)
     weights[:-1] += 0.5 * gaps
     weights[1:] += 0.5 * gaps
-    return weights, "trapezoid"
+    return weights
 
 
-def _conj_moments(weights: np.ndarray, points: np.ndarray, count: int) -> np.ndarray:
-    """``sum_t weights_t conj(points_t)^n`` for ``n < count`` in O(T) memory.
+# bytes of running product per block of _conj_moments, 32 rows of 1001 samples:
+# enough rows that NumPy's per-call cost is shared, few enough to stay in cache
+# (blocks of 8 and 64 such rows were slower, one thread of a two-core x86)
+_MOMENT_BLOCK_BYTES = 512 * 1024
 
-    A running product ``p <- p * conj(z)`` replaces the T x count power
-    matrix; the moments agree with the ``**`` formula to rounding.
+
+def _conj_moments(trajectories, count: int) -> np.ndarray:
+    """``sum_t w_t conj(points_t)^n`` for ``n < count``, one row per trajectory.
+
+    The trajectories share one sample count and ``w`` are their
+    ``_quadrature_weights``.  A running product ``p <- p * conj(z)`` replaces
+    the T x count power matrix; it runs over blocks of rows that hold about
+    ``_MOMENT_BLOCK_BYTES`` of product, so memory is O(block), not O(rows x T).
+    Each row is the same pairwise sum of the same products as a block of one
+    row, bit for bit, and agrees with the ``**`` formula to rounding.
     """
-    base = np.conj(points)
-    term = np.array(weights, dtype=np.complex128)
-    moments = np.empty(count, dtype=np.complex128)
-    for n in range(count):
-        moments[n] = term.sum()
-        term *= base
+    samples = trajectories[0].points.size
+    step = max(1, _MOMENT_BLOCK_BYTES // (16 * samples))
+    moments = np.empty((len(trajectories), count), dtype=np.complex128)
+    for start in range(0, len(trajectories), step):
+        block = trajectories[start : start + step]
+        term = np.empty((len(block), samples), dtype=np.complex128)
+        base = np.empty_like(term)
+        for row, trajectory in enumerate(block):
+            term[row] = _quadrature_weights(trajectory)
+            np.conj(trajectory.points, out=base[row])
+        out = moments[start : start + step]
+        for n in range(count):
+            out[:, n] = term.sum(axis=1)
+            term *= base
     return moments
 
 
@@ -446,10 +473,12 @@ def occupation_kernel(
 
     Uses composite Simpson on uniform grids with an even interval count and
     the trapezoid rule otherwise; the tag records which.  Coefficients obey
-    ``|c_n| <= duration * r_max^n``.
+    ``|c_n| <= duration * r_max^n``.  ``order`` must be at least 0.
     """
-    weights, tag = _quadrature_weights(trajectory)
-    coeffs = _conj_moments(weights, trajectory.points, order + 1)
+    if not order >= 0:
+        raise InvalidIndexError(f"order must be at least 0, got {order!r}")
+    tag = _quadrature_rule(trajectory)
+    coeffs = _conj_moments([trajectory], order + 1)[0]
     return OccupationKernel(
         series=TaylorPolynomial(coeffs), source=trajectory, quadrature=tag
     )

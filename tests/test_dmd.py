@@ -1,6 +1,7 @@
 """Data-driven compression: fit, spectrum recovery, prediction."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,14 +11,17 @@ from hypothesis import given, settings, strategies as st
 from hardyliou import (
     IllConditionedError,
     InsufficientDataError,
+    InvalidIndexError,
     LowConfidenceWarning,
     TaylorPolynomial,
     Trajectory,
+    endpoint_kernel_difference,
     integrate_ode,
     monomial,
     norm,
+    occupation_kernel,
 )
-from hardyliou import dmd
+from hardyliou import dmd, occupation
 
 
 def _affine_batch(n_radii=4, n_angles=5, dt=1e-3):
@@ -102,6 +106,14 @@ def test_fit_rejects_negative_or_nonfinite_ridge(ridge):
     traj = integrate_ode(monomial(1), 0.2, 1.0, 1e-2)
     with pytest.raises(ValueError, match="ridge"):
         dmd.fit([traj], order=16, ridge=ridge)
+
+
+@pytest.mark.parametrize("order", [0, -1, -2])
+def test_fit_rejects_order_below_one(order):
+    # the identity observable is the coefficient of z, so N >= 1
+    traj = integrate_ode(monomial(1), 0.2, 1.0, 1e-2)
+    with pytest.raises(InvalidIndexError, match="order"):
+        dmd.fit([traj], order=order)
 
 
 def test_fit_records_digests(affine_model):
@@ -311,6 +323,92 @@ def test_wide_batch_model_holds_no_m_by_m_array():
     assert len(payload["singular_values"]) == len(payload["modes"]) == 9
     # the Gram matrix is still there on demand, read-only
     assert model.gram.shape == (30, 30) and not model.gram.flags.writeable
+
+
+def _one_orbit_moments(weights, points, count):
+    # the one-orbit running product that the blocked batch moments replace
+    base = np.conj(points)
+    term = np.array(weights, dtype=np.complex128)
+    moments = np.empty(count, dtype=np.complex128)
+    for n in range(count):
+        moments[n] = term.sum()
+        term *= base
+    return moments
+
+
+def _random_orbit(rng, samples, uniform):
+    if uniform:
+        times = np.linspace(0.0, rng.uniform(0.5, 2.0), samples)
+    else:
+        times = np.cumsum(rng.uniform(0.5, 1.5, samples)) / samples
+    radii = 0.9 * np.sqrt(rng.uniform(size=samples))
+    return Trajectory(times, radii * np.exp(2j * np.pi * rng.uniform(size=samples)))
+
+
+def _mixed_batch():
+    # sample counts 3, 4, 1001 and 10001, interleaved; uniform orbits with an
+    # even interval count take Simpson, the others (4 samples, jittered
+    # times) the trapezoid rule; the two long counts fill more than one block
+    rng = np.random.default_rng(15)
+    rows = {n: occupation._MOMENT_BLOCK_BYTES // (16 * n) for n in (1001, 10001)}
+    specs = [(3, True), (3, False), (4, True)]
+    specs += [(1001, k % 2 == 0) for k in range(rows[1001] + 3)]
+    specs += [(10001, k % 2 == 0) for k in range(rows[10001] + 1)]
+    batch = [_random_orbit(rng, samples, uniform) for samples, uniform in specs]
+    return [batch[k] for k in rng.permutation(len(batch))]
+
+
+def test_batch_moments_keep_the_bytes_of_one_orbit():
+    batch = _mixed_batch()
+    order = 16
+    assert {occupation._quadrature_rule(t) for t in batch} == {"simpson", "trapezoid"}
+    for samples in {t.times.size for t in batch}:
+        group = [t for t in batch if t.times.size == samples]
+        got = occupation._conj_moments(group, order + 1)
+        for row, traj in zip(got, group):
+            weights = occupation._quadrature_weights(traj)
+            expected = _one_orbit_moments(weights, traj.points, order + 1)
+            assert row.tobytes() == expected.tobytes()
+
+    model = dmd.fit(batch, order=order)
+    _, targets, _ = dmd._snapshot_matrices(batch, order)
+    for j, traj in enumerate(batch):
+        kernel = occupation_kernel(traj, order).series.coeffs
+        assert model.basis[:, j].tobytes() == kernel.tobytes()
+        target = endpoint_kernel_difference(traj, order).coeffs
+        assert targets[:, j].tobytes() == target.tobytes()
+
+    short = Trajectory(np.array([0.0, 1.0]), np.array([0.1, 0.2]))
+    for at in (0, len(batch) // 2, len(batch)):
+        with pytest.raises(InsufficientDataError):
+            dmd.fit(batch[:at] + [short] + batch[at:], order=order)
+
+
+def test_fit_rejects_an_overflowing_time_span():
+    # Simpson weights of a span beyond the largest double are infinite
+    good = integrate_ode(monomial(1), 0.2, 1.0, 1e-2)
+    wide = Trajectory(np.array([-1e308, 0.0, 1e308]), np.array([0.1, 0.2, 0.3]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="finite"):
+            dmd.fit([good, wide], order=8)
+
+
+def test_wide_batch_fit_stacks_one_block_of_moments():
+    # 200 orbits of 1001 samples at N = 64: the whole batch's running product
+    # alone would take m T 16 bytes; the fit holds one block of it at a time
+    # (a one-orbit loop peaks at 0.40 of that, the blocked moments at 0.68)
+    rng = np.random.default_rng(5)
+    count, samples = 200, 1001
+    batch = [_random_orbit(rng, samples, True) for _ in range(count)]
+    dmd.fit(batch[:2], order=64)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        dmd.fit(batch, order=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < count * samples * 16
 
 
 # ---------------------------------------------------------------------------

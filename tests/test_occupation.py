@@ -20,6 +20,7 @@ from hardyliou import (
     DiskDomainError,
     DiskExitError,
     InsufficientDataError,
+    InvalidIndexError,
     StepBudgetError,
     SymbolOverflowError,
     TaylorPolynomial,
@@ -843,7 +844,7 @@ def test_running_product_moments_match_power_formula():
     traj = integrate_ode(f, 0.6 + 0.1j, 10.0, 1e-3)
     assert traj.times.size == 10001
     order = 1024
-    weights, _ = occupation._quadrature_weights(traj)
+    weights = occupation._quadrature_weights(traj)
     powers = np.conj(traj.points)[:, None] ** np.arange(order + 1)[None, :]
     expected = weights @ powers
     got = occupation_kernel(traj, order).series.coeffs
@@ -855,6 +856,15 @@ def test_occupation_kernel_trapezoid_tag():
     traj = Trajectory(times, np.full(4, 0.2))
     gamma = occupation_kernel(traj, 8)
     assert gamma.quadrature == "trapezoid"
+
+
+@pytest.mark.parametrize("order", [-1, -2])
+def test_occupation_kernel_rejects_negative_order(order):
+    traj = Trajectory(np.linspace(0.0, 2.0, 5), np.full(5, 0.3))
+    with pytest.raises(InvalidIndexError, match="order"):
+        occupation_kernel(traj, order)
+    # order 0 keeps the one moment, the duration
+    assert occupation_kernel(traj, 0).series.coeffs == pytest.approx([2.0])
 
 
 def test_occupation_kernel_needs_three_samples():
