@@ -64,7 +64,6 @@ from .operators import (
     adjoint_battery,
     adjoint_matrix,
     adjoint_on_derivative_kernel,
-    domain_membership_check,
     hermitian_defect,
     liouville_adjoint_apply,
     liouville_matrix,
@@ -103,7 +102,6 @@ from .weighted import (
     blaschke_ratio_profile,
     boundedness_bound,
     hs_norm,
-    monomial_norm_sequence,
     normalized_kernel_action_sq,
     occupation_self_adjoint_relation,
     polar_grid,

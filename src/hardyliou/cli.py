@@ -8,7 +8,8 @@ keys, fixed seeds, complex numbers as [re, im] pairs, and no wall-clock
 values inside the payload.
 
 Exit codes: 0 all certificates pass; 1 a numerical certificate failed;
-2 the config or an input file is invalid.
+2 no certificate was computed, because the config, an input file or a
+value derived from them is invalid (any :class:`HardyliouError`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import (
     ConfigError,
     HardyliouError,
     StepBudgetError,
-    SymbolOverflowError,
     TrajectoryIngestionError,
 )
 from .occupation import (
@@ -265,6 +265,8 @@ def _cmd_spectrum(cfg: dict, got: dict, out_dir: Path) -> dict:
 
 
 def _cmd_adjoint_check(cfg: dict, got: dict, out_dir: Path) -> dict:
+    if got["M"] < 4 * (got["N"] + 1):  # the boundary route's own floor
+        _fail("M", f"must be >= 4(N+1) = {4 * (got['N'] + 1)}, got {got['M']}")
     cases = _get_int(cfg, "cases", default=100)
     if cases > MAX_CASES:
         _fail("cases", f"must be <= {MAX_CASES} (run-time budget), got {cases}")
@@ -570,12 +572,9 @@ def console_main(argv=None) -> int:
             except ValueError as exc:  # not JSON, or not UTF-8 text
                 raise ConfigError(f"config {args.config} is not valid JSON: {exc}")
         return run(args.command, config, args.out)
-    except (ConfigError, SymbolOverflowError, TrajectoryIngestionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HardyliouError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -163,8 +163,8 @@ def _snapshot_matrices(trajectories, order):
     for columns in by_length.values():
         basis[:, columns] = _conj_moments([trajectories[j] for j in columns], n).T
     if not np.isfinite(basis).all():
-        # the rule of the TaylorPolynomial each column is; weights overflow
-        # when a time span exceeds the largest double
+        # the rule of the TaylorPolynomial each column is; the weights of a
+        # time span near the largest double can sum past it
         raise ValueError("coefficients must be finite")
     for j, traj in enumerate(trajectories):
         targets[:, j] = endpoint_kernel_difference(traj, order).coeffs

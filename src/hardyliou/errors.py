@@ -10,7 +10,7 @@ class DiskDomainError(HardyliouError, ValueError):
 
 
 class InvalidKernelSpecError(HardyliouError, ValueError):
-    """Kernel specification is inconsistent (e.g. normalized derivative kernel)."""
+    """Kernel specification is inconsistent (e.g. a negative derivative order)."""
 
 
 class AliasingError(HardyliouError, ValueError):

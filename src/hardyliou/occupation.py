@@ -41,11 +41,15 @@ def _first_invalid_sample(times: np.ndarray, points: np.ndarray):
     """``(i, reason, error type)`` for the first invalid sample, else ``None``.
 
     Within one sample the rules are checked in this order: finite, inside
-    ``|z| <= 1 - DISK_MARGIN``, strictly after the previous time.
+    ``|z| <= 1 - DISK_MARGIN``, strictly after the previous time, and a
+    finite time span ``t - t_0`` from the first sample.
     """
     nonfinite = ~(np.isfinite(times) & np.isfinite(points))
     outside = np.abs(points) > 1.0 - DISK_MARGIN
-    bad = nonfinite | outside | np.r_[False, times[1:] <= times[:-1]]
+    unordered = np.r_[False, times[1:] <= times[:-1]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        wide = ~np.isfinite(times - times[:1])
+    bad = nonfinite | outside | unordered | wide
     if not bad.any():
         return None
     i = int(np.argmax(bad))
@@ -53,7 +57,9 @@ def _first_invalid_sample(times: np.ndarray, points: np.ndarray):
         return i, "is not finite", ValueError
     if outside[i]:
         return i, f"lies outside the disk (|z| = {abs(points[i]):.6g})", DiskDomainError
-    return i, "breaks strict time ordering", ValueError
+    if unordered[i]:
+        return i, "breaks strict time ordering", ValueError
+    return i, "has a time span from the first sample that is not finite", ValueError
 
 
 @dataclass(frozen=True)
@@ -80,10 +86,6 @@ class Trajectory:
     @property
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
-
-    @property
-    def r_max(self) -> float:
-        return float(np.max(np.abs(self.points)))
 
     @property
     def uniform(self) -> bool:
@@ -234,12 +236,25 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         handle.write(_csv_bytes(trajectory))
 
 
-def _float_rows(rows: list[str]) -> np.ndarray:
-    """Rows of exactly two commas each as a (rows x 3) float64 array, in one pass."""
-    if not rows:
-        return np.empty((0, 3))
-    cells = ",".join(rows).split(",")
-    return np.fromiter(map(float, cells), np.float64, len(cells)).reshape(-1, 3)
+def _float_rows(rows: list[str]) -> tuple[np.ndarray, str | None]:
+    """The rows before the first bad one by ``float``, and that row's message.
+
+    A bad row has the wrong field count or a cell ``float`` refuses; rows
+    are numbered from 2, after the header.  The message is ``None`` when
+    every row parses.
+    """
+    values, failure = [], None
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        if len(cells) != 3:
+            failure = f"row {i + 2} must have 3 fields"
+            break
+        try:
+            values.append([float(cell) for cell in cells])
+        except ValueError as exc:
+            failure = f"row {i + 2}: {exc}"
+            break
+    return np.array(values, dtype=np.float64).reshape(-1, 3), failure
 
 
 def _c_float_rows(text: str, rows: list[str]) -> np.ndarray | None:
@@ -290,20 +305,7 @@ def read_trajectory_csv(path) -> Trajectory:
     failure = None
     values = _c_float_rows(text, rows)
     if values is None:
-        # the rows before the first with the wrong field count go through one
-        # float pass; only when it fails does a row loop find the row it refuses
-        end = next((i for i, row in enumerate(rows) if row.count(",") != 2), len(rows))
-        failure = f"row {end + 2} must have 3 fields" if end < len(rows) else None
-        try:
-            values = _float_rows(rows[:end])
-        except ValueError:
-            for end, row in enumerate(rows):
-                try:
-                    _float_rows([row])
-                except ValueError as exc:
-                    failure = f"row {end + 2}: {exc}"
-                    break
-            values = _float_rows(rows[:end])
+        values, failure = _float_rows(rows)
     times = values[:, 0]
     # .real/.imag keep the bytes of complex(re, im); re + 1j * im would turn
     # an infinite imaginary part into a NaN real part
@@ -473,7 +475,7 @@ def occupation_kernel(
 
     Uses composite Simpson on uniform grids with an even interval count and
     the trapezoid rule otherwise; the tag records which.  Coefficients obey
-    ``|c_n| <= duration * r_max^n``.  ``order`` must be at least 0.
+    ``|c_n| <= duration * max|theta|^n``.  ``order`` must be at least 0.
     """
     if not order >= 0:
         raise InvalidIndexError(f"order must be at least 0, got {order!r}")

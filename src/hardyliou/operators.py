@@ -32,7 +32,6 @@ from .errors import (
     DiskDomainError,
     HardyliouError,
     InvalidIndexError,
-    SingularSymbolError,
     SymbolOverflowError,
 )
 from .series import (
@@ -40,11 +39,9 @@ from .series import (
     KernelSpec,
     TaylorPolynomial,
     DEFAULT_ORDER,
-    antiderivative,
     default_boundary_size,
     derivative,
     kernel,
-    multiply,
     outer_from_modulus,
     project_h2,
     require_grid,
@@ -332,7 +329,7 @@ def adjoint_on_derivative_kernel(
 
 
 # ---------------------------------------------------------------------------
-# bounded-quotient decomposition and the operator domain
+# bounded-quotient decomposition
 # ---------------------------------------------------------------------------
 
 
@@ -378,38 +375,3 @@ def modulus_identity_defect(
     av = np.asarray(a(z))
     bv = np.asarray(b(z))
     return float(np.max(np.abs(np.abs(av) ** 2 + np.abs(bv) ** 2 - 1.0)))
-
-
-def domain_membership_check(
-    a: TaylorPolynomial,
-    b: TaylorPolynomial,
-    h: TaylorPolynomial,
-    c: complex,
-    order: int | None = None,
-    size: int | None = None,
-) -> float:
-    """Residual of the domain characterization ``g = c + J(a h)``.
-
-    Builds the candidate ``g``, then measures ``||f g' - b h||`` with
-    ``f = b/a`` through boundary products (root mean square over the grid).
-    Small residuals certify that ``g`` lies in the operator's natural domain
-    with ``f g' = b h``.
-    """
-    if a.coeffs[0] == 0:
-        raise SingularSymbolError("the outer factor must not vanish at 0")
-    ah = multiply(a, h, order)
-    g = antiderivative(ah)
-    shifted = np.array(g.coeffs)
-    shifted[0] = complex(c)
-    g = TaylorPolynomial(shifted)
-    gp = derivative(g)
-    degree = max(gp.order, b.order + h.order, a.order)
-    if size is None:
-        size = default_boundary_size(degree)
-    require_grid(size, 2 * degree + 2, f"degree {degree}")
-    z = unit_circle_points(size)
-    av = np.asarray(a(z))
-    resid = (np.asarray(b(z)) / av) * np.asarray(gp(z)) - np.asarray(
-        b(z)
-    ) * np.asarray(h(z))
-    return float(np.sqrt(np.mean(np.abs(resid) ** 2)))

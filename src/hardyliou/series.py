@@ -156,15 +156,10 @@ class BoundaryGrid:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A point-evaluation kernel: point ``w``, derivative order ``j``.
-
-    ``normalized`` requests the unit-norm kernel and is only meaningful for
-    ``j = 0``.
-    """
+    """A point-evaluation kernel: point ``w``, derivative order ``j``."""
 
     point: complex
     order: int = 0
-    normalized: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +183,7 @@ def kernel(spec: KernelSpec, order: int = DEFAULT_ORDER) -> TaylorPolynomial:
 
     The ``j``-th derivative kernel has coefficients
     ``n!/(n-j)! * conj(w)^(n-j)`` for ``n >= j``; ``j = 0`` is the geometric
-    kernel ``1/(1 - conj(w) z)``, optionally normalized to unit norm by the
-    factor ``sqrt(1 - |w|^2)``.
+    kernel ``1/(1 - conj(w) z)``.
     """
     w = complex(spec.point)
     j = int(spec.order)
@@ -197,8 +191,6 @@ def kernel(spec: KernelSpec, order: int = DEFAULT_ORDER) -> TaylorPolynomial:
         raise DiskDomainError(f"kernel point must satisfy |w| < 1, got |w| = {abs(w)}")
     if j < 0:
         raise InvalidKernelSpecError("derivative order must be nonnegative")
-    if spec.normalized and j > 0:
-        raise InvalidKernelSpecError("normalization is defined only for order 0")
     if j > order:
         raise InvalidKernelSpecError(
             f"derivative order {j} exceeds truncation order {order}"
@@ -208,8 +200,6 @@ def kernel(spec: KernelSpec, order: int = DEFAULT_ORDER) -> TaylorPolynomial:
     coeffs = np.zeros(order + 1, dtype=np.complex128)
     if j == 0:
         coeffs[:] = wbar ** n
-        if spec.normalized:
-            coeffs *= math.sqrt(1.0 - abs(w) ** 2)
     else:
         falling = np.ones(order + 1 - j)
         for i in range(j):
@@ -218,11 +208,9 @@ def kernel(spec: KernelSpec, order: int = DEFAULT_ORDER) -> TaylorPolynomial:
     return TaylorPolynomial(coeffs)
 
 
-def szego_kernel(
-    w: complex, order: int = DEFAULT_ORDER, normalized: bool = False
-) -> TaylorPolynomial:
+def szego_kernel(w: complex, order: int = DEFAULT_ORDER) -> TaylorPolynomial:
     """Geometric evaluation kernel at ``w`` (see :func:`kernel`)."""
-    return kernel(KernelSpec(point=w, order=0, normalized=normalized), order)
+    return kernel(KernelSpec(point=w, order=0), order)
 
 
 def derivative_kernel(

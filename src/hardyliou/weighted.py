@@ -216,15 +216,11 @@ def self_adjoint_symbol_relation(
 
 
 def _growth_expression(
-    f: TaylorPolynomial, phi, grid: np.ndarray
+    f: TaylorPolynomial, phi: TaylorPolynomial, grid: np.ndarray
 ) -> np.ndarray:
     fv = np.abs(np.asarray(f(grid))) ** 2
-    if isinstance(phi, BlaschkeProduct):
-        pv = phi(grid)
-        dv = phi.derivative(grid)
-    else:
-        pv = np.asarray(phi(grid))
-        dv = np.asarray(derivative(phi)(grid))
+    pv = np.asarray(phi(grid))
+    dv = np.asarray(derivative(phi)(grid))
     r2 = np.abs(pv) ** 2
     if np.max(r2) >= 1.0:
         raise CompositionOutOfDiskError(
@@ -331,10 +327,6 @@ class BlaschkeProduct:
             total += primes[i] * rest
         return complex(total) if total.shape == () else total
 
-    def boundary_unimodularity_defect(self, size: int = 1024) -> float:
-        values = self(unit_circle_points(size))
-        return float(np.max(np.abs(np.abs(values) - 1.0)))
-
 
 def blaschke_ratio_profile(
     phi: BlaschkeProduct,
@@ -362,39 +354,8 @@ def blaschke_ratio_profile(
 
 
 # ---------------------------------------------------------------------------
-# norm sequences and the Hilbert-Schmidt check
+# the Hilbert-Schmidt check
 # ---------------------------------------------------------------------------
-
-
-def _modulus_sq(values) -> np.ndarray:
-    """``|values|^2``, where a modulus past sqrt(max float) is ``inf`` without a warning."""
-    with np.errstate(over="ignore"):
-        return np.abs(np.asarray(values)) ** 2
-
-
-def monomial_norm_sequence(
-    f: TaylorPolynomial,
-    phi: TaylorPolynomial,
-    n_max: int,
-    size: int | None = None,
-) -> np.ndarray:
-    """Squared image norms ``||A z^n||^2`` by boundary quadrature, ``n <= n_max``.
-
-    ``||A z^n||^2 = n^2 mean(|f|^2 |phi'|^2 |phi|^(2(n-1)))`` over the circle;
-    equals the squared column norms of the truncated matrix whenever the
-    column polynomial fits below the truncation order.
-    """
-    content = n_max * max(phi.order, 1) + f.order + max(phi.order - 1, 0)
-    if size is None:
-        size = default_boundary_size(content)
-    z = unit_circle_points(size)
-    base = np.abs(np.asarray(f(z)) * np.asarray(derivative(phi)(z))) ** 2
-    # where phi' = 0 every term is 0, however large |phi| is: no 0 * inf
-    r2 = np.where(base == 0, 1.0, _modulus_sq(phi(z)))
-    out = np.zeros(n_max + 1)
-    for n in range(1, n_max + 1):
-        out[n] = n * n * float(np.mean(base * r2 ** (n - 1)))
-    return out
 
 
 def hs_norm(
@@ -423,7 +384,8 @@ def hs_norm(
         frobenius_sq = float(_finite(np.sum(column_sq)))
         base = np.abs(np.asarray(f(z)) * np.asarray(derivative(phi)(z))) ** 2
         _finite(base)
-    r2 = _modulus_sq(phi(z))
+    with np.errstate(over="ignore"):  # |phi| past sqrt(max float) is inf, silently
+        r2 = np.abs(np.asarray(phi(z))) ** 2
     if np.max(r2) >= 1.0:
         return HsNormResult(
             frobenius_sq=frobenius_sq, quadrature_sq=math.inf, finite=False

@@ -340,6 +340,21 @@ def test_nonfinite_trajectory_sample_cited(tmp_path, capsys):
     assert "nan.csv" in err and "row 3" in err and "not finite" in err
 
 
+@pytest.mark.parametrize("command", ["occupation", "dmd"])
+def test_time_span_beyond_the_largest_double_exits_two(tmp_path, capsys, command):
+    # 1e308 - (-1e308) overflows; the quadrature weights would be infinite
+    path = tmp_path / "wide.csv"
+    path.write_text("t,re,im\n-1e308,0.1,0\n0,0.2,0\n1e308,0.3,0\n")
+    config = {"N": 8, "f": [0.0, 1.0], "trajectories": [str(path)]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = _run(tmp_path, command, config)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: row 4 has a time span from the first sample that is not finite\n"
+    )
+
+
 def test_non_utf8_inputs_exit_two_naming_the_file(tmp_path, capsys):
     path = tmp_path / "latin.csv"
     path.write_bytes(b"t,re,im\n0,0.1,0\n0.1,0.2\xff,0\n0.2,0.1,0\n")

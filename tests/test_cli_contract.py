@@ -205,6 +205,16 @@ def test_one_bad_field_gets_its_message(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_adjoint_check_needs_four_samples_per_coefficient(tmp_path, capsys):
+    # 2N+2 <= M < 4(N+1) passes the shared check and fails the boundary route's
+    config = dict(CONTRACT["adjoint-check"][0], M=20)
+    code, _ = _run(tmp_path, "adjoint-check", config)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: config field 'M': must be >= 4(N+1) = 36, got 20\n"
+    )
+
+
 def test_verify_all_report_contract(tmp_path, capsys):
     out = tmp_path / "out"
     assert console_main(["verify-all", "--out", str(out)]) == 0
@@ -305,6 +315,10 @@ _CHANGE = st.one_of(*(st.tuples(st.just(k), v) for k, v in _FIELDS.items()))
 @example("dmd", [("predict", {"z0": 0.0, "times": [10**400]})])
 # a constant phi whose |phi|^2 overflows a float
 @example("hs-norm", [("N", 8), ("f", [1.0]), ("phi", [1e308])])
+# phi maps a sample out of the disk, and an orbit that leaves the disk: no
+# certificate is computed, so both exit 2
+@example("weighted", [("phi", [0.0, 5.0])])
+@example("occupation", [("ode", {"z0": 0.9, "T": 1.0, "dt": 0.01})])
 def test_any_config_exits_zero_one_or_two(
     tmp_path, monkeypatch, capsys, command, changes
 ):
@@ -315,5 +329,10 @@ def test_any_config_exits_zero_one_or_two(
     config = dict(CONTRACT[command][0], **dict(changes))
     (tmp_path / "config.json").write_text(json.dumps(config))
     code = console_main([command, "--config", "config.json", "--out", "out"])
+    printed = capsys.readouterr()  # one example's output at a time
     assert code in (0, 1, 2)
-    capsys.readouterr()  # one example's output at a time
+    # exit 1 means a certificate failed and was printed; exit 2 computed none
+    if code == 1:
+        assert any(line.startswith("FAIL ") for line in printed.out.splitlines())
+    if code == 2:
+        assert printed.err.startswith("error: ") and printed.out == ""

@@ -15,7 +15,6 @@ from hardyliou import (
     InvalidIndexError,
     KernelSpec,
     OperatorMatrix,
-    SingularSymbolError,
     SymbolOverflowError,
     TaylorPolynomial,
     Trajectory,
@@ -27,7 +26,6 @@ from hardyliou import (
     antiderivative,
     default_boundary_size,
     derivative,
-    domain_membership_check,
     endpoint_kernel_difference,
     hermitian_defect,
     hs_norm,
@@ -523,21 +521,6 @@ def test_smirnov_quotient_battery():
         grid = to_boundary(f, 1024)
         pair = smirnov_decompose(grid, 256)
         assert modulus_identity_defect(pair.a, pair.b, 1024) < 1e-10
-
-
-def test_domain_membership_consistency():
-    f = TaylorPolynomial([0.5, 1.0])
-    pair = smirnov_decompose(to_boundary(f, 1024), 96)
-    h = TaylorPolynomial([1.0, -0.3, 0.2])
-    residual = domain_membership_check(pair.a, pair.b, h, 1.0 + 0j)
-    assert residual < 1e-8
-
-
-def test_domain_membership_rejects_vanishing_outer_constant():
-    a = monomial(1, order=4)  # a(0) = 0
-    b = monomial(0, order=4)
-    with pytest.raises(SingularSymbolError):
-        domain_membership_check(a, b, monomial(0), 0.0)
 
 
 def test_membership_reconstruction_integral():

@@ -106,11 +106,6 @@ def test_szego_kernel_norm_frozen():
     assert inner_product(k, k).real == pytest.approx(4.0 / 3.0, abs=1e-15)
 
 
-def test_normalized_kernel_unit_norm():
-    k = kernel(KernelSpec(0.6 + 0.2j, normalized=True), 400)
-    assert norm(k) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_derivative_kernel_reproduces_derivative():
     g = TaylorPolynomial([0.3, 1.0, -2.0, 0.5j])
     w = 0.25 + 0.1j
@@ -140,8 +135,6 @@ def test_kernel_validation():
         szego_kernel(1.0, 16)
     with pytest.raises(InvalidKernelSpecError):
         kernel(KernelSpec(0.5, order=-1), 16)
-    with pytest.raises(InvalidKernelSpecError):
-        kernel(KernelSpec(0.5, order=1, normalized=True), 16)
     with pytest.raises(InvalidKernelSpecError):
         kernel(KernelSpec(0.5, order=20), 16)
 
