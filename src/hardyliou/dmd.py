@@ -201,8 +201,18 @@ def fit(
             raise TypeError("trajectories must be Trajectory instances")
     basis, targets, digests = _snapshot_matrices(trajectories, order)
     left, sigma, right_h = np.linalg.svd(basis, full_matrices=False)
+    with np.errstate(over="ignore"):
+        gram_trace = float(np.sum(sigma**2))
+    if not math.isfinite(gram_trace):
+        # finite moments of a huge time span can still square past the
+        # largest double, and the filter factors and G with them
+        span = max(traj.duration for traj in trajectories)
+        raise IllConditionedError(
+            "the Gram matrix of the occupation kernels overflows: the "
+            f"trajectories span up to {span:.6g} time units; rescale time"
+        )
     if ridge is None:
-        ridge = 1e-10 * float(np.sum(sigma**2))
+        ridge = 1e-10 * gram_trace
     elif ridge == 0.0:
         # sigma_m is zero when S has more columns than rows
         smallest = sigma[-1] if sigma.size == basis.shape[1] else 0.0

@@ -62,7 +62,7 @@ class TrajectoryIngestionError(HardyliouError, ValueError):
 
 
 class IllConditionedError(HardyliouError, RuntimeError):
-    """A linear system is numerically singular; consider ridge regularization."""
+    """A linear system is numerically singular, or its entries overflow."""
 
 
 class EigenConvergenceError(HardyliouError, RuntimeError):

@@ -4,9 +4,12 @@ Column ``n`` of the truncated ``A_f`` lies on rows ``n-1 .. n-1+deg f``, so
 the matrix is triangular when ``deg f <= 1`` (upper bidiagonal) or
 ``f(0) = 0`` (lower triangular).  :func:`eigendecompose` reads such a
 spectrum off the diagonal, exactly, and takes the eigenvectors by banded
-substitution at ``O(N * bandwidth)`` each; any other matrix goes to the dense
-eigensolver, which also stays as the test oracle.  The interesting structure
-is in the closed-form eigenfunction families:
+substitution at ``O(N * bandwidth)`` each, one block of columns at a time,
+scaling a column by a power of two where it would overflow; any other matrix
+goes to the dense eigensolver, which also stays as the test oracle.  The
+``spectrum`` command runs the same sweep on the diagonals of ``f`` and keeps
+no eigenvector.  The interesting structure is in the closed-form
+eigenfunction families:
 
 * zero-free symbols admit ``g = exp(J(lambda / f))`` for every ``lambda``,
   so the spectrum fills the plane;
@@ -29,7 +32,13 @@ from .errors import (
     SymbolHasZerosError,
 )
 from .occupation import Trajectory, _warn_on_mismatch
-from .operators import OperatorMatrix
+from .operators import (
+    OperatorMatrix,
+    _diagonals,
+    _finite,
+    _naming_overflow,
+    liouville_matrix,
+)
 from .series import (
     KernelSpec,
     TaylorPolynomial,
@@ -42,10 +51,18 @@ from .series import (
 )
 
 
-# eigenpair residuals are checked this many columns per matrix product,
-# which keeps the temporaries at (N+1) x 64 instead of (N+1)^2, far below
-# the eigensolver's own (N+1)^2 buffers
+# eigenpair residuals are checked this many columns per matrix product, in
+# two reused (N+1) x 64 buffers
 _RESIDUAL_BLOCK = 64
+# the substitution sweep holds about this many bytes of eigenvector columns
+# at a time, in whole residual blocks: 256 columns at N = 1024, 64 at 4096
+_SWEEP_BLOCK_BYTES = 4 * 2**20
+# an eigenvector entry past 2^500 scales its column by 2^-500, which is exact;
+# every entry then stays below 2^500, so a column's sum of squares stays
+# finite for any N below 2^24
+_RESCALE_BITS = 500
+_RESCALE_LIMIT = 2.0**_RESCALE_BITS
+_RESCALE = 2.0**-_RESCALE_BITS
 
 
 @dataclass(frozen=True)
@@ -66,22 +83,45 @@ def eigendecompose(matrix: OperatorMatrix) -> Eigendecomposition:
     """All eigenpairs, sorted by (real, imag), with recomputed residuals.
 
     A triangular matrix with a pairwise-distinct diagonal takes the banded
-    substitution route; every other matrix, and a substitution that
-    overflows, takes the dense eigensolver.  Either way the residual
-    ``||A v - lambda v||`` is recomputed from ``matrix.entries``: it bounds
-    the backward error of each pair, not the forward error of the vector.
+    substitution route; every other matrix takes the dense eigensolver.
+    Either way the residual ``||A v - lambda v||`` is recomputed from the
+    entries: it bounds the backward error of each pair, not the forward
+    error of the vector.
     """
     entries = matrix.entries
     found = _triangular_eigenpairs(entries)
     values, vectors, residuals = _dense_eigenpairs(entries) if found is None else found
-    order = np.lexsort((values.imag, values.real))
-    # an ascending diagonal (f = a + bz with Re b > 0) is already sorted, and
-    # gathering would copy the (N+1)^2 vectors for nothing
-    if not np.array_equal(order, np.arange(values.size)):
-        values, vectors, residuals = values[order], vectors[:, order], residuals[order]
+    values, residuals, vectors = _sorted(values, residuals, vectors)
     for array in (values, vectors, residuals):
         array.setflags(write=False)
     return Eigendecomposition(values, vectors, residuals)
+
+
+def _liouville_spectrum(f: TaylorPolynomial, order: int):
+    """Sorted eigenvalues and residuals of ``liouville_matrix(f, order)``.
+
+    The same arrays as :func:`eigendecompose` gives.  A triangular
+    truncation with a distinct diagonal is swept from the diagonals of
+    ``f`` and keeps no eigenvector, so it holds one column block and no
+    ``(N+1)^2`` array; any other builds the matrix.
+    """
+    band = _symbol_band(f, order)
+    found = None if band is None else _band_eigenpairs(band, keep_vectors=False)
+    if found is None:
+        result = eigendecompose(liouville_matrix(f, order))
+        return result.values, result.residuals
+    values, _, residuals = found
+    values, residuals, _ = _sorted(values, residuals)
+    return values, residuals
+
+
+def _sorted(values, residuals, vectors=None):
+    order = np.lexsort((values.imag, values.real))
+    # an ascending diagonal (f = a + bz with Re b > 0) is already sorted, and
+    # gathering would copy the (N+1)^2 vectors for nothing
+    if np.array_equal(order, np.arange(values.size)):
+        return values, residuals, vectors
+    return values[order], residuals[order], None if vectors is None else vectors[:, order]
 
 
 def _dense_eigenpairs(entries: np.ndarray):
@@ -106,50 +146,210 @@ def _dense_eigenpairs(entries: np.ndarray):
 def _triangular_eigenpairs(entries: np.ndarray):
     """Eigenpairs of a triangular matrix by banded substitution, or None.
 
-    None when ``entries`` is not triangular, its diagonal repeats, or an
-    eigenvector overflows.  A lower triangular matrix is solved as the upper
-    triangular one it becomes with rows and columns reversed.
+    None when ``entries`` is not triangular, its diagonal repeats, or one
+    substitution step grows a column past the range of doubles (see
+    :func:`_substitution_sweep`).
     """
     # nonzero on the boolean mask takes half the time it takes on complex
     rows, cols = np.nonzero(entries != 0)
-    offsets = cols - rows
-    flip = np.min(offsets, initial=0) < 0
-    if flip and np.max(offsets, initial=0) > 0:
+    diagonals = {int(k): np.diagonal(entries, k) for k in np.unique(cols - rows)}
+    diagonals[0] = np.diagonal(entries)
+    band = _band(diagonals)
+    return None if band is None else _band_eigenpairs(band)
+
+
+def _symbol_band(f: TaylorPolynomial, order: int):
+    """:func:`_band` of ``liouville_matrix(f, order)``, read off ``f``.
+
+    Raises :class:`SymbolOverflowError` naming ``f`` where the matrix would.
+    """
+    size = order + 1
+    diagonals = {0: np.zeros(size, dtype=np.complex128)}
+    with _naming_overflow("f", f"the liouville matrix at order {order}"):
+        for k, n in _diagonals(f, order):
+            if f.coeffs[k] != 0:
+                # column n carries n f_k on row n - 1 + k
+                offset = 1 - k
+                diagonal = diagonals.setdefault(
+                    offset, np.zeros(size - abs(offset), dtype=np.complex128)
+                )
+                diagonal[n - max(offset, 0)] = _finite(n * f.coeffs[k])
+    return _band(diagonals)
+
+
+def _band(diagonals: dict):
+    """``(values, taps, flip)`` of a triangular matrix for the sweep, or None.
+
+    ``diagonals`` maps each offset ``k`` of a nonzero diagonal, and 0, to
+    ``np.diagonal(entries, k)``.  None when the matrix is not triangular or
+    its diagonal repeats.  A lower triangular matrix is solved as the upper
+    triangular one it becomes with rows and columns reversed (``flip``).
+    ``values`` is that matrix's diagonal and ``taps[i, d - 1]`` its entry
+    ``(i, i + d)``.
+    """
+    offsets = [k for k in diagonals if k != 0]
+    flip = min(offsets, default=0) < 0
+    if flip and max(offsets) > 0:
         return None
-    upper = entries[::-1, ::-1] if flip else entries
-    band = int(np.max(np.abs(offsets), initial=0))
-    values = np.diagonal(upper).copy()
+    values = (diagonals[0][::-1] if flip else diagonals[0]).copy()
     if np.unique(values).size < values.size:
         return None
-    n = values.size
-    # eigenvector j lives on rows 0..j with v_j = 1; row i solves
-    # (a_ii - lambda_j) v_i + sum_{0 < d <= band} a_{i,i+d} v_{i+d} = 0
-    vectors = np.eye(n, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 2, -1, -1):
-            reach = slice(i + 1, i + 1 + band)
-            known = upper[i, reach] @ vectors[reach, i + 1:]
-            vectors[i, i + 1:] = known / (values[i + 1:] - values[i])
-        # einsum sums the squares without an (N+1)^2 temporary
-        norms = np.sqrt(
-            np.einsum("ij,ij->j", vectors.real, vectors.real)
-            + np.einsum("ij,ij->j", vectors.imag, vectors.imag)
-        )
-    if not np.all(np.isfinite(norms)):
+    size, band = values.size, max(map(abs, offsets), default=0)
+    taps = np.zeros((size, band), dtype=np.complex128)
+    for k in offsets:
+        if flip:  # row r holds entries (r, r - band .. r - 1)
+            taps[-k:, band + k] = diagonals[k]
+        else:
+            taps[: size - k, k - 1] = diagonals[k]
+    # reversed in both axes, a row of taps walks its matrix row backwards, as
+    # a row of the reversed matrix does; matmul picks its kernel, and so the
+    # rounding, by that layout
+    return values, taps[::-1, ::-1] if flip else taps, flip
+
+
+def _band_eigenpairs(band, keep_vectors: bool = True):
+    """``(values, vectors, residuals)`` of :func:`_band`'s matrix, or None.
+
+    ``vectors`` is None unless ``keep_vectors``.
+    """
+    values, taps, flip = band
+    size = values.size
+    vectors = np.zeros((size, size), dtype=np.complex128) if keep_vectors else None
+    residuals = _substitution_sweep(values, taps, vectors)
+    if residuals is None:
         return None
-    vectors *= 1.0 / norms
-    residuals = np.empty(n)
-    for start in range(0, n, _RESIDUAL_BLOCK):
-        # columns start..stop-1 vanish below row stop-1, and so do their images
-        stop = min(start + _RESIDUAL_BLOCK, n)
-        block = vectors[:stop, start:stop]
-        image = (values[:stop, None] - values[start:stop]) * block
-        for d in range(1, min(band, stop - 1) + 1):
-            image[:-d] += np.diagonal(upper, d)[: stop - d, None] * block[d:]
-        residuals[start:stop] = np.linalg.norm(image, axis=0)
     if flip:
-        return values[::-1], vectors[::-1, ::-1], residuals[::-1]
+        values, residuals = values[::-1], residuals[::-1]
+        vectors = None if vectors is None else vectors[::-1, ::-1]
     return values, vectors, residuals
+
+
+def _substitution_sweep(values, taps, vectors=None):
+    """Residuals of the unit eigenpairs of an upper triangular matrix.
+
+    The matrix has diagonal ``values`` (pairwise distinct) and entry
+    ``(i, i + d)`` in ``taps[i, d - 1]``.  Eigenvector ``j`` lives on rows
+    ``0..j`` with ``v_j = 1``; row ``i`` solves
+    ``(a_ii - lambda_j) v_i + sum_{0 < d <= band} a_{i,i+d} v_{i+d} = 0``.
+    The sweep solves a block of columns ``s..e`` on rows ``0..e`` at
+    ``O(N * band)`` per column, normalises it and takes its residuals before
+    it starts the next block.  With ``vectors`` (zeros) each block is solved
+    in its own columns; without, one block buffer is reused.
+
+    A block with an overflowing column is solved again with its columns
+    rescaled, so no eigenvector overflows.  None only when one substitution
+    step grows an entry past the range of doubles, about 2^2000 times the
+    column: a band entry near 1e307 over a gap near 1e-300 does, and so does
+    a gap below about 2^-1024, whose reciprocal overflows in complex
+    division whatever the scale.
+    """
+    size, band = taps.shape
+    blocks = round(_SWEEP_BLOCK_BYTES / (16 * size * _RESIDUAL_BLOCK))
+    width = min(max(blocks, 1) * _RESIDUAL_BLOCK, size)
+    buffer = None if vectors is not None else np.empty((size, width), dtype=np.complex128)
+    scratch = np.empty((2, size * _RESIDUAL_BLOCK), dtype=np.complex128)
+    residuals = np.empty(size)
+    for start in range(0, size, width):
+        stop = min(start + width, size)
+        # rows below stop - 1 are zero; keeping band of them gives each row's
+        # product the length it has on the whole matrix
+        rows = min(stop - 1 + band, size - 1) + 1
+        if vectors is None:
+            block = buffer[:rows, : stop - start]
+        else:
+            block = vectors[:rows, start:stop]
+        if not _solve_block(values, taps, start, block, rescale=False):
+            if not _solve_block(values, taps, start, block, rescale=True):
+                return None
+        _block_residuals(values, taps, start, block, scratch, residuals)
+    return residuals
+
+
+def _solve_block(values, taps, start, block, rescale: bool) -> bool:
+    """Unit eigenvectors of columns ``start..`` into ``block``, or False.
+
+    Without ``rescale``, False when a column overflows.  With it, a column
+    whose new entry passes ``_RESCALE_LIMIT`` (or overflows) is scaled by
+    ``_RESCALE`` on the rows solved so far, and the entry is solved again,
+    up to five times; False when the entry still passes, or the column has
+    underflowed to zero on the way.  Only the band of rows that the next
+    rows read is scaled at once, and the rest of the column after the
+    sweep: a symbol that rescales on every row (f = 1 + 1e-300z) costs
+    ``O(band)`` per rescale, not ``O(N)``.
+    """
+    size, band = taps.shape
+    stop = start + block.shape[1]
+    columns = values[start:stop]
+    block[...] = 0.0
+    block[np.arange(start, stop), np.arange(stop - start)] = 1.0
+    # rescales[i, c]: how often column c was scaled while solving row i
+    rescales = np.zeros(block.shape, dtype=np.int8) if rescale else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(stop - 2, -1, -1):
+            lo = max(i + 1 - start, 0)
+            row = block[i, lo:]
+            known = taps[i, : size - 1 - i] @ block[i + 1 : i + 1 + band, lo:]
+            np.divide(known, columns[lo:] - values[i], out=row)
+            for tries in range(6 if rescale else 0):
+                if np.max(np.abs(row)) <= _RESCALE_LIMIT:
+                    break
+                if tries == 5:
+                    return False
+                cols = lo + np.flatnonzero(~(np.abs(row) <= _RESCALE_LIMIT))
+                block[i + 1 : i + 1 + band, cols] *= _RESCALE
+                rescales[i, cols] += 1
+                known = taps[i, : size - 1 - i] @ block[i + 1 : i + 1 + band, cols]
+                block[i, cols] = known / (columns[cols] - values[i])
+        if rescale:
+            _apply_rescales(block, rescales, band)
+        # einsum sums the squares without a block-sized temporary
+        norms = np.sqrt(
+            np.einsum("ij,ij->j", block.real, block.real)
+            + np.einsum("ij,ij->j", block.imag, block.imag)
+        )
+    if not np.all(np.isfinite(norms) & (norms > 0)):
+        return False
+    block *= 1.0 / norms
+    return True
+
+
+def _apply_rescales(block, rescales, band) -> None:
+    """Scale each entry once per rescale of its column more than ``band``
+    rows above it: :func:`_solve_block` scaled only the band at once."""
+    missed = np.zeros(block.shape, dtype=np.int32)
+    np.cumsum(rescales[: -band - 1], axis=0, dtype=np.int32, out=missed[band + 1 :])
+    exponents = -_RESCALE_BITS * missed
+    # ldexp, as a product by 2^-1500 and less would underflow to zero
+    block.real[...] = np.ldexp(block.real, exponents)
+    block.imag[...] = np.ldexp(block.imag, exponents)
+
+
+def _block_residuals(values, taps, start, block, scratch, out) -> None:
+    """``||A v - lambda v||`` of the unit columns in ``block`` into ``out``.
+
+    Column ``c`` of ``block`` is eigenvector ``start + c``.  Each run of
+    ``_RESIDUAL_BLOCK`` columns forms its image in ``scratch[0]`` and its
+    squares in ``scratch[1]``, in place.
+    """
+    band = taps.shape[1]
+    stop_block = start + block.shape[1]
+    for first in range(start, stop_block, _RESIDUAL_BLOCK):
+        # columns first..stop-1 vanish below row stop-1, and so do their images
+        stop = min(first + _RESIDUAL_BLOCK, stop_block)
+        width = stop - first
+        cols = block[:stop, first - start : stop - start]
+        image = scratch[0, : stop * width].reshape(stop, width)
+        np.subtract(values[:stop, None], values[first:stop], out=image)
+        image *= cols
+        for d in range(1, min(band, stop - 1) + 1):
+            term = scratch[1, : (stop - d) * width].reshape(stop - d, width)
+            np.multiply(taps[: stop - d, d - 1, None], cols[d:], out=term)
+            image[:-d] += term
+        # np.linalg.norm(image, axis=0), with its two temporaries in scratch[1]
+        squares = scratch[1, : stop * width].reshape(stop, width)
+        np.conjugate(image, out=squares)
+        squares *= image
+        out[first:stop] = np.sqrt(np.add.reduce(squares.real, axis=0))
 
 
 def zero_free_certificate(f: TaylorPolynomial, size: int = 1024) -> bool:

@@ -355,6 +355,28 @@ def test_time_span_beyond_the_largest_double_exits_two(tmp_path, capsys, command
     )
 
 
+def test_huge_finite_time_span(tmp_path, capsys):
+    # every sample rule holds, but the moments near 2e300 square past the
+    # largest double in the DMD Gram matrix and in the identity's residual
+    path = tmp_path / "huge.csv"
+    path.write_text("t,re,im\n0,0.1,0\n1e300,0.2,0\n2e300,0.3,0\n")
+    config = {"N": 8, "f": [0.0, 1.0], "trajectories": [str(path)]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _ = _run(tmp_path, "dmd", config)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the Gram matrix of the occupation kernels overflows: the "
+            "trajectories span up to 2e+300 time units; rescale time\n"
+        )
+        # the samples do not follow f, so the certificate fails, on a finite
+        # residual in place of inf
+        code, out_dir = _run(tmp_path, "occupation", config)
+    assert code == 1
+    residual = _report(out_dir, "occupation_report.json")["residuals"][0]
+    assert 1e299 < residual < 1e301
+
+
 def test_non_utf8_inputs_exit_two_naming_the_file(tmp_path, capsys):
     path = tmp_path / "latin.csv"
     path.write_bytes(b"t,re,im\n0,0.1,0\n0.1,0.2\xff,0\n0.2,0.1,0\n")

@@ -1,6 +1,7 @@
 """Spectra, eigenfunction families, and the flow relation."""
 
 import dataclasses
+import json
 import tracemalloc
 from unittest import mock
 
@@ -235,16 +236,101 @@ def test_repeated_diagonal_takes_dense_route(monkeypatch):
     assert np.array_equal(result.vectors, vectors)
 
 
-def test_overflowing_substitution_takes_dense_route(monkeypatch):
-    # the eigenvector for 0.01 n is (1 + 0.01 z)^n scaled to v_n = 1, whose
-    # constant coefficient 100^n overflows long before n = 256
-    A = liouville_matrix(TaylorPolynomial([1.0, 0.01]), 256)
+@pytest.mark.parametrize(
+    "coeffs, order", [([0.3, 0.5], 800), ([1.0, 0.01], 256)], ids=["0.3+0.5z", "1+0.01z"]
+)
+def test_overflowing_eigenvectors_are_rescaled_not_dense(coeffs, order):
+    # unscaled, the eigenvector for 0.01 n is (1 + 0.01 z)^n with v_n = 1,
+    # whose constant coefficient 100^n overflows long before n = 256; the
+    # 0.3 + 0.5z vectors overflow from N = 760.  Their columns are rescaled
+    A = liouville_matrix(TaylorPolynomial(coeffs), order)
     values, _ = _dense_oracle(A)
-    calls = _count_dense_eig(monkeypatch)
-    result = eigendecompose(A)
-    assert calls == [(257, 257)]
+    with mock.patch.object(np.linalg, "eig", _forbidden_eig):
+        result = eigendecompose(A)
     assert np.array_equal(result.values, values)
+    assert _pairs_off_the_oracle(A, result) == []
     assert np.max(result.residuals) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[1.0, 1e-160], [1.0, 1e-300], [0.0, 1e-200, 1.0, 0.5j]],
+    ids=["1+1e-160z", "1+1e-300z", "lower, two subdiagonals"],
+)
+def test_steps_past_the_rescale_limit_rescale_within_the_step(coeffs):
+    # a band entry over its diagonal gap of 1e160 to 1e300: each substitution
+    # step grows an entry past 2^500, with 1e-300 past the largest double,
+    # so a column is scaled (twice) before its new entry is kept, on every
+    # row; rows below the band take those scales after the sweep
+    A = liouville_matrix(TaylorPolynomial(coeffs), 40)
+    values, _ = _dense_oracle(A)
+    with mock.patch.object(np.linalg, "eig", _forbidden_eig):
+        result = eigendecompose(A)
+    assert np.array_equal(result.values, values)
+    assert _pairs_off_the_oracle(A, result) == []
+    scale = 41 * np.finfo(float).eps * np.max(np.sum(np.abs(A.entries), axis=0))
+    assert np.all(result.residuals <= scale)
+
+
+def test_gap_whose_reciprocal_overflows_takes_dense_route(monkeypatch):
+    # diagonal gaps of 5e-324: complex division by them overflows at any
+    # scale of the eigenvector
+    A = liouville_matrix(TaylorPolynomial([1.0, 5e-324]), 6)
+    calls = _count_dense_eig(monkeypatch)
+    eigendecompose(A)
+    assert calls == [(7, 7)]
+
+
+def _spectrum_symbols():
+    # upper bidiagonal, real and complex, and lower triangular with one and
+    # three subdiagonals (the flipped route); each at one order inside one
+    # sweep block and one across several
+    yield [0.1, 0.9], 16
+    yield [0.1, 0.9], 1024
+    yield [0.2 - 0.1j, -0.7 + 0.4j], 40
+    yield [0.2 - 0.1j, -0.7 + 0.4j], 700
+    yield [0.0, 1.0, 0.3], 64
+    yield [0.0, 1.0, 0.3], 700
+    yield [0.0, 0.8 + 0.3j, 0.1 - 0.2j, 0.02j, -0.01], 30
+    yield [0.0, 0.8 + 0.3j, 0.1 - 0.2j, 0.02j, -0.01], 650
+
+
+@pytest.mark.parametrize("coeffs, order", list(_spectrum_symbols()))
+def test_spectrum_route_is_eigendecompose_without_vectors(monkeypatch, coeffs, order):
+    f = TaylorPolynomial(coeffs)
+    monkeypatch.setattr(np.linalg, "eig", _forbidden_eig)
+    values, residuals = spectral._liouville_spectrum(f, order)
+    result = eigendecompose(liouville_matrix(f, order))
+    assert np.array_equal(values, result.values)
+    assert np.array_equal(residuals, result.residuals)
+
+
+def test_sweep_block_width_changes_no_byte(monkeypatch):
+    # blocks of 64 columns against one block of all of them
+    for coeffs, order in ([0.2 - 0.1j, -0.7 + 0.4j], 200), ([0.0, 0.8j, 0.1, -0.2j], 150):
+        A = liouville_matrix(TaylorPolynomial(coeffs), order)
+        monkeypatch.setattr(spectral, "_SWEEP_BLOCK_BYTES", 1)
+        narrow = eigendecompose(A)
+        monkeypatch.setattr(spectral, "_SWEEP_BLOCK_BYTES", 2**40)
+        wide = eigendecompose(A)
+        for name in ("values", "vectors", "residuals"):
+            assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
+
+
+def test_spectrum_command_holds_no_square_array(tmp_path, capsys):
+    # the sweep holds one block of about 4 MiB (256 columns here) and two
+    # (N+1) x 64 residual buffers: 0.39 of 16 (N+1)^2 bytes; building the
+    # matrix and its eigenvectors took 2.15
+    order = 1024
+    config = {"N": order, "f": [0.1, 0.9]}
+    run("spectrum", {**config, "N": 8}, tmp_path)  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        assert run("spectrum", config, tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 16 * (order + 1) ** 2
 
 
 def test_spectrum_and_criteria_1_2_never_call_dense_eig(tmp_path, monkeypatch, capsys):
@@ -256,15 +342,26 @@ def test_spectrum_and_criteria_1_2_never_call_dense_eig(tmp_path, monkeypatch, c
     assert acceptance.criterion_2().passed
 
 
-# one config per route, and the structured one at three sizes; the dense and
-# fallback rows take LAPACK's own order, which the sort must permute
+def test_spectrum_at_the_order_budget_stays_triangular(tmp_path, monkeypatch, capsys):
+    # unscaled, the eigenvectors of 0.1 + 0.9z overflow from N = 3388, and
+    # the dense route took about 50 s at N = 4096
+    monkeypatch.setattr(np.linalg, "eig", _forbidden_eig)
+    assert run("spectrum", {"N": 4096, "f": [0.1, 0.9]}, tmp_path) == 0
+    assert "PASS eigenpair_residual" in capsys.readouterr().out
+    report = json.loads((tmp_path / "spectrum_report.json").read_text())
+    assert len(report["residuals"]) == 4097
+    assert max(report["residuals"]) <= 1e-12
+
+
+# one config per route, and the structured one at three sizes; the dense row
+# takes LAPACK's own order, which the sort must permute
 _ROUTES = [
     ("upper bidiagonal", [0.1, 0.9], 16, True),
     ("upper bidiagonal", [0.1, 0.9], 128, True),
     ("upper bidiagonal", [0.1, 0.9], 1024, True),
     ("lower triangular", [0.0, 1.0, 0.3], 64, True),
     ("dense", [0.3, 0.5, 0.2], 32, False),
-    ("overflow fallback", [1.0, 0.01], 256, False),
+    ("rescaled", [1.0, 0.01], 256, True),
     ("repeated diagonal", [0.0, 0.0, 0.2], 32, False),
 ]
 
@@ -300,8 +397,8 @@ def test_result_arrays_are_read_only_and_own_their_memory():
 
 def test_structured_route_peak_memory():
     # the eigenvectors are one (N+1)^2 complex buffer, and the band mask and
-    # the last 64-column residual block add about 0.3 of one. Measured at
-    # N = 512: 1.32 (2.06 with per-pair vector copies), and 1.59 (2.30) on a
+    # the two (N+1) x 64 residual buffers add about 0.36 of one. Measured at
+    # N = 512: 1.36 (2.06 with per-pair vector copies), and 1.62 (2.30) on a
     # process's first call, which also counts numpy's lazy import of numpy.ma
     order = 512
     A = liouville_matrix(TaylorPolynomial([0.1, 0.9]), order)
