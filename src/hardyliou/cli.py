@@ -60,10 +60,13 @@ def _fail(field: str, message: str):
     raise ConfigError(f"config field '{field}': {message}")
 
 
-def _require(cfg: dict, field: str):
-    if field not in cfg:
+def _lookup(cfg: dict, field: str, default=None):
+    """``field``, named by its full dotted path, read from ``cfg`` by the
+    path's last part (``ode.T`` is ``T`` in ``ode``); null counts as missing."""
+    value = cfg.get(field.rpartition(".")[2], default)
+    if value is None:
         _fail(field, "is required for this command")
-    return cfg[field]
+    return value
 
 
 # memory budgets, checked before anything is allocated: one dense (N+1)^2
@@ -78,9 +81,7 @@ MAX_CASES = 1000
 
 
 def _get_int(cfg: dict, field: str, default=None, minimum=1, maximum=None):
-    value = cfg.get(field, default)
-    if value is None:
-        _fail(field, "is required for this command")
+    value = _lookup(cfg, field, default)
     if not isinstance(value, int) or isinstance(value, bool):
         _fail(field, f"must be an integer, got {value!r}")
     if value < minimum:
@@ -90,17 +91,21 @@ def _get_int(cfg: dict, field: str, default=None, minimum=1, maximum=None):
     return value
 
 
-def _get_float(cfg: dict, field: str, default=None, positive=False):
-    value = cfg.get(field, default)
-    if value is None:
-        _fail(field, "is required for this command")
+def _number(value, field: str) -> float:
+    """``value`` as a float: a JSON number, not a boolean, and finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(field, f"must be a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:  # see _parse_complex
         _fail(field, f"must be finite, got {value!r}")
-    if positive and value <= 0:
-        _fail(field, f"must be positive, got {value}")
     return float(value)
+
+
+def _get_float(cfg: dict, field: str, default=None, positive=False):
+    value = _lookup(cfg, field, default)
+    number = _number(value, field)
+    if positive and number <= 0:
+        _fail(field, f"must be positive, got {value}")  # as given: -1, not -1.0
+    return number
 
 
 def _parse_complex(value, field: str) -> complex:
@@ -113,12 +118,8 @@ def _parse_complex(value, field: str) -> complex:
     return complex(*parts)
 
 
-def _parse_coeffs(cfg: dict, field: str, required=True) -> TaylorPolynomial | None:
-    if field not in cfg:
-        if required:
-            _fail(field, "is required for this command")
-        return None
-    raw = cfg[field]
+def _parse_coeffs(cfg: dict, field: str) -> TaylorPolynomial:
+    raw = _lookup(cfg, field)
     if not isinstance(raw, list) or not raw:
         _fail(field, "must be a nonempty coefficient list")
     coeffs = [
@@ -202,9 +203,9 @@ def _trajectories_from_config(cfg: dict) -> list[Trajectory]:
         if not isinstance(ode, dict):
             _fail("ode", "must be an object {z0, T, dt}")
         f = _parse_coeffs(cfg, "f")
-        z0 = _parse_complex(_require(ode, "z0"), "ode.z0")
-        t_final = _get_float(ode, "T", positive=True)
-        dt = _get_float(ode, "dt", positive=True)
+        z0 = _parse_complex(_lookup(ode, "ode.z0"), "ode.z0")
+        t_final = _get_float(ode, "ode.T", positive=True)
+        dt = _get_float(ode, "ode.dt", positive=True)
         try:
             return [integrate_ode(f, z0, t_final, dt)]
         except StepBudgetError as exc:
@@ -270,7 +271,7 @@ def _cmd_adjoint_check(cfg: dict, got: dict, out_dir: Path) -> dict:
     if cases > MAX_CASES:
         _fail("cases", f"must be <= {MAX_CASES} (run-time budget), got {cases}")
     seed = _get_int(cfg, "seed", default=0, minimum=0)
-    f = _parse_coeffs(cfg, "f", required=False)
+    f = None if cfg.get("f") is None else _parse_coeffs(cfg, "f")
     cert = _certificate(
         "adjoint_route_agreement",
         adjoint_battery(got["N"], got["M"], cases, seed, f),
@@ -319,6 +320,16 @@ def _cmd_dmd(cfg: dict, got: dict, out_dir: Path) -> dict:
         ridge = _get_float(cfg, "ridge")
         if ridge < 0:
             _fail("ridge", "must be nonnegative")
+    z0 = times = None
+    if "predict" in cfg:
+        block = cfg["predict"]
+        if not isinstance(block, dict):
+            _fail("predict", "must be an object {z0, times}")
+        z0 = _parse_complex(_lookup(block, "predict.z0"), "predict.z0")
+        times = block.get("times")
+        if not isinstance(times, list) or not times:
+            _fail("predict.times", "must be a nonempty list of reals")
+        times = [_number(t, f"predict.times[{k}]") for k, t in enumerate(times)]
     trajectories = _trajectories_from_config(cfg)
     model = dmd.fit(trajectories, order=got["N"], ridge=ridge)
     gram = model.gram
@@ -340,20 +351,7 @@ def _cmd_dmd(cfg: dict, got: dict, out_dir: Path) -> dict:
         ),
     ]
     predictions = []
-    if "predict" in cfg:
-        block = cfg["predict"]
-        if not isinstance(block, dict):
-            _fail("predict", "must be an object {z0, times}")
-        z0 = _parse_complex(_require(block, "z0"), "predict.z0")
-        times = block.get("times")
-        if not isinstance(times, list) or not times:
-            _fail("predict.times", "must be a nonempty list of reals")
-        for k, t in enumerate(times):
-            if isinstance(t, bool) or not isinstance(t, (int, float)):
-                _fail(f"predict.times[{k}]", "must be a real number")
-            if isinstance(t, int) and not abs(t) <= sys.float_info.max:
-                _fail(f"predict.times[{k}]", f"must be finite, got {t!r}")
-        times = [float(t) for t in times]
+    if times is not None:
         values = complex_pairs(dmd.predict(model, z0, np.array(times)))
         predictions = [{"t": t, "value": v} for t, v in zip(times, values)]
     model_path = out_dir / "dmd_model.json"
@@ -384,11 +382,11 @@ def _cmd_bounds(cfg: dict, got: dict, out_dir: Path) -> dict:
     r_max = _get_float(cfg, "r_max", default=0.995, positive=True)
     if not r_max < 1.0:
         _fail("r_max", f"must be < 1, got {r_max}")
-    grid = polar_grid(n_radii, n_angles, r_max)
-    result = boundedness_bound(got["f"], got["phi"], grid)
     expect = cfg.get("expect_diverges")
     if expect is not None and not isinstance(expect, bool):
         _fail("expect_diverges", "must be a boolean")
+    grid = polar_grid(n_radii, n_angles, r_max)
+    result = boundedness_bound(got["f"], got["phi"], grid)
     if expect is None:
         cert = _certificate(
             "growth_supremum_finite",
@@ -421,6 +419,9 @@ def _cmd_bounds(cfg: dict, got: dict, out_dir: Path) -> dict:
 
 
 def _cmd_hs_norm(cfg: dict, got: dict, out_dir: Path) -> dict:
+    expect_finite = cfg.get("expect_finite", True)
+    if not isinstance(expect_finite, bool):
+        _fail("expect_finite", "must be a boolean")
     result = hs_norm(got["f"], got["phi"], got["N"], got["M"])
     if result.finite:
         cert = _certificate(
@@ -430,9 +431,6 @@ def _cmd_hs_norm(cfg: dict, got: dict, out_dir: Path) -> dict:
             "|Frobenius^2 - quadrature^2| <= tolerance",
         )
     else:
-        expect_finite = cfg.get("expect_finite", True)
-        if not isinstance(expect_finite, bool):
-            _fail("expect_finite", "must be a boolean")
         cert = _certificate(
             "hilbert_schmidt_finiteness",
             math.inf,

@@ -28,7 +28,7 @@ from .errors import (
     TrajectoryIngestionError,
     TrajectoryMismatchWarning,
 )
-from .operators import _weighted_columns, liouville_adjoint_apply
+from .operators import _rescue_norms, _weighted_columns, liouville_adjoint_apply
 from .series import TaylorPolynomial, DEFAULT_ORDER, szego_kernel
 
 DISK_MARGIN = 1e-3
@@ -535,17 +535,12 @@ def endpoint_kernel_difference(
 
 
 def _defect_norm(defect: np.ndarray) -> float:
-    """``||defect||_2``, also for a finite defect whose squares overflow.
-
-    Such a defect (a time span near 1e300 gives one) is summed again scaled
-    by a power of two, which is exact, in place of reading inf.
-    """
+    """``||defect||_2``, also for a finite defect whose squares overflow
+    (a time span near 1e300 gives one): see :func:`_rescue_norms`."""
     with np.errstate(over="ignore"):
-        value = float(np.linalg.norm(defect))
-    if math.isinf(value) and np.isfinite(defect).all():
-        scale = 2.0 ** -float(np.frexp(np.max(np.abs(defect)))[1])
-        value = float(np.linalg.norm(defect * scale)) / scale
-    return value
+        norms = np.array([np.linalg.norm(defect)])
+    _rescue_norms(norms, defect[:, None])
+    return float(norms[0])
 
 
 def liouville_occupation_residual(

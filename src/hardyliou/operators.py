@@ -104,6 +104,17 @@ def _finite(values):
     return values
 
 
+def _rescue_norms(norms: np.ndarray, image: np.ndarray) -> None:
+    """Take again, scaled by a power of two (exact), each inf in ``norms``
+    (the 2-norms of ``image``'s columns) whose column is finite: only the
+    squares of such a column overflowed."""
+    for k in np.flatnonzero(np.isinf(norms)):
+        column = image[:, k]
+        if np.isfinite(column).all():
+            scale = 2.0 ** -float(np.frexp(np.max(np.abs(column)))[1])
+            norms[k] = float(np.linalg.norm(column * scale)) / scale
+
+
 def _diagonals(f: TaylorPolynomial, order: int):
     """The nonzero diagonals of the truncated ``g -> f * g'`` pattern.
 

@@ -103,26 +103,6 @@ class TaylorPolynomial:
         out[:keep] = self.coeffs[:keep]
         return TaylorPolynomial(out)
 
-    def __add__(self, other: "TaylorPolynomial") -> "TaylorPolynomial":
-        n = max(self.coeffs.size, other.coeffs.size)
-        out = np.zeros(n, dtype=np.complex128)
-        out[: self.coeffs.size] += self.coeffs
-        out[: other.coeffs.size] += other.coeffs
-        return TaylorPolynomial(out)
-
-    def __sub__(self, other: "TaylorPolynomial") -> "TaylorPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "TaylorPolynomial":
-        return TaylorPolynomial(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, TaylorPolynomial):
-            return TaylorPolynomial(np.convolve(self.coeffs, other.coeffs))
-        return TaylorPolynomial(self.coeffs * complex(other))
-
-    __rmul__ = __mul__
-
 
 def monomial(degree: int, order: int | None = None) -> TaylorPolynomial:
     """The monomial ``z**degree``, optionally padded to ``order``."""

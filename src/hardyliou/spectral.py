@@ -37,6 +37,7 @@ from .operators import (
     _diagonals,
     _finite,
     _naming_overflow,
+    _rescue_norms,
     liouville_matrix,
 )
 from .series import (
@@ -139,7 +140,10 @@ def _dense_eigenpairs(entries: np.ndarray):
     for start in range(0, values.size, _RESIDUAL_BLOCK):
         cols = slice(start, start + _RESIDUAL_BLOCK)
         block = vectors[:, cols]
-        residuals[cols] = np.linalg.norm(entries @ block - block * values[cols], axis=0)
+        image = entries @ block - block * values[cols]
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals[cols] = np.linalg.norm(image, axis=0)
+        _rescue_norms(residuals[cols], image)
     return values, vectors, residuals
 
 
@@ -348,8 +352,10 @@ def _block_residuals(values, taps, start, block, scratch, out) -> None:
         # np.linalg.norm(image, axis=0), with its two temporaries in scratch[1]
         squares = scratch[1, : stop * width].reshape(stop, width)
         np.conjugate(image, out=squares)
-        squares *= image
-        out[first:stop] = np.sqrt(np.add.reduce(squares.real, axis=0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares *= image
+            out[first:stop] = np.sqrt(np.add.reduce(squares.real, axis=0))
+        _rescue_norms(out[first:stop], image)
 
 
 def zero_free_certificate(f: TaylorPolynomial, size: int = 1024) -> bool:

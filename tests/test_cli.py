@@ -14,6 +14,7 @@ import pytest
 from hardyliou import (
     TaylorPolynomial,
     acceptance,
+    cli,
     adjoint_apply_boundary,
     integrate_ode,
     liouville_adjoint_apply,
@@ -169,8 +170,8 @@ def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, confi
         ("spectrum", {"N": 8, "f": [0.1, float("nan")]}, "f[1]"),
         ("spectrum", {"N": 8, "f": [0.1, 10**400]}, "f[1]"),
         ("bounds", {"f": [0.1, 0.5], "phi": [0, float("inf")]}, "phi[1]"),
-        ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": 0.2, "T": float("nan"), "dt": 0.01}}, "T"),
-        ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": 0.2, "T": 0.1, "dt": float("inf")}}, "dt"),
+        ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": 0.2, "T": float("nan"), "dt": 0.01}}, "ode.T"),
+        ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": 0.2, "T": 0.1, "dt": float("inf")}}, "ode.dt"),
         ("spectrum", {"N": 8, "f": [0.1, 0.9], "tolerance": float("nan")}, "tolerance"),
         ("dmd", {"N": 8, "ridge": float("inf")}, "ridge"),
         (
@@ -182,6 +183,19 @@ def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, confi
                 "predict": {"z0": 0.1, "times": [0.5, 10**400]},
             },
             "predict.times[1]",
+        ),
+        *(
+            (
+                "dmd",
+                {
+                    "N": 8,
+                    "f": [0, 1],
+                    "ode": {"z0": 0.2, "T": 0.1, "dt": 0.01},
+                    "predict": {"z0": 0.1, "times": [time, 0.5]},
+                },
+                "predict.times[0]",
+            )
+            for time in (float("nan"), float("inf"), float("-inf"))
         ),
     ],
 )
@@ -195,6 +209,90 @@ def test_nonfinite_config_number_exits_two_naming_the_field(
     assert "Traceback" not in err
     lines = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(lines) == 1 and f"'{field}'" in lines[0] and "finite" in lines[0]
+
+
+_REQUIRED = "is required for this command"
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("occupation", {"ode": {"T": 1, "dt": 0.01}}, f"'ode.z0': {_REQUIRED}"),
+        ("occupation", {"ode": {"z0": 0.2, "T": -1, "dt": 0.01}}, "'ode.T': must be positive, got -1"),
+        ("occupation", {"ode": {"z0": 0.2, "T": 1}}, f"'ode.dt': {_REQUIRED}"),
+        (
+            "dmd",
+            {"ode": {"z0": 0.2, "T": 0.1, "dt": 0.01}, "predict": {"times": [0.5]}},
+            f"'predict.z0': {_REQUIRED}",
+        ),
+    ],
+)
+def test_nested_field_is_named_by_its_full_path(tmp_path, capsys, command, config, message):
+    code, _ = _run(tmp_path, command, {"N": 8, "f": [0, 1], **config})
+    assert code == 2
+    assert capsys.readouterr().err == f"error: config field {message}\n"
+
+
+def test_non_boolean_expect_finite_exits_two_on_a_finite_norm(tmp_path, capsys):
+    config = {"N": 64, "f": [1.0], "phi": [0, 0.5], "expect_finite": "yes"}
+    code, _ = _run(tmp_path, "hs-norm", config)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: config field 'expect_finite': must be a boolean\n"
+    )
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("computed before every field was checked")
+
+
+@pytest.mark.parametrize(
+    "command, config, target, field",
+    [
+        (
+            "dmd",
+            {
+                "N": 8,
+                "f": [0, 1],
+                "ode": {"z0": 0.2, "T": 0.1, "dt": 0.01},
+                "predict": {"z0": 0.1, "times": [0.5, "soon"]},
+            },
+            (cli.dmd, "fit"),
+            "predict.times[1]",
+        ),
+        (
+            "bounds",
+            {"f": [1.0], "phi": [0, 0.5], "expect_diverges": "no"},
+            (cli, "boundedness_bound"),
+            "expect_diverges",
+        ),
+        (
+            "hs-norm",
+            {"N": 8, "f": [1.0], "phi": [0, 0.5], "expect_finite": "yes"},
+            (cli, "hs_norm"),
+            "expect_finite",
+        ),
+    ],
+)
+def test_every_field_is_checked_before_the_command_computes(
+    tmp_path, capsys, monkeypatch, command, config, target, field
+):
+    monkeypatch.setattr(*target, _never_called)
+    code, _ = _run(tmp_path, command, config)
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: config field '{field}': ")
+
+
+@pytest.mark.parametrize("f", [[1e300, 1e300], [1e300, 1e300, 1e300]])
+def test_huge_symbol_gets_a_finite_eigenpair_residual(tmp_path, capsys, f):
+    # triangular, then dense: the images are finite, only their squares overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(tmp_path, "spectrum", {"N": 6, "f": f})
+    assert code == 1
+    residual = _report(out, "spectrum_report.json")["certificates"][0]["residual"]
+    assert isinstance(residual, float) and 1e280 < residual < 1e290
 
 
 @pytest.mark.parametrize(

@@ -54,18 +54,6 @@ def test_taylor_coeffs_readonly():
         p.coeffs[0] = 5.0
 
 
-def test_taylor_arithmetic():
-    p = TaylorPolynomial([1, 2])
-    q = TaylorPolynomial([0, 0, 3])
-    assert np.allclose((p + q).coeffs, [1, 2, 3])
-    assert np.allclose((p - q).coeffs, [1, 2, -3])
-    assert np.allclose((-p).coeffs, [-1, -2])
-    assert np.allclose((2.0 * p).coeffs, [2, 4])
-    # polynomial product is exact convolution
-    prod = p * q
-    assert np.allclose(prod.coeffs, [0, 0, 3, 6])
-
-
 def test_taylor_truncated_extends_and_cuts():
     p = TaylorPolynomial([1, 2, 3])
     assert p.truncated(1).order == 1
