@@ -35,7 +35,6 @@ from .errors import (
 from .series import (
     DEFAULT_ORDER,
     BoundaryGrid,
-    KernelSpec,
     TaylorPolynomial,
     antiderivative,
     compose,

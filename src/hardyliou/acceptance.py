@@ -40,7 +40,6 @@ from .operators import (
 )
 from .series import (
     BoundaryGrid,
-    KernelSpec,
     TaylorPolynomial,
     kernel,
     monomial,
@@ -493,7 +492,7 @@ def findings() -> dict:
     f = TaylorPolynomial([0, 0, 1.0])
     w = 0.3
     order = 96
-    h = kernel(KernelSpec(w, order=2), order)
+    h = kernel(w, 2, order)
     oracle = adjoint_matrix(liouville_matrix(f, order)).apply(h)
     weighted_var = adjoint_on_derivative_kernel(f, w, 3, order, leibniz=True)
     plain_var = adjoint_on_derivative_kernel(f, w, 3, order, leibniz=False)

@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from types import EllipsisType
 from typing import Callable
 
 import numpy as np
@@ -60,13 +61,14 @@ def _fail(field: str, message: str):
     raise ConfigError(f"config field '{field}': {message}")
 
 
-def _lookup(cfg: dict, field: str, default=None):
+def _lookup(cfg: dict, field: str, default=...):
     """``field``, named by its full dotted path, read from ``cfg`` by the
-    path's last part (``ode.T`` is ``T`` in ``ode``); null counts as missing."""
-    value = cfg.get(field.rpartition(".")[2], default)
-    if value is None:
+    path's last part (``ode.T`` is ``T`` in ``ode``).  Missing or null, it
+    is not given: it takes ``default``, or is required if that is ``...``."""
+    value = cfg.get(field.rpartition(".")[2])
+    if value is None and default is ...:
         _fail(field, "is required for this command")
-    return value
+    return default if value is None else value
 
 
 # memory budgets, checked before anything is allocated: one dense (N+1)^2
@@ -80,7 +82,7 @@ MAX_BOUNDARY_SIZE = 2**20
 MAX_CASES = 1000
 
 
-def _get_int(cfg: dict, field: str, default=None, minimum=1, maximum=None):
+def _get_int(cfg: dict, field: str, default=..., minimum=1, maximum=None):
     value = _lookup(cfg, field, default)
     if not isinstance(value, int) or isinstance(value, bool):
         _fail(field, f"must be an integer, got {value!r}")
@@ -95,12 +97,13 @@ def _number(value, field: str) -> float:
     """``value`` as a float: a JSON number, not a boolean, and finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(field, f"must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # see _parse_complex
+    # false for NaN, +-Infinity (json.loads accepts both) and huge JSON ints
+    if not abs(value) <= sys.float_info.max:
         _fail(field, f"must be finite, got {value!r}")
     return float(value)
 
 
-def _get_float(cfg: dict, field: str, default=None, positive=False):
+def _get_float(cfg: dict, field: str, default=..., positive=False):
     value = _lookup(cfg, field, default)
     number = _number(value, field)
     if positive and number <= 0:
@@ -108,14 +111,18 @@ def _get_float(cfg: dict, field: str, default=None, positive=False):
     return number
 
 
+def _get_bool(cfg: dict, field: str, default):
+    value = _lookup(cfg, field, default)
+    if value is not None and not isinstance(value, bool):
+        _fail(field, "must be a boolean")
+    return value
+
+
 def _parse_complex(value, field: str) -> complex:
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
         _fail(field, f"must be a number or [re, im] pair, got {value!r}")
-    # false for NaN, +-Infinity (json.loads accepts both) and huge JSON ints
-    if not all(abs(v) <= sys.float_info.max for v in parts):
-        _fail(field, f"must be finite, got {value!r}")
-    return complex(*parts)
+    return complex(*(_number(v, field) for v in parts))
 
 
 def _parse_coeffs(cfg: dict, field: str) -> TaylorPolynomial:
@@ -132,14 +139,14 @@ def _parse_coeffs(cfg: dict, field: str) -> TaylorPolynomial:
 class _Command:
     """One subcommand: the fields it shares with others, then its own body.
 
-    ``order`` is the default of ``N`` (or "required"), ``boundary`` the
+    ``order`` is the default of ``N`` (``...``: required), ``boundary`` the
     floor of the default ``M = max(floor, 4(N+1))`` (or "optional": no
     default, echoed as null), ``tolerance`` the default tolerance and
     ``symbols`` the coefficient lists it reads.  ``None`` skips a field.
     """
 
     body: Callable[[dict, dict, Path], dict]
-    order: int | str | None = None
+    order: int | EllipsisType | None = None
     boundary: int | str | None = None
     tolerance: float | None = None
     symbols: tuple[str, ...] = ()
@@ -149,13 +156,12 @@ def _read_shared(cfg: dict, command: _Command) -> tuple[dict, dict]:
     """Parse the fields ``command`` shares; returns them and their echo."""
     got = {}
     if command.order is not None:
-        default = None if command.order == "required" else command.order
-        got["N"] = _get_int(cfg, "N", default=default, maximum=MAX_ORDER)
+        got["N"] = _get_int(cfg, "N", command.order, maximum=MAX_ORDER)
     if command.boundary is not None:
         order, optional = got["N"], command.boundary == "optional"
+        default = None if optional else max(command.boundary, 4 * (order + 1))
         got["M"] = None
-        if "M" in cfg or not optional:
-            default = None if optional else max(command.boundary, 4 * (order + 1))
+        if _lookup(cfg, "M", default) is not None:
             size = _get_int(cfg, "M", default, minimum=2, maximum=MAX_BOUNDARY_SIZE)
             if size < 2 * order + 2:
                 _fail("M", f"must be >= 2N+2 = {2 * order + 2}, got {size}")
@@ -188,8 +194,8 @@ def ingest_trajectories(paths) -> list[Trajectory]:
 
 
 def _trajectories_from_config(cfg: dict) -> list[Trajectory]:
-    if "trajectories" in cfg:
-        paths = cfg["trajectories"]
+    paths = _lookup(cfg, "trajectories", None)
+    if paths is not None:
         if not isinstance(paths, list) or not paths:
             _fail("trajectories", "must be a nonempty list of CSV paths")
         for k, p in enumerate(paths):
@@ -198,8 +204,8 @@ def _trajectories_from_config(cfg: dict) -> list[Trajectory]:
             if not Path(p).is_file():
                 _fail(f"trajectories[{k}]", f"file not found: {p}")
         return ingest_trajectories(paths)
-    if "ode" in cfg:
-        ode = cfg["ode"]
+    ode = _lookup(cfg, "ode", None)
+    if ode is not None:
         if not isinstance(ode, dict):
             _fail("ode", "must be an object {z0, T, dt}")
         f = _parse_coeffs(cfg, "f")
@@ -271,7 +277,7 @@ def _cmd_adjoint_check(cfg: dict, got: dict, out_dir: Path) -> dict:
     if cases > MAX_CASES:
         _fail("cases", f"must be <= {MAX_CASES} (run-time budget), got {cases}")
     seed = _get_int(cfg, "seed", default=0, minimum=0)
-    f = None if cfg.get("f") is None else _parse_coeffs(cfg, "f")
+    f = None if _lookup(cfg, "f", None) is None else _parse_coeffs(cfg, "f")
     cert = _certificate(
         "adjoint_route_agreement",
         adjoint_battery(got["N"], got["M"], cases, seed, f),
@@ -315,18 +321,16 @@ def _cmd_occupation(cfg: dict, got: dict, out_dir: Path) -> dict:
 
 
 def _cmd_dmd(cfg: dict, got: dict, out_dir: Path) -> dict:
-    ridge = cfg.get("ridge")
-    if ridge is not None:
-        ridge = _get_float(cfg, "ridge")
-        if ridge < 0:
-            _fail("ridge", "must be nonnegative")
+    ridge = None if _lookup(cfg, "ridge", None) is None else _get_float(cfg, "ridge")
+    if ridge is not None and ridge < 0:
+        _fail("ridge", "must be nonnegative")
     z0 = times = None
-    if "predict" in cfg:
-        block = cfg["predict"]
+    block = _lookup(cfg, "predict", None)
+    if block is not None:
         if not isinstance(block, dict):
             _fail("predict", "must be an object {z0, times}")
         z0 = _parse_complex(_lookup(block, "predict.z0"), "predict.z0")
-        times = block.get("times")
+        times = _lookup(block, "predict.times")
         if not isinstance(times, list) or not times:
             _fail("predict.times", "must be a nonempty list of reals")
         times = [_number(t, f"predict.times[{k}]") for k, t in enumerate(times)]
@@ -382,9 +386,7 @@ def _cmd_bounds(cfg: dict, got: dict, out_dir: Path) -> dict:
     r_max = _get_float(cfg, "r_max", default=0.995, positive=True)
     if not r_max < 1.0:
         _fail("r_max", f"must be < 1, got {r_max}")
-    expect = cfg.get("expect_diverges")
-    if expect is not None and not isinstance(expect, bool):
-        _fail("expect_diverges", "must be a boolean")
+    expect = _get_bool(cfg, "expect_diverges", None)
     grid = polar_grid(n_radii, n_angles, r_max)
     result = boundedness_bound(got["f"], got["phi"], grid)
     if expect is None:
@@ -419,9 +421,7 @@ def _cmd_bounds(cfg: dict, got: dict, out_dir: Path) -> dict:
 
 
 def _cmd_hs_norm(cfg: dict, got: dict, out_dir: Path) -> dict:
-    expect_finite = cfg.get("expect_finite", True)
-    if not isinstance(expect_finite, bool):
-        _fail("expect_finite", "must be a boolean")
+    expect_finite = _get_bool(cfg, "expect_finite", True)
     result = hs_norm(got["f"], got["phi"], got["N"], got["M"])
     if result.finite:
         cert = _certificate(
@@ -490,7 +490,7 @@ def _cmd_verify_all(cfg: dict, got: dict, out_dir: Path) -> dict:
 
 # name: (body, N default, M floor, tolerance default, symbols); see _Command
 _COMMANDS = {
-    "spectrum": _Command(_cmd_spectrum, "required", None, 1e-8, ("f",)),
+    "spectrum": _Command(_cmd_spectrum, ..., None, 1e-8, ("f",)),
     "adjoint-check": _Command(_cmd_adjoint_check, 64, 512, 1e-8),
     "occupation": _Command(_cmd_occupation, 80, None, 1e-6, ("f",)),
     "weighted": _Command(_cmd_occupation, 80, None, 1e-6, ("f", "phi")),
@@ -512,7 +512,7 @@ def run(command: str, config: dict, out_dir) -> int:
         )
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
-    name = config.get("output", f"{command.replace('-', '_')}_report.json")
+    name = _lookup(config, "output", f"{command.replace('-', '_')}_report.json")
     # a plain name keeps the report inside out_dir; the OS refuses a NUL byte
     if (
         not isinstance(name, str)

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .series import (
     BoundaryGrid,
-    KernelSpec,
     TaylorPolynomial,
     DEFAULT_ORDER,
     default_boundary_size,
@@ -334,7 +333,7 @@ def adjoint_on_derivative_kernel(
         weight = np.conj(deriv(w))
         if leibniz:
             weight *= math.comb(j - 1, ell)
-        result += weight * kernel(KernelSpec(point=w, order=j - ell), order).coeffs
+        result += weight * kernel(w, j - ell, order).coeffs
         deriv = derivative(deriv)
     return TaylorPolynomial(result)
 

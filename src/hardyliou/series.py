@@ -134,14 +134,6 @@ class BoundaryGrid:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """A point-evaluation kernel: point ``w``, derivative order ``j``."""
-
-    point: complex
-    order: int = 0
-
-
 # ---------------------------------------------------------------------------
 # inner product and kernels
 # ---------------------------------------------------------------------------
@@ -158,15 +150,15 @@ def norm(g: TaylorPolynomial) -> float:
     return float(np.linalg.norm(g.coeffs))
 
 
-def kernel(spec: KernelSpec, order: int = DEFAULT_ORDER) -> TaylorPolynomial:
+def kernel(w: complex, j: int, order: int = DEFAULT_ORDER) -> TaylorPolynomial:
     """Truncated point-evaluation kernel for ``<h, kernel> = h^(j)(w)``.
 
     The ``j``-th derivative kernel has coefficients
     ``n!/(n-j)! * conj(w)^(n-j)`` for ``n >= j``; ``j = 0`` is the geometric
     kernel ``1/(1 - conj(w) z)``.
     """
-    w = complex(spec.point)
-    j = int(spec.order)
+    w = complex(w)
+    j = int(j)
     if abs(w) >= 1.0:
         raise DiskDomainError(f"kernel point must satisfy |w| < 1, got |w| = {abs(w)}")
     if j < 0:
@@ -190,7 +182,7 @@ def kernel(spec: KernelSpec, order: int = DEFAULT_ORDER) -> TaylorPolynomial:
 
 def szego_kernel(w: complex, order: int = DEFAULT_ORDER) -> TaylorPolynomial:
     """Geometric evaluation kernel at ``w`` (see :func:`kernel`)."""
-    return kernel(KernelSpec(point=w, order=0), order)
+    return kernel(w, 0, order)
 
 
 def derivative_kernel(
@@ -200,7 +192,7 @@ def derivative_kernel(
 
     The squared norm has the closed form ``(1 + |w|^2) / (1 - |w|^2)^3``.
     """
-    series = kernel(KernelSpec(point=w, order=1), order)
+    series = kernel(w, 1, order)
     r2 = abs(complex(w)) ** 2
     norm_sq = (1.0 + r2) / (1.0 - r2) ** 3
     return series, norm_sq

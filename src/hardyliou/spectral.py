@@ -41,7 +41,6 @@ from .operators import (
     liouville_matrix,
 )
 from .series import (
-    KernelSpec,
     TaylorPolynomial,
     DEFAULT_ORDER,
     antiderivative,
@@ -109,7 +108,9 @@ def _liouville_spectrum(f: TaylorPolynomial, order: int):
     band = _symbol_band(f, order)
     found = None if band is None else _band_eigenpairs(band, keep_vectors=False)
     if found is None:
-        result = eigendecompose(liouville_matrix(f, order))
+        what = f"the eigenvalues of the liouville matrix at order {order}"
+        with _naming_overflow("f", what):
+            result = eigendecompose(liouville_matrix(f, order))
         return result.values, result.residuals
     values, _, residuals = found
     values, residuals, _ = _sorted(values, residuals)
@@ -126,7 +127,10 @@ def _sorted(values, residuals, vectors=None):
 
 
 def _dense_eigenpairs(entries: np.ndarray):
-    """Eigenpairs from ``np.linalg.eig``: unit columns, blocked residuals."""
+    """Eigenpairs from ``np.linalg.eig``: unit columns, blocked residuals.
+
+    Raises ValueError when an eigenvalue is past the range of doubles.
+    """
     try:
         values, vectors = np.linalg.eig(entries)
     except np.linalg.LinAlgError as exc:
@@ -134,6 +138,7 @@ def _dense_eigenpairs(entries: np.ndarray):
         raise EigenConvergenceError(
             f"eigenvalue iteration failed ({exc}); matrix condition ~ {condition:.3e}"
         ) from exc
+    _finite(values)
     for k in range(values.size):
         vectors[:, k] /= np.linalg.norm(vectors[:, k])
     residuals = np.empty(values.size)
@@ -434,7 +439,7 @@ def zero_eigenspace(
         if int(multiplicity) != multiplicity or multiplicity < 1:
             raise InvalidIndexError("multiplicities must be positive integers")
         for j in range(int(multiplicity)):
-            basis.append(kernel(KernelSpec(point=point, order=j), order))
+            basis.append(kernel(point, j, order))
     return basis
 
 

@@ -33,7 +33,7 @@ from .series import (
     compose,
     default_boundary_size,
     derivative,
-    derivative_kernel,
+    kernel,
     multiply,
     szego_kernel,
     unit_circle_points,
@@ -136,8 +136,7 @@ def weighted_adjoint_on_kernel(
             f"phi({w}) has modulus {abs(pw):.6g} >= 1"
         )
     factor = np.conj(complex(f(w)) * complex(derivative(phi)(w)))
-    series, _ = derivative_kernel(pw, order)
-    return TaylorPolynomial(factor * series.coeffs)
+    return TaylorPolynomial(factor * kernel(pw, 1, order).coeffs)
 
 
 def normalized_kernel_action_sq(

@@ -147,6 +147,9 @@ def test_boundary_size_constraint_enforced(tmp_path, capsys):
         ("smirnov", {"N": 8, "f": [0.1, 1e308]}, "symbol f "),
         ("bounds", {"f": [1e308], "phi": [0, 0.5]}, "symbol f "),
         ("smirnov", {"N": 8, "f": [1e308, 1e308]}, "symbol f "),
+        # dense route: the spectrum is linear in f, and at 2.5e307 its top
+        # eigenvalue (about 3.1e308) is past the largest double
+        ("spectrum", {"N": 6, "f": [2.5e307] * 3}, "symbol f overflows the eigenvalues"),
     ],
 )
 def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, config, symbol):
@@ -169,6 +172,7 @@ def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, confi
         ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": [0.1, float("-inf")], "T": 0.1, "dt": 0.01}}, "ode.z0"),
         ("spectrum", {"N": 8, "f": [0.1, float("nan")]}, "f[1]"),
         ("spectrum", {"N": 8, "f": [0.1, 10**400]}, "f[1]"),
+        ("spectrum", {"N": 8, "f": [[float("nan"), 0]]}, "f[0]"),
         ("bounds", {"f": [0.1, 0.5], "phi": [0, float("inf")]}, "phi[1]"),
         ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": 0.2, "T": float("nan"), "dt": 0.01}}, "ode.T"),
         ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": 0.2, "T": 0.1, "dt": float("inf")}}, "ode.dt"),
@@ -242,6 +246,86 @@ def test_non_boolean_expect_finite_exits_two_on_a_finite_norm(tmp_path, capsys):
     )
 
 
+_SMALL_ODE = {"z0": 0.2, "T": 0.1, "dt": 0.01}
+# each command with only the fields it requires, so every other field it
+# reads takes its default or stays optional
+_BARE = {
+    "spectrum": {"N": 6, "f": [0.1, 0.9]},
+    "adjoint-check": {"cases": 2},
+    "occupation": {"f": [0, 1], "ode": _SMALL_ODE},
+    "weighted": {"f": [0, 1], "phi": [0, 0, 1], "ode": _SMALL_ODE},
+    "dmd": {"f": [0, 1], "ode": _SMALL_ODE},
+    "bounds": {"f": [1.0], "phi": [0, 0.5], "n_radii": 4, "n_angles": 8},
+    "hs-norm": {"f": [1.0], "phi": [0, 0.5]},
+    "smirnov": {"f": [0.5, 0.2]},
+    "verify-all": {},
+}
+_OPTIONAL_FIELDS = [
+    *(
+        (c, "N")
+        for c in ("adjoint-check", "occupation", "weighted", "dmd", "hs-norm", "smirnov")
+    ),
+    *((c, "M") for c in ("adjoint-check", "hs-norm", "smirnov")),
+    *((c, "tolerance") for c in _BARE if c not in ("bounds", "verify-all")),
+    *((c, "output") for c in _BARE),
+    ("adjoint-check", "cases"),
+    ("adjoint-check", "seed"),
+    ("adjoint-check", "f"),
+    ("dmd", "ridge"),
+    ("dmd", "predict"),
+    *((c, "trajectories") for c in ("occupation", "weighted", "dmd")),
+    *(("bounds", k) for k in ("n_radii", "n_angles", "r_max", "expect_diverges")),
+    ("hs-norm", "expect_finite"),
+]
+
+
+def _outcome(tmp_path, capsys, command, config, out):
+    code, out_dir = _run(tmp_path, command, config, out=out)
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    return code, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("command, field", _OPTIONAL_FIELDS)
+def test_null_field_is_the_field_left_out(tmp_path, capsys, command, field):
+    config = {k: v for k, v in _BARE[command].items() if k != field}
+    left_out = _outcome(tmp_path, capsys, command, config, "left_out")
+    null = _outcome(tmp_path, capsys, command, {**config, field: None}, "null")
+    assert left_out[0] in (0, 1) and left_out[2]
+    assert null == left_out
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("spectrum", {"N": None, "f": [0.1, 0.9]}, "N"),
+        ("spectrum", {"N": 6, "f": None}, "f"),
+        ("weighted", {"f": [0, 1], "phi": None, "ode": _SMALL_ODE}, "phi"),
+        ("bounds", {"f": [1.0], "phi": None}, "phi"),
+        ("hs-norm", {"f": [1.0], "phi": None}, "phi"),
+        *(
+            ("occupation", {"f": [0, 1], "ode": {**_SMALL_ODE, key: None}}, f"ode.{key}")
+            for key in ("z0", "T", "dt")
+        ),
+        *(
+            (
+                "dmd",
+                {
+                    "f": [0, 1],
+                    "ode": _SMALL_ODE,
+                    "predict": {"z0": 0.1, "times": [0.5], key: None},
+                },
+                f"predict.{key}",
+            )
+            for key in ("z0", "times")
+        ),
+    ],
+)
+def test_null_required_field_exits_two(tmp_path, capsys, command, config, field):
+    code, _ = _run(tmp_path, command, config)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: config field '{field}': {_REQUIRED}\n"
+
+
 def _never_called(*args, **kwargs):
     raise AssertionError("computed before every field was checked")
 
@@ -293,6 +377,16 @@ def test_huge_symbol_gets_a_finite_eigenpair_residual(tmp_path, capsys, f):
     assert code == 1
     residual = _report(out, "spectrum_report.json")["certificates"][0]["residual"]
     assert isinstance(residual, float) and 1e280 < residual < 1e290
+
+
+def test_largest_finite_dense_spectrum_reports_its_residual(tmp_path, capsys):
+    # top eigenvalue 1.2459e308, just inside the range of doubles
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(tmp_path, "spectrum", {"N": 6, "f": [1e307] * 3})
+    assert code == 1
+    residual = _report(out, "spectrum_report.json")["certificates"][0]["residual"]
+    assert isinstance(residual, float) and 1e290 < residual < 1e295
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from hardyliou import (
     AliasingError,
     CompositionWarning,
     InvalidIndexError,
-    KernelSpec,
     OperatorMatrix,
     SymbolOverflowError,
     TaylorPolynomial,
@@ -422,7 +421,7 @@ def test_adjoint_on_evaluation_kernel_classic_formula():
     f = TaylorPolynomial([0.3, 1.0, -0.2])
     w = 0.35 - 0.1j
     out = adjoint_on_derivative_kernel(f, w, 1, 40)
-    k1 = kernel(KernelSpec(w, order=1), 40)
+    k1 = kernel(w, 1, 40)
     expected = np.conj(complex(f(w))) * k1.coeffs
     assert np.allclose(out.coeffs, expected, atol=1e-13)
 
@@ -433,7 +432,7 @@ def test_adjoint_on_derivative_kernel_matches_matrix_oracle():
     order = 64
     for j in (1, 2, 3):
         analytic = adjoint_on_derivative_kernel(f, w, j, order)
-        h = kernel(KernelSpec(w, order=j - 1), order)
+        h = kernel(w, j - 1, order)
         oracle = adjoint_matrix(liouville_matrix(f, order)).apply(h)
         # rows above order - deg f are truncation-affected; |w| < 0.5 keeps
         # the kernel tail far below the comparison tolerance

@@ -8,7 +8,6 @@ from hardyliou import (
     AliasingError,
     DiskDomainError,
     InvalidKernelSpecError,
-    KernelSpec,
     LogDomainError,
     SingularSymbolError,
     TaylorPolynomial,
@@ -97,12 +96,12 @@ def test_szego_kernel_norm_frozen():
 def test_derivative_kernel_reproduces_derivative():
     g = TaylorPolynomial([0.3, 1.0, -2.0, 0.5j])
     w = 0.25 + 0.1j
-    k1 = kernel(KernelSpec(w, order=1), 32)
+    k1 = kernel(w, 1, 32)
     assert inner_product(g, k1) == pytest.approx(
         complex(derivative(g)(w)), abs=1e-14
     )
     # second derivative too
-    k2 = kernel(KernelSpec(w, order=2), 32)
+    k2 = kernel(w, 2, 32)
     assert inner_product(g, k2) == pytest.approx(
         complex(derivative(derivative(g))(w)), abs=1e-13
     )
@@ -122,9 +121,9 @@ def test_kernel_validation():
     with pytest.raises(DiskDomainError):
         szego_kernel(1.0, 16)
     with pytest.raises(InvalidKernelSpecError):
-        kernel(KernelSpec(0.5, order=-1), 16)
+        kernel(0.5, -1, 16)
     with pytest.raises(InvalidKernelSpecError):
-        kernel(KernelSpec(0.5, order=20), 16)
+        kernel(0.5, 20, 16)
 
 
 # ---------------------------------------------------------------------------
