@@ -172,7 +172,6 @@ def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, confi
         ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": [0.1, float("-inf")], "T": 0.1, "dt": 0.01}}, "ode.z0"),
         ("spectrum", {"N": 8, "f": [0.1, float("nan")]}, "f[1]"),
         ("spectrum", {"N": 8, "f": [0.1, 10**400]}, "f[1]"),
-        ("spectrum", {"N": 8, "f": [[float("nan"), 0]]}, "f[0]"),
         ("bounds", {"f": [0.1, 0.5], "phi": [0, float("inf")]}, "phi[1]"),
         ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": 0.2, "T": float("nan"), "dt": 0.01}}, "ode.T"),
         ("occupation", {"N": 8, "f": [0, 1], "ode": {"z0": 0.2, "T": 0.1, "dt": float("inf")}}, "ode.dt"),
@@ -201,6 +200,7 @@ def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, confi
             )
             for time in (float("nan"), float("inf"), float("-inf"))
         ),
+        ("spectrum", {"N": 8, "f": [[float("nan"), 0]]}, "f[0]"),
     ],
 )
 def test_nonfinite_config_number_exits_two_naming_the_field(
