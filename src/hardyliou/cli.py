@@ -34,6 +34,7 @@ from .errors import (
 )
 from .occupation import (
     Trajectory,
+    _invalid_start,
     integrate_ode,
     liouville_occupation_residual,
     read_trajectory_csv,
@@ -330,6 +331,9 @@ def _cmd_dmd(cfg: dict, got: dict, out_dir: Path) -> dict:
         if not isinstance(block, dict):
             _fail("predict", "must be an object {z0, times}")
         z0 = _parse_complex(_lookup(block, "predict.z0"), "predict.z0")
+        invalid = _invalid_start(z0)  # dmd.predict's rule, before the fit
+        if invalid is not None:
+            _fail("predict.z0", invalid[1])
         times = _lookup(block, "predict.times")
         if not isinstance(times, list) or not times:
             _fail("predict.times", "must be a nonempty list of reals")

@@ -52,7 +52,12 @@ from .errors import (
     InvalidIndexError,
     LowConfidenceWarning,
 )
-from .occupation import Trajectory, _conj_moments, endpoint_kernel_difference
+from .occupation import (
+    Trajectory,
+    _conj_moments,
+    _invalid_start,
+    endpoint_kernel_difference,
+)
 from .series import DEFAULT_ORDER, TaylorPolynomial, complex_pairs
 
 _COND_LIMIT = 1e14
@@ -281,8 +286,15 @@ def predict(model: DmdModel, z0: complex, t: float | np.ndarray):
     exponentials.  A scalar ``t``
     returns a ``complex``; a 1-d array of times returns an array of
     forecasts.  A forecast that is not finite (far outside the data span)
-    emits ``LowConfidenceWarning``.
+    emits ``LowConfidenceWarning``.  ``z0`` obeys the rule of a trajectory's
+    samples, as in :func:`~hardyliou.occupation.integrate_ode`: a start
+    outside ``|z| <= 1 - DISK_MARGIN`` raises ``DiskDomainError``, and one
+    that is not finite ``ValueError``.
     """
+    z0 = complex(z0)
+    invalid = _invalid_start(z0)
+    if invalid is not None:
+        raise invalid[2](f"z0 {invalid[1]}")
     if model.identity_residual > 1e-2:
         warnings.warn(
             "identity observable poorly captured by the trajectory span "
@@ -294,7 +306,6 @@ def predict(model: DmdModel, z0: complex, t: float | np.ndarray):
     times = np.asarray(t, dtype=np.float64)
     if times.ndim > 1:
         raise ValueError("t must be a real number or a 1-d array of times")
-    z0 = complex(z0)
     coords = model._forecast_map @ np.conj(z0 ** np.arange(model.order + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         evolved = np.exp(np.multiply.outer(times, model.eigenvalues)) * coords

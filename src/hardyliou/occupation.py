@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +62,20 @@ def _first_invalid_sample(times: np.ndarray, points: np.ndarray):
     return i, "has a time span from the first sample that is not finite", ValueError
 
 
+def _invalid_start(z0: complex):
+    """``_first_invalid_sample`` of ``z0`` as a trajectory's one sample.
+
+    A scalar test passes a valid start first, as the array rule costs about
+    as much as a whole forecast.
+    """
+    try:
+        if abs(z0) <= 1.0 - DISK_MARGIN:  # false for a nan part
+            return None
+    except OverflowError:  # finite parts near the largest double
+        pass
+    return _first_invalid_sample(np.zeros(1), np.array([z0]))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Strictly increasing times paired with points inside the unit disk."""
@@ -69,17 +83,23 @@ class Trajectory:
     times: np.ndarray
     points: np.ndarray
     digest: str | None = None
+    # sha256 of the canonical CSV bytes, kept by whichever of content_digest
+    # and write_trajectory_csv formats them first; never the bytes themselves
+    _csv_digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=np.float64, copy=True).reshape(-1)
-        points = np.array(self.points, dtype=np.complex128, copy=True).reshape(-1)
+        times = np.array(self.times, dtype=np.float64, copy=True)
+        points = np.array(self.points, dtype=np.complex128, copy=True)
+        # a view of a read-only array cannot be made writable again, so the
+        # stored digest of the samples never goes stale
+        times.setflags(write=False)
+        points.setflags(write=False)
+        times, points = times.reshape(-1), points.reshape(-1)
         if times.size != points.size or times.size == 0:
             raise ValueError("times and points must be nonempty and aligned")
         invalid = _first_invalid_sample(times, points)
         if invalid is not None:
             raise invalid[2](f"sample {invalid[0]} {invalid[1]}")
-        times.setflags(write=False)
-        points.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
 
@@ -95,10 +115,17 @@ class Trajectory:
         return bool(np.max(gaps) - np.min(gaps) <= 1e-9 * np.max(gaps))
 
     def content_digest(self) -> str:
-        """SHA-256 of the canonical CSV serialization (or of the source file)."""
+        """SHA-256 of the source file, else of the canonical CSV serialization.
+
+        The canonical bytes are formatted at most once per trajectory: the
+        first call, or :func:`write_trajectory_csv`, keeps their digest on
+        the object, and later calls return it.
+        """
         if self.digest is not None:
             return self.digest
-        return hashlib.sha256(_csv_bytes(self)).hexdigest()
+        if self._csv_digest is None:
+            _keep_csv_digest(self, _csv_bytes(self))
+        return self._csv_digest
 
 
 @dataclass(frozen=True)
@@ -230,10 +257,22 @@ def _csv_bytes(trajectory: Trajectory) -> bytes:
     return (",".join(_CSV_HEADER) + "\n").encode() + body
 
 
+def _keep_csv_digest(trajectory: Trajectory, data: bytes) -> None:
+    object.__setattr__(trajectory, "_csv_digest", hashlib.sha256(data).hexdigest())
+
+
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Serialize with 17 significant digits so doubles round-trip exactly."""
+    """Serialize with 17 significant digits so doubles round-trip exactly.
+
+    A trajectory without a source-file ``digest`` keeps the digest of the
+    bytes written, so :meth:`Trajectory.content_digest` never formats them
+    again: the digest is computed at most once per trajectory.
+    """
+    data = _csv_bytes(trajectory)
+    if trajectory.digest is None and trajectory._csv_digest is None:
+        _keep_csv_digest(trajectory, data)
     with open(path, "wb") as handle:
-        handle.write(_csv_bytes(trajectory))
+        handle.write(data)
 
 
 def _float_rows(rows: list[str]) -> tuple[np.ndarray, str | None]:
@@ -354,7 +393,7 @@ def integrate_ode(
             f"of {MAX_RK4_STEPS} steps"
         )
     z0 = complex(z0)
-    invalid = _first_invalid_sample(np.zeros(1), np.array([z0]))
+    invalid = _invalid_start(z0)
     if invalid is not None:
         raise invalid[2](f"z0 {invalid[1]}")
     limit = 1.0 - DISK_MARGIN

@@ -356,6 +356,27 @@ def _never_called(*args, **kwargs):
             (cli, "hs_norm"),
             "expect_finite",
         ),
+        (
+            "dmd",
+            {
+                "N": 8,
+                "f": [0, 1],
+                "ode": {"z0": 0.2, "T": 0.1, "dt": 0.01},
+                "predict": {"z0": 1.5, "times": [0.5]},
+            },
+            (cli.dmd, "fit"),
+            "predict.z0",
+        ),
+        (
+            "dmd",
+            {
+                "N": 8,
+                "trajectories": ["missing.csv"],
+                "predict": {"z0": 5.0, "times": [0.5]},
+            },
+            (cli, "ingest_trajectories"),
+            "predict.z0",
+        ),
     ],
 )
 def test_every_field_is_checked_before_the_command_computes(

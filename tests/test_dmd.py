@@ -1,5 +1,8 @@
 """Data-driven compression: fit, spectrum recovery, prediction."""
 
+import dataclasses
+import hashlib
+import inspect
 import json
 import tracemalloc
 import warnings
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardyliou import (
+    DiskDomainError,
     IllConditionedError,
     InsufficientDataError,
     InvalidIndexError,
@@ -20,6 +24,8 @@ from hardyliou import (
     monomial,
     norm,
     occupation_kernel,
+    read_trajectory_csv,
+    write_trajectory_csv,
 )
 from hardyliou import dmd, occupation
 
@@ -121,6 +127,64 @@ def test_fit_records_digests(affine_model):
     assert all(len(d) == 64 for d in affine_model.trajectory_digests)
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_each_trajectory_is_formatted_once(tmp_path, monkeypatch):
+    counted_formats = []  # the trajectory of each _csv_bytes call
+    formatter = occupation._csv_bytes
+
+    def counted(trajectory):
+        counted_formats.append(trajectory)
+        return formatter(trajectory)
+
+    monkeypatch.setattr(occupation, "_csv_bytes", counted)
+    batch = _affine_batch(n_radii=2, n_angles=2, dt=1e-2)
+    written, fresh = batch[:3], batch[3]
+    paths = [tmp_path / f"orbit{k}.csv" for k in range(len(written))]
+    for trajectory, path in zip(written, paths):
+        write_trajectory_csv(trajectory, path)
+    assert len(counted_formats) == 3
+    digests = [trajectory.content_digest() for trajectory in written]
+    first = dmd.fit(written, order=16)
+    second = dmd.fit(written, order=16)
+    assert len(counted_formats) == 3
+    assert digests == [_sha256(path) for path in paths]
+    assert first.trajectory_digests == second.trajectory_digests == tuple(digests)
+    # never written: formatted by the first fit only
+    models = [dmd.fit([fresh], order=16) for _ in range(2)]
+    assert len(counted_formats) == 4 and counted_formats[-1] is fresh
+    write_trajectory_csv(fresh, tmp_path / "fresh.csv")
+    for model in models:
+        assert model.trajectory_digests == (_sha256(tmp_path / "fresh.csv"),)
+
+
+@pytest.mark.parametrize("cell", [" 0.1 ", "1e-1"])
+def test_stored_digest_never_replaces_the_source_file_digest(tmp_path, cell):
+    source = tmp_path / "source.csv"
+    source.write_text(f"t,re,im\n0,{cell},0\n0.5,0.2,0\n1,0.3,0\n")
+    trajectory = read_trajectory_csv(source)
+    write_trajectory_csv(trajectory, tmp_path / "canonical.csv")
+    assert _sha256(tmp_path / "canonical.csv") != _sha256(source)
+    model = dmd.fit([trajectory], order=4)
+    assert trajectory.content_digest() == trajectory.digest == _sha256(source)
+    assert model.trajectory_digests == (_sha256(source),)
+
+
+def test_replaced_trajectory_gets_the_digest_of_its_own_bytes(tmp_path):
+    trajectory = _affine_batch(n_radii=1, n_angles=1, dt=1e-2)[0]
+    before = repr(trajectory)
+    trajectory.content_digest()
+    assert repr(trajectory) == before
+    parameters = inspect.signature(Trajectory).parameters
+    assert list(parameters) == ["times", "points", "digest"]
+    halved = dataclasses.replace(trajectory, points=0.5 * trajectory.points)
+    write_trajectory_csv(halved, tmp_path / "halved.csv")
+    assert halved.content_digest() == _sha256(tmp_path / "halved.csv")
+    assert halved.content_digest() != trajectory.content_digest()
+
+
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------
@@ -156,6 +220,20 @@ def test_predict_warns_on_thin_data():
     assert model.identity_residual > 1e-2
     with pytest.warns(LowConfidenceWarning):
         dmd.predict(model, 0.2, 0.5)
+
+
+@pytest.mark.parametrize(
+    "z0, error",
+    [(1.5, DiskDomainError), (1e200, DiskDomainError), (float("nan"), ValueError)],
+)
+def test_predict_refuses_a_start_outside_the_disk(affine_model, z0, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="^z0 "):
+            dmd.predict(affine_model, z0, 0.5)
+        # the edge of the sampling disk is still a start
+        edge = 1.0 - occupation.DISK_MARGIN
+        assert np.isfinite(dmd.predict(affine_model, edge, 0.0))
 
 
 def _two_solve_predict(model, z0, t):

@@ -75,6 +75,10 @@ def test_trajectory_immutable_arrays():
     traj = Trajectory(np.array([0.0, 1.0]), np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
         traj.times[0] = 5.0
+    # nor can the flag be set back, which would stale the stored digest
+    for samples in (traj.times, traj.points):
+        with pytest.raises(ValueError):
+            samples.setflags(write=True)
 
 
 # ---------------------------------------------------------------------------
