@@ -68,7 +68,7 @@ def _filter_factors(singular_values: np.ndarray, ridge: float) -> np.ndarray:
     return singular_values / (singular_values**2 + ridge)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DmdModel:
     """Fitted compression of the adjoint generator onto trajectory data.
 

@@ -76,7 +76,7 @@ def _invalid_start(z0: complex):
     return _first_invalid_sample(np.zeros(1), np.array([z0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Strictly increasing times paired with points inside the unit disk."""
 
@@ -85,7 +85,7 @@ class Trajectory:
     digest: str | None = None
     # sha256 of the canonical CSV bytes, kept by whichever of content_digest
     # and write_trajectory_csv formats them first; never the bytes themselves
-    _csv_digest: str | None = field(default=None, init=False, repr=False, compare=False)
+    _csv_digest: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         times = np.array(self.times, dtype=np.float64, copy=True)
@@ -383,7 +383,8 @@ def integrate_ode(
     this is a hard error rather than a clamp.  A state that is no longer
     finite raises :class:`SymbolOverflowError` naming ``f`` instead.  More
     than ``MAX_RK4_STEPS`` steps raise :class:`StepBudgetError` before
-    anything is allocated.
+    anything is allocated.  The four stages are evaluated inline, bit for bit
+    as the Horner loop from ``0j``.
     """
     if not (t_final > 0 and dt > 0):
         raise ValueError("t_final and dt must be positive")
@@ -413,13 +414,6 @@ def integrate_ode(
     ):
         coeffs.insert(0, 0j)
     top, second, rest = coeffs[0], coeffs[1], coeffs[2:]
-
-    def field(z: complex) -> complex:
-        acc = top * z + second
-        for c in rest:
-            acc = acc * z + c
-        return acc
-
     times = np.linspace(0.0, t_final, steps + 1)
     samples = [z0]
     append = samples.append
@@ -429,10 +423,29 @@ def integrate_ode(
     )
     try:
         for k in range(steps):
-            k1 = field(z)
-            k2 = field(z + half * k1)
-            k3 = field(z + half * k2)
-            k4 = field(z + h * k3)
+            # the stages inline, each the Horner expression above: a call per
+            # stage cost more than its arithmetic
+            if not rest:  # constant and affine fields: no inner loop
+                k1 = top * z + second
+                k2 = top * (z + half * k1) + second
+                k3 = top * (z + half * k2) + second
+                k4 = top * (z + h * k3) + second
+            else:
+                k1 = top * z + second
+                for c in rest:
+                    k1 = k1 * z + c
+                y = z + half * k1
+                k2 = top * y + second
+                for c in rest:
+                    k2 = k2 * y + c
+                y = z + half * k2
+                k3 = top * y + second
+                for c in rest:
+                    k3 = k3 * y + c
+                y = z + h * k3
+                k4 = top * y + second
+                for c in rest:
+                    k4 = k4 * y + c
             z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not abs(z) <= limit:  # also true for a nan state
                 if not np.isfinite(z):

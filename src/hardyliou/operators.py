@@ -11,11 +11,11 @@ conjugate transpose of the truncated matrix (the oracle) and the boundary
 formula.  Tests certify that they agree, which is what makes the closed-form
 kernel identities in the rest of the package trustworthy.  On the hot paths
 the conjugate transpose is applied as a banded stencil
-(:func:`liouville_adjoint_apply`), and the weighted columns come one at a
-time from the recurrence ``q_(n+1) = trunc(q_n * phi)``
+(:func:`liouville_adjoint_apply`), and the weighted columns come in blocks
+of about 512 KiB from the recurrence ``q_(n+1) = trunc(q_n * phi)``
 (``_weighted_columns``), which the Hilbert-Schmidt sum and the weighted
-occupation adjoint consume in O(N) memory.  The dense matrices stay as
-their oracles.
+occupation adjoint consume a column at a time without the (N+1)^2 matrix.
+The dense matrices stay as their oracles.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .series import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Matrix of a truncated operator in the monomial basis.
 
@@ -156,17 +156,26 @@ def scaled_liouville_matrix(
         return OperatorMatrix(entries)
 
 
+# bytes of columns per overflow scope of _weighted_columns: 31 columns at
+# N = 1024 and all of them up to N = 180, so entering the scope is not a
+# per-column cost
+_COLUMN_BLOCK_BYTES = 512 * 1024
+
+
 def _weighted_columns(f: TaylorPolynomial, phi: TaylorPolynomial, order: int):
-    """Columns of :func:`weighted_liouville_matrix`, one at a time.
+    """Columns of :func:`weighted_liouville_matrix`, in blocks.
 
     Yields ``(n, n * q_n)`` for ``n = 1 .. order``, where
     ``q_1 = trunc(f * phi')`` and ``q_(n+1) = trunc(q_n * phi)``.  The step
     is exact in real arithmetic: ``phi`` has no negative powers, so
     ``trunc(trunc(P) * phi) = trunc(P * phi)``.  Each step is ``deg phi + 1``
     shifted multiply-adds on one length-``order + 1`` buffer: all columns
-    take O(N^2 deg phi) time and O(N) memory.  Warns for the caller of the
-    consumer when ``phi(0)`` leaves the disk; a non-finite column raises
-    :class:`SymbolOverflowError` naming ``phi``.
+    take O(N^2 deg phi) time.  A block of about ``_COLUMN_BLOCK_BYTES`` of
+    columns is computed in one overflow scope and checked at once, then
+    yielded outside it; each block is a new array, so a kept column is never
+    overwritten.  Warns for the caller of the consumer when ``phi(0)`` leaves
+    the disk; a non-finite column raises :class:`SymbolOverflowError` naming
+    ``phi``.
     """
     if abs(phi(0.0)) >= 1.0:
         warnings.warn(
@@ -181,15 +190,22 @@ def _weighted_columns(f: TaylorPolynomial, phi: TaylorPolynomial, order: int):
     with _naming_overflow("phi (with f)", where):
         weight = np.convolve(f.coeffs, derivative(phi).coeffs)[: order + 1]
         q[: weight.size] = _finite(weight)
-    for n in range(1, order + 1):
-        # an overflowing step leaves inf/nan in q, caught by the next column
+    width = max(1, _COLUMN_BLOCK_BYTES // q.nbytes)
+    for first in range(1, order + 1, width):
+        count = min(width, order + 1 - first)
+        block = np.empty((count, order + 1), dtype=np.complex128)
+        # an overflowing step leaves inf/nan in q, so in the next column,
+        # which the check of its block catches
         with _naming_overflow("phi (with f)", where):
-            column = _finite(n * q)
-            step = taps[0] * q
-            for j in range(1, taps.size):
-                step[j:] += taps[j] * q[: q.size - j]
-        yield n, column
-        q = step
+            for i, column in enumerate(block):
+                np.multiply(first + i, q, out=column)
+                step = taps[0] * q
+                for j in range(1, taps.size):
+                    step[j:] += taps[j] * q[: q.size - j]
+                q = step
+            _finite(block)
+        for i, column in enumerate(block):
+            yield first + i, column
 
 
 def weighted_liouville_matrix(

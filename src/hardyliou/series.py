@@ -67,7 +67,7 @@ def complex_pairs(values) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaylorPolynomial:
     """Truncated series ``sum_{n<=N} c_n z^n`` with finite coefficients."""
 
@@ -114,7 +114,7 @@ def monomial(degree: int, order: int | None = None) -> TaylorPolynomial:
     return TaylorPolynomial(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryGrid:
     """Samples of a circle function at the uniform angles ``2*pi*m/M``."""
 

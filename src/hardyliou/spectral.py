@@ -65,7 +65,7 @@ _RESCALE_LIMIT = 2.0**_RESCALE_BITS
 _RESCALE = 2.0**-_RESCALE_BITS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eigendecomposition:
     """All eigenpairs of a truncation, sorted by (real, imag), read-only.
 

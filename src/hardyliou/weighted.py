@@ -1,15 +1,19 @@
-"""Boundedness, compactness, and norm formulas for weighted operators.
+"""Boundedness probes, Hilbert-Schmidt norms and self-adjointness checks for
+weighted operators.
 
 The operator ``g -> f * phi' * (g' o phi)`` acts boundedly exactly when the
 growth expression
 
     B(w) = |f(w)|^2 |phi'(w)|^2 (1 - |w|^2) (1 + |phi(w)|^2) / (1 - |phi(w)|^2)^3
 
-stays bounded over the disk, and compactly when it vanishes at the boundary.
-This module evaluates such certificates on polar grids, computes the two
-independent Hilbert-Schmidt routes (Frobenius sum of the truncated matrix
-versus boundary quadrature), and probes the self-adjointness constraints on
-the symbol pair.
+stays bounded over the disk.  This module evaluates B on a polar grid and
+flags per-radius maxima that still climb at its outer edge (a numerical
+probe, not a proof), computes the squared Hilbert-Schmidt norm by two
+independent routes (Frobenius sum of the truncated matrix versus boundary
+quadrature), checks the self-adjointness constraints on the symbol pair
+(symbol relation, kernel defect and the occupation-kernel endpoint
+identity), and builds finite Blaschke products with their boundary-ratio
+profile.
 
 Note on the quadrature exponent: the squared norm of the image of ``z^n`` is
 ``n^2/(2 pi) * integral |f|^2 |phi'|^2 |phi|^(2(n-1))``, with exponent
@@ -64,7 +68,7 @@ def polar_grid(
     return radii[:, None] * np.exp(1j * angles)[None, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialProfile:
     """Per-radius maxima of a disk function, radii strictly increasing."""
 

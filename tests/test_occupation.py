@@ -232,6 +232,18 @@ def test_standard_batch_digests_are_pinned():
     assert [orbit.content_digest() for orbit in batch] == _STANDARD_BATCH_DIGESTS
 
 
+# sha256 of the canonical bytes of the 10,001-sample orbit that the occupation
+# command integrates at N = 1024 (zdot = (-0.5 + i) z from 0.6 + 0.1i, T = 10)
+_LONG_ORBIT_DIGEST = "5d631fe9019d1dde2f700076e6341639409887b1c3662feb6663568507b05870"
+
+
+def test_long_orbit_digest_is_pinned():
+    orbit = integrate_ode(TaylorPolynomial([0, -0.5 + 1j]), 0.6 + 0.1j, 10.0, 1e-3)
+    assert orbit.points.size == 10_001
+    digest = hashlib.sha256(occupation._csv_bytes(orbit)).hexdigest()
+    assert digest == _LONG_ORBIT_DIGEST
+
+
 def test_csv_header_required(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,x,y\n0,0.1,0\n")
@@ -805,6 +817,12 @@ _Z0_PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.65, 0.65))
 @example([complex(-0.5, -0.0), complex(0.5, -0.0)], complex(0.2, -0.0), 0.3, 6)
 @example([complex(-0.0, 0.0), complex(0.5, -0.0)], complex(-0.0, 0.0), 0.3, 6)
 @example([complex(-0.0, 0.5), complex(-0.0, -0.0)], complex(-0.0, -0.2), 0.3, 6)
+# a constant field (the straight-line stages) and a degree-2 field whose top
+# has a -0.0 part (the inner Horner loops from a 0j top)
+@example([complex(0.3, -0.2)], complex(0.1, -0.0), 0.3, 6)
+@example(
+    [complex(0.1, 0.2), complex(-0.5, 0.0), complex(0.3, -0.0)], complex(0.2, 0.1), 0.3, 6
+)
 def test_integrate_keeps_the_bytes_of_the_rk4_loop_from_zero(coeffs, z0, t_final, intervals):
     # same samples, or the same error at the same time, for degrees 0-5
     f = TaylorPolynomial(coeffs)

@@ -340,6 +340,34 @@ def test_weighted_overflow_messages():
     assert str(info.value) == matrix
 
 
+def test_weighted_overflow_in_a_later_block_of_columns():
+    # at N = 256 a block holds 127 columns: 1-127, 128-254, 255-256.  With
+    # f = 1 and phi = 100z, column n is n * 100^n on row n - 1, first inf at
+    # n = 154, in the second block
+    f, phi = TaylorPolynomial([1.0]), TaylorPolynomial([0, 100.0])
+    columns = operators_module._weighted_columns(f, phi, 256)
+    with pytest.raises(SymbolOverflowError) as info:
+        for n, column in columns:
+            if n == 5:
+                kept, snapshot = column, column.copy()
+    assert str(info.value) == (
+        "symbol phi (with f) overflows the weighted matrix at order 256; "
+        "its values must be finite"
+    )
+    assert n == 127  # the last column yielded before the failing block
+    assert kept[4] == 5 * 100.0**5
+    assert np.array_equal(kept, snapshot)
+
+
+# Frobenius sum of operators-deep's hs-norm config at N = 1024
+_HS_NORM_1024_FROBENIUS = "0x1.cc71bef88efeap+1"
+
+
+def test_hs_norm_frobenius_sum_is_pinned_at_order_1024():
+    f, phi = TaylorPolynomial([0.3, 0.5]), TaylorPolynomial([0.1, 0.5, 0.2])
+    assert hs_norm(f, phi, 1024).frobenius_sq.hex() == _HS_NORM_1024_FROBENIUS
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:

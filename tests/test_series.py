@@ -24,11 +24,13 @@ from hardyliou import (
     monomial,
     multiply,
     norm,
+    OperatorMatrix,
     outer_from_modulus,
     project_h2,
     reciprocal,
     szego_kernel,
     to_boundary,
+    Trajectory,
     unit_circle_points,
 )
 from hardyliou.series import BoundaryGrid
@@ -66,6 +68,25 @@ def test_monomial():
     assert m.coeffs[3] == 1.0
     assert np.count_nonzero(m.coeffs) == 1
     assert monomial(2, order=5).order == 5
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TaylorPolynomial([0.1, 0.9]),
+        lambda: BoundaryGrid([1.0, 1j, -1.0]),
+        lambda: Trajectory([0.0, 0.5, 1.0], [0.1, 0.2j, 0.3]),
+        lambda: OperatorMatrix(np.eye(3)),
+    ],
+    ids=["TaylorPolynomial", "BoundaryGrid", "Trajectory", "OperatorMatrix"],
+)
+def test_array_value_types_compare_and_hash_by_identity(make):
+    # a generated __eq__ would compare the arrays inside a tuple and raise
+    a, twin = make(), make()
+    assert a == a
+    assert a != twin
+    assert hash(a) == hash(a)
+    assert len({a, twin}) == 2
 
 
 # ---------------------------------------------------------------------------
