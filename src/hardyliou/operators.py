@@ -7,12 +7,13 @@ f * phi' * (g' o phi)`` has column ``n`` equal to
 ``n * f * phi' * phi^(n-1)``.
 
 Two independent adjoint routes are kept side by side on purpose: the
-conjugate transpose of the truncated matrix (the oracle) and the boundary
-formula.  Tests certify that they agree, which is what makes the closed-form
-kernel identities in the rest of the package trustworthy.  On the hot paths
-the conjugate transpose is applied as a banded stencil
-(:func:`liouville_adjoint_apply`), and the weighted columns come in blocks
-of about 512 KiB from the recurrence ``q_(n+1) = trunc(q_n * phi)``
+conjugate transpose of the truncated matrix (the oracle), applied as a
+banded stencil, and the boundary formula.  :func:`adjoint_battery` certifies
+that they agree, which is what makes the closed-form kernel identities in
+the rest of the package trustworthy; it runs its cases in chunks, one
+stencil update per diagonal and one FFT per step for the whole chunk, and
+each public route is the one-row call of that code.  The weighted columns
+come in blocks of about 512 KiB from ``q_(n+1) = trunc(q_n * phi)``
 (``_weighted_columns``), which the Hilbert-Schmidt sum and the weighted
 occupation adjoint consume a column at a time without the (N+1)^2 matrix.
 The dense matrices stay as their oracles.
@@ -44,7 +45,6 @@ from .series import (
     outer_from_modulus,
     project_h2,
     require_grid,
-    to_boundary,
     unit_circle_points,
 )
 
@@ -114,14 +114,13 @@ def _rescue_norms(norms: np.ndarray, image: np.ndarray) -> None:
             norms[k] = float(np.linalg.norm(column * scale)) / scale
 
 
-def _diagonals(f: TaylorPolynomial, order: int):
+def _diagonals(degree: int, order: int):
     """The nonzero diagonals of the truncated ``g -> f * g'`` pattern.
 
-    Yields ``(k, n)``: column ``n`` (an int array) carries ``f_k`` times its
-    column factor on row ``n - 1 + k``.  Taps ``k > order`` never reach a
-    row of the truncation.
+    Yields ``(k, n)`` for the taps ``k <= degree`` that reach a row: column
+    ``n`` (an int array) carries ``f_k`` times its column factor on row ``n - 1 + k``.
     """
-    for k in range(min(f.order, order) + 1):
+    for k in range(min(degree, order) + 1):
         yield k, np.arange(1, min(order, order + 1 - k) + 1)
 
 
@@ -129,7 +128,7 @@ def liouville_matrix(f: TaylorPolynomial, order: int = DEFAULT_ORDER) -> Operato
     """Matrix of ``g -> f * g'``: column ``n`` is ``n * f`` shifted by ``n-1``."""
     entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
     with _naming_overflow("f", f"the liouville matrix at order {order}"):
-        for k, n in _diagonals(f, order):
+        for k, n in _diagonals(f.order, order):
             entries[n - 1 + k, n] = n * f.coeffs[k]
         return OperatorMatrix(entries)
 
@@ -151,7 +150,7 @@ def scaled_liouville_matrix(
         scale[n] = n * power
         power *= a
     with _naming_overflow("f", f"the scaled matrix at order {order}"):
-        for k, n in _diagonals(f, order):
+        for k, n in _diagonals(f.order, order):
             entries[n - 1 + k, n] = scale[n] * f.coeffs[k]
         return OperatorMatrix(entries)
 
@@ -160,6 +159,8 @@ def scaled_liouville_matrix(
 # N = 1024 and all of them up to N = 180, so entering the scope is not a
 # per-column cost
 _COLUMN_BLOCK_BYTES = 512 * 1024
+# bytes of one (cases x M) array of adjoint_battery: 1 case at N = 1024, 7 at N = 128
+_CASE_CHUNK_BYTES = 64 * 1024
 
 
 def _weighted_columns(f: TaylorPolynomial, phi: TaylorPolynomial, order: int):
@@ -240,12 +241,18 @@ def liouville_adjoint_apply(
     uses the matrix entry ``n * f_k`` itself, so the result is non-finite
     (and raises :class:`SymbolOverflowError`) whenever the matrix would be.
     """
-    hv = h.truncated(order).coeffs
-    out = np.zeros(order + 1, dtype=np.complex128)
+    out = _stencil_rows(f.coeffs[None], h.truncated(order).coeffs[None], order)
     with _naming_overflow("f", f"the liouville matrix at order {order}"):
-        for k, n in _diagonals(f, order):
-            out[n] += np.conj(n * f.coeffs[k]) * hv[n - 1 + k]
-        return TaylorPolynomial(out)
+        return TaylorPolynomial(out[0])
+
+
+def _stencil_rows(coeffs: np.ndarray, rows: np.ndarray, order: int) -> np.ndarray:
+    """The stencil on each row, a diagonal at a time; ``f`` shared or one per row."""
+    out = np.zeros(rows.shape, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, n in _diagonals(coeffs.shape[1] - 1, order):  # n runs 1..n.size
+            out[:, 1 : n.size + 1] += np.conj(n * coeffs[:, k, None]) * rows[:, k : k + n.size]
+    return out
 
 
 def hermitian_defect(matrix: OperatorMatrix) -> float:
@@ -278,15 +285,34 @@ def adjoint_apply_boundary(
         raise ValueError("h must have order at most the truncation order")
     if size is None:
         size = default_boundary_size(order)
-    require_grid(size, 4 * (order + 1), f"the adjoint route at order {order}")
     z = unit_circle_points(size)
+    modes = _boundary_rows(h.truncated(order).coeffs[None], *_symbol_on_circle(f, z), z)
     with _naming_overflow("f", f"the boundary adjoint route at order {order}"):
-        fv = f(z)
-        fpv = derivative(f)(z)
-        hv = to_boundary(h, size).values
-        hpv = to_boundary(derivative(h), size).values
-        combo = np.conj(fv) * z * (hv + z * hpv) - np.conj(fpv) * hv
-        return project_h2(BoundaryGrid(combo), order)
+        return TaylorPolynomial(modes[0])
+
+
+def _symbol_on_circle(f: TaylorPolynomial, z: np.ndarray):
+    """The boundary route's factors ``conj(f(z)) * z`` and ``conj(f'(z))``, by Horner."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return np.conj(f(z)) * z, np.conj(derivative(f)(z))
+        except ValueError:  # f' overflows: NaN, which the route reports
+            return np.conj(f(z)) * z, np.full(z.shape, np.nan + 0j)
+
+
+def _boundary_rows(rows: np.ndarray, fz, dfz, z: np.ndarray) -> np.ndarray:
+    """The boundary route's modes for each row, with the factors of
+    :func:`_symbol_on_circle` in one row for all or one row each.  NumPy
+    transforms a 2-D array row by row, so each row keeps its bytes."""
+    size, order = z.size, rows.shape[1] - 1
+    require_grid(size, 4 * (order + 1), f"the adjoint route at order {order}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        hv = np.fft.ifft(rows, size) * size  # h and h' zero padded to the grid
+        combo = np.fft.ifft(rows[:, 1:] * np.arange(1, order + 1), size) * size
+        np.multiply(z, combo, out=combo)  # fz * (hv + z * combo) - dfz * hv
+        np.multiply(fz, np.add(hv, combo, out=combo), out=combo)
+        np.subtract(combo, np.multiply(dfz, hv, out=hv), out=combo)
+        return np.fft.fft(combo)[:, : order + 1] / size
 
 
 def adjoint_battery(
@@ -303,23 +329,37 @@ def adjoint_battery(
     :func:`adjoint_apply_boundary` on a random ``h`` whose coefficients
     decay geometrically with a ratio drawn from ``[0.2, 0.8]``.  Without a
     fixed ``f`` every case also draws a symbol of random degree 1..8 with
-    standard normal complex coefficients.
+    standard normal complex coefficients.  Each route runs once per chunk
+    of cases, with the bytes it gives each case alone; the first case where
+    a route is not finite names it, the transpose first.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
-        symbol = f
-        if symbol is None:
-            deg = int(rng.integers(1, 9))
-            symbol = TaylorPolynomial(
-                rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-            )
-        r = float(rng.uniform(0.2, 0.8))
-        phases = np.exp(2j * np.pi * rng.uniform(size=order + 1))
-        h = TaylorPolynomial(r ** np.arange(order + 1) * phases)
-        transpose = liouville_adjoint_apply(symbol, h, order)
-        boundary = adjoint_apply_boundary(symbol, h, order, size)
-        worst = max(worst, float(np.linalg.norm(transpose.coeffs - boundary.coeffs)))
+    if cases < 1:
+        raise InvalidIndexError(f"cases must be at least 1, got {cases}")
+    rng, z = np.random.default_rng(seed), unit_circle_points(size)
+    if f is not None:
+        coeffs, (fz, dfz) = f.coeffs[None], _symbol_on_circle(f, z)
+    chunk, worst = max(1, _CASE_CHUNK_BYTES // (16 * size)), 0.0
+    for first in range(0, cases, chunk):
+        rows = np.empty((min(chunk, cases - first), order + 1), dtype=np.complex128)
+        if f is None:  # degrees 1..8, zero padded: a zero tap adds a signed zero
+            coeffs = np.zeros((rows.shape[0], 9), dtype=np.complex128)
+            fz, dfz = np.empty((2, rows.shape[0], size), dtype=np.complex128)
+        for i, row in enumerate(rows):
+            if f is None:
+                deg = int(rng.integers(1, 9))
+                symbol = coeffs[i, : deg + 1]
+                symbol[:] = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+                fz[i], dfz[i] = _symbol_on_circle(TaylorPolynomial(symbol), z)
+            r = float(rng.uniform(0.2, 0.8))
+            row[:] = r ** np.arange(order + 1) * np.exp(2j * np.pi * rng.uniform(size=order + 1))
+        transpose = _stencil_rows(coeffs, rows, order)
+        boundary = _boundary_rows(rows, fz, dfz, z)
+        finite = np.isfinite(transpose).all(axis=1), np.isfinite(boundary).all(axis=1)
+        for case in np.flatnonzero(~(finite[0] & finite[1]))[:1]:  # the first failing case
+            route = "boundary adjoint route" if finite[0][case] else "liouville matrix"
+            with _naming_overflow("f", f"the {route} at order {order}"):
+                raise ValueError(f"case {first + case} is not finite")
+        worst = max(worst, *(float(np.linalg.norm(gap)) for gap in transpose - boundary))
     return worst
 
 

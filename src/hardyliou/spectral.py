@@ -175,7 +175,7 @@ def _symbol_band(f: TaylorPolynomial, order: int):
     size = order + 1
     diagonals = {0: np.zeros(size, dtype=np.complex128)}
     with _naming_overflow("f", f"the liouville matrix at order {order}"):
-        for k, n in _diagonals(f, order):
+        for k, n in _diagonals(f.order, order):
             if f.coeffs[k] != 0:
                 # column n carries n f_k on row n - 1 + k
                 offset = 1 - k

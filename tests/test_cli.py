@@ -617,6 +617,44 @@ def test_short_trajectory_file_rejected(tmp_path, capsys):
     assert "short.csv" in err and "at least 3" in err
 
 
+# perfbench's adjoint-check symbol at seed 7 (acceptance N = 128, operators-deep
+# N = 1024); the residuals below are the bytes of the case-by-case battery
+_PERFBENCH_ADJOINT_F = [
+    [0.7349267092583915, -0.02344391855484465],
+    [0.07144184429260535, -0.7523114724455892],
+    [0.4547841629969166, -0.539297349487321],
+    [-0.1429032084967607, -1.108260792181513],
+    [-1.2161027602081953, 1.3355318553000226],
+]
+
+
+def test_adjoint_residuals_keep_their_bytes(tmp_path):
+    assert acceptance.criterion_3().residual.hex() == "0x1.b4e7d0635515cp-47"
+    for order, pinned in ((128, "0x1.1bdb0899fbb7ap-48"), (1024, "0x1.3d81ecf6ad46fp-48")):
+        config = {"N": order, "f": _PERFBENCH_ADJOINT_F, "cases": 20, "seed": 7}
+        assert run("adjoint-check", config, tmp_path / str(order)) == 0
+        report = _report(tmp_path / str(order), "adjoint_check_report.json")
+        assert report["certificates"][0]["residual"].hex() == pinned
+
+
+@pytest.mark.parametrize(
+    "config, route",
+    [
+        ({"N": 8}, "liouville matrix at order 8"),
+        ({"N": 1, "M": 8}, "boundary adjoint route at order 1"),
+    ],
+)
+def test_adjoint_check_overflow_past_one_chunk_exits_two(tmp_path, capsys, config, route):
+    config = {**config, "f": [1e308, 1e308], "cases": 600}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = _run(tmp_path, "adjoint-check", config)
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    message = f"symbol f overflows the {route}; its values must be finite"
+    assert message in capsys.readouterr().err
+
+
 def test_adjoint_check_shares_the_criterion_3_battery(tmp_path, capsys):
     run("adjoint-check", {"N": 64, "cases": 100, "seed": 0}, tmp_path / "a")
     report = _report(tmp_path / "a", "adjoint_check_report.json")

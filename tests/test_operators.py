@@ -430,6 +430,88 @@ def test_adjoint_stencil_overflow_names_symbol():
         liouville_adjoint_apply(TaylorPolynomial([1e308, 1e308]), szego_kernel(0.1, 8), 8)
 
 
+def _battery_case_by_case(order, size, cases, seed, f):
+    """The battery as one loop over its cases through the public routes."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(cases):
+        symbol = f
+        if symbol is None:
+            deg = int(rng.integers(1, 9))
+            symbol = TaylorPolynomial(
+                rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            )
+        r = float(rng.uniform(0.2, 0.8))
+        phases = np.exp(2j * np.pi * rng.uniform(size=order + 1))
+        h = TaylorPolynomial(r ** np.arange(order + 1) * phases)
+        gap = liouville_adjoint_apply(symbol, h, order).coeffs - adjoint_apply_boundary(
+            symbol, h, order, size
+        ).coeffs
+        worst = max(worst, float(np.linalg.norm(gap)))
+    return worst
+
+
+_BATTERY_SYMBOL = TaylorPolynomial([0.73 - 0.02j, 0.07 - 0.75j, 0.45 - 0.54j, -0.14 - 1.1j])
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    order=st.integers(1, 64),
+    extra=st.integers(0, 300),
+    cases=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    fixed=st.booleans(),
+)
+# 20 chunks of one case each
+@example(order=1024, extra=0, cases=20, seed=7, fixed=True)
+def test_adjoint_battery_is_the_worst_case_of_the_public_routes(
+    order, extra, cases, seed, fixed
+):
+    f = _BATTERY_SYMBOL if fixed else None
+    size = 4 * (order + 1) + extra
+    chunked = adjoint_battery(order, size, cases, seed, f)
+    assert chunked.hex() == _battery_case_by_case(order, size, cases, seed, f).hex()
+
+
+def test_adjoint_battery_rejects_an_empty_battery():
+    for cases in (0, -3):
+        with pytest.raises(InvalidIndexError, match="cases"):
+            adjoint_battery(16, 68, cases, 0)
+
+
+@pytest.mark.parametrize(
+    "order, size, cases, seed, coeffs, route",
+    [
+        # 600 cases are more than one chunk holds at either size
+        (8, 36, 600, 0, [1e308, 1e308], "liouville matrix"),
+        (1, 8, 600, 0, [1e308, 1e308], "boundary adjoint route"),
+        # each route fails on some cases: seed 1 fails first in a transpose
+        # route, seed 2 in a boundary route, and later cases in the other
+        (1, 8, 20, 1, [1.7e308, 1.7e308], "liouville matrix"),
+        (1, 8, 20, 2, [1.7e308, 1.7e308], "boundary adjoint route"),
+        # only the coefficients of f' overflow
+        (0, 4, 3, 0, [0.0, 0.0, 1e308], "boundary adjoint route"),
+    ],
+)
+def test_adjoint_battery_overflow_names_the_first_failing_route(
+    order, size, cases, seed, coeffs, route
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SymbolOverflowError) as info:
+            adjoint_battery(order, size, cases, seed, TaylorPolynomial(coeffs))
+    assert str(info.value) == (
+        f"symbol f overflows the {route} at order {order}; its values must be finite"
+    )
+
+
+def test_adjoint_battery_memory_stays_in_chunks():
+    f = TaylorPolynomial([0.3, 0.5 + 0.2j, -0.1])
+    assert _traced_peak(lambda: adjoint_battery(1024, 4100, 20, 7, f)) <= 2**20
+    # the case-by-case battery peaked at 134,306,276 bytes (NumPy 2.4)
+    assert _traced_peak(lambda: adjoint_battery(1024, 2**20, 2, 7, f)) <= 134_306_276
+
+
 def test_hot_adjoint_paths_never_build_the_matrix(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense matrix built on a hot adjoint path")
