@@ -41,6 +41,8 @@ from .occupation import (
     weighted_occupation_residual,
 )
 from .operators import (
+    _RANDOM_SYMBOL_DEGREE,
+    _boundary_floor,
     _naming_overflow,
     adjoint_battery,
     modulus_identity_defect,
@@ -279,6 +281,11 @@ def _cmd_adjoint_check(cfg: dict, got: dict, out_dir: Path) -> dict:
         _fail("cases", f"must be <= {MAX_CASES} (run-time budget), got {cases}")
     seed = _get_int(cfg, "seed", default=0, minimum=0)
     f = None if _lookup(cfg, "f", None) is None else _parse_coeffs(cfg, "f")
+    degree = _RANDOM_SYMBOL_DEGREE if f is None else f.order
+    floor = _boundary_floor(got["N"], degree)
+    if got["M"] < floor:  # the integrand's negative modes alias below it
+        why = f"deg f = {degree}" + (", the top degree of the random symbols" if f is None else "")
+        _fail("M", f"must be >= N + deg f = {floor} ({why}), got {got['M']}")
     cert = _certificate(
         "adjoint_route_agreement",
         adjoint_battery(got["N"], got["M"], cases, seed, f),

@@ -55,8 +55,8 @@ from .errors import (
 from .occupation import (
     Trajectory,
     _conj_moments,
+    _endpoint_kernels,
     _invalid_start,
-    endpoint_kernel_difference,
 )
 from .series import DEFAULT_ORDER, TaylorPolynomial, complex_pairs
 
@@ -157,11 +157,16 @@ class DmdModel:
 
 
 def _snapshot_matrices(trajectories, order):
+    """The basis ``S``, the targets ``T`` and the digests of a batch.
+
+    Orbits that share a sample count share the blocks of
+    :func:`~hardyliou.occupation._conj_moments`; the targets are one power
+    matrix over the start and end points of all orbits
+    (:func:`~hardyliou.occupation._endpoint_kernels`).  Every column has the
+    bytes of the one-orbit call.
+    """
     n = order + 1
-    m = len(trajectories)
-    basis = np.zeros((n, m), dtype=np.complex128)
-    targets = np.zeros((n, m), dtype=np.complex128)
-    # orbits that share a sample count share blocks of the moment computation
+    basis = np.zeros((n, len(trajectories)), dtype=np.complex128)
     by_length = defaultdict(list)
     for j, traj in enumerate(trajectories):
         by_length[traj.times.size].append(j)
@@ -171,8 +176,9 @@ def _snapshot_matrices(trajectories, order):
         # the rule of the TaylorPolynomial each column is; the weights of a
         # time span near the largest double can sum past it
         raise ValueError("coefficients must be finite")
-    for j, traj in enumerate(trajectories):
-        targets[:, j] = endpoint_kernel_difference(traj, order).coeffs
+    starts = np.array([traj.points[0] for traj in trajectories])
+    ends = np.array([traj.points[-1] for traj in trajectories])
+    targets = _endpoint_kernels(starts, ends, order)
     digests = tuple(traj.content_digest() for traj in trajectories)
     return basis, targets, digests
 

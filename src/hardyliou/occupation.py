@@ -23,13 +23,14 @@ from .errors import (
     DiskExitError,
     InsufficientDataError,
     InvalidIndexError,
+    InvalidKernelSpecError,
     StepBudgetError,
     SymbolOverflowError,
     TrajectoryIngestionError,
     TrajectoryMismatchWarning,
 )
 from .operators import _rescue_norms, _weighted_columns, liouville_adjoint_apply
-from .series import TaylorPolynomial, DEFAULT_ORDER, szego_kernel
+from .series import TaylorPolynomial, DEFAULT_ORDER
 
 DISK_MARGIN = 1e-3
 # 100x the longest integration in the demos, tests and benchmark (10^4 steps); a
@@ -111,8 +112,7 @@ class Trajectory:
     def uniform(self) -> bool:
         if self.times.size < 3:
             return True
-        gaps = np.diff(self.times)
-        return bool(np.max(gaps) - np.min(gaps) <= 1e-9 * np.max(gaps))
+        return bool(_uniform_rows(np.diff(self.times)[None])[0])
 
     def content_digest(self) -> str:
         """SHA-256 of the source file, else of the canonical CSV serialization.
@@ -461,29 +461,50 @@ def integrate_ode(
     return Trajectory(times=times, points=np.array(samples, dtype=np.complex128))
 
 
-def _quadrature_rule(trajectory: Trajectory) -> str:
-    """Composite Simpson on a uniform grid with an even interval count, else trapezoid."""
-    times = trajectory.times
-    if times.size < 3:
+def _uniform_rows(gaps: np.ndarray) -> np.ndarray:
+    """Rows of ``gaps`` (rows x intervals) whose gaps agree to 1e-9 of the largest."""
+    top = gaps.max(axis=1)
+    return top - gaps.min(axis=1) <= 1e-9 * top
+
+
+def _simpson_rows(gaps: np.ndarray) -> np.ndarray:
+    """Rows of ``gaps`` (rows x intervals) that take composite Simpson: a
+    uniform grid with an even interval count.  The others take the
+    trapezoid rule."""
+    if gaps.shape[1] < 2:
         raise InsufficientDataError("quadrature needs at least 3 samples")
-    if trajectory.uniform and (times.size - 1) % 2 == 0:
-        return "simpson"
-    return "trapezoid"
+    return _uniform_rows(gaps) & (gaps.shape[1] % 2 == 0)
+
+
+def _quadrature_rows(times: np.ndarray, out: np.ndarray) -> None:
+    """Add the quadrature weights of each row of ``times`` (rows x T), by the
+    rule :func:`_simpson_rows` picks, to the zeros in ``out``.
+
+    Each row gets the bytes of that row alone, and beyond ``times`` and
+    ``out`` one (rows x T) temporary is live at a time.
+    """
+    samples = times.shape[1]
+    gaps = np.diff(times, axis=1)
+    simpson = _simpson_rows(gaps)
+    np.multiply(gaps, 0.5, out=gaps)  # trapezoid on every row ...
+    out[:, :-1] += gaps
+    out[:, 1:] += gaps
+    del gaps
+    h = (times[simpson, -1] - times[simpson, 0]) / (samples - 1)
+    pattern = np.full(samples, 2.0)
+    pattern[1::2] = 4.0
+    pattern[0] = pattern[-1] = 1.0
+    out[simpson] = pattern * (h / 3.0)[:, None]  # ... then Simpson on its rows
+
+
+def _quadrature_rule(trajectory: Trajectory) -> str:
+    """``"simpson"`` or ``"trapezoid"``, as :func:`_simpson_rows` picks."""
+    return "simpson" if _simpson_rows(np.diff(trajectory.times)[None])[0] else "trapezoid"
 
 
 def _quadrature_weights(trajectory: Trajectory) -> np.ndarray:
-    times = trajectory.times
-    if _quadrature_rule(trajectory) == "simpson":
-        intervals = times.size - 1
-        h = trajectory.duration / intervals
-        weights = np.full(times.size, 2.0)
-        weights[1::2] = 4.0
-        weights[0] = weights[-1] = 1.0
-        return weights * (h / 3.0)
-    weights = np.zeros(times.size)
-    gaps = np.diff(times)
-    weights[:-1] += 0.5 * gaps
-    weights[1:] += 0.5 * gaps
+    weights = np.zeros(trajectory.times.size)
+    _quadrature_rows(trajectory.times[None], weights[None])
     return weights
 
 
@@ -496,23 +517,26 @@ _MOMENT_BLOCK_BYTES = 512 * 1024
 def _conj_moments(trajectories, count: int) -> np.ndarray:
     """``sum_t w_t conj(points_t)^n`` for ``n < count``, one row per trajectory.
 
-    The trajectories share one sample count and ``w`` are their
-    ``_quadrature_weights``.  A running product ``p <- p * conj(z)`` replaces
-    the T x count power matrix; it runs over blocks of rows that hold about
-    ``_MOMENT_BLOCK_BYTES`` of product, so memory is O(block), not O(rows x T).
-    Each row is the same pairwise sum of the same products as a block of one
-    row, bit for bit, and agrees with the ``**`` formula to rounding.
+    The trajectories share one sample count.  They run in blocks of rows
+    that hold about ``_MOMENT_BLOCK_BYTES`` of running product: each block
+    stacks its times and takes all its weights ``w`` from one
+    :func:`_quadrature_rows` call, then a running product
+    ``p <- p * conj(z)`` replaces the T x count power matrix, so memory is
+    O(block), not O(rows x T).  Each row is the same pairwise sum of the
+    same products as a block of one row, bit for bit, and agrees with the
+    ``**`` formula to rounding.
     """
     samples = trajectories[0].points.size
     step = max(1, _MOMENT_BLOCK_BYTES // (16 * samples))
     moments = np.empty((len(trajectories), count), dtype=np.complex128)
     for start in range(0, len(trajectories), step):
         block = trajectories[start : start + step]
-        term = np.empty((len(block), samples), dtype=np.complex128)
-        base = np.empty_like(term)
-        for row, trajectory in enumerate(block):
-            term[row] = _quadrature_weights(trajectory)
-            np.conj(trajectory.points, out=base[row])
+        term = np.zeros((len(block), samples), dtype=np.complex128)
+        times = np.concatenate([t.times for t in block]).reshape(len(block), samples)
+        _quadrature_rows(times, term.real)
+        del times
+        base = np.concatenate([t.points for t in block]).reshape(len(block), samples)
+        np.conj(base, out=base)
         out = moments[start : start + step]
         for n in range(count):
             out[:, n] = term.sum(axis=1)
@@ -568,6 +592,17 @@ def _warn_on_mismatch(f: TaylorPolynomial, trajectory: Trajectory) -> None:
         )
 
 
+def _endpoint_kernels(starts: np.ndarray, ends: np.ndarray, order: int) -> np.ndarray:
+    """``K_end - K_start`` for each pair of endpoints, one column each.
+
+    Column j is ``conj(ends[j])^n - conj(starts[j])^n`` for n = 0..order:
+    one power matrix for all pairs, each entry the bytes of
+    :func:`~hardyliou.series.szego_kernel` at its point.
+    """
+    n = np.arange(order + 1)[:, None]
+    return np.conj(ends) ** n - np.conj(starts) ** n
+
+
 def endpoint_kernel_difference(
     trajectory: Trajectory,
     order: int = DEFAULT_ORDER,
@@ -576,14 +611,21 @@ def endpoint_kernel_difference(
     """``K_{gamma(T)} - K_{gamma(0)}``, the target of the adjoint identity.
 
     With ``phi`` the kernels sit at the composed endpoints ``phi(gamma(T))``
-    and ``phi(gamma(0))``, the target of the weighted identities.
+    and ``phi(gamma(0))``, the target of the weighted identities.  The one
+    column of :func:`_endpoint_kernels`; the endpoints and ``order`` obey
+    the rules of :func:`~hardyliou.series.kernel`, end point first.
     """
     start, end = trajectory.points[0], trajectory.points[-1]
     if phi is not None:
         start, end = phi(start), phi(end)
-    return TaylorPolynomial(
-        szego_kernel(end, order).coeffs - szego_kernel(start, order).coeffs
-    )
+    for w in (end, start):  # series.kernel's checks, in the order it made them
+        radius = abs(complex(w))
+        if radius >= 1.0:
+            raise DiskDomainError(f"kernel point must satisfy |w| < 1, got |w| = {radius}")
+        if order < 0:
+            raise InvalidKernelSpecError(f"derivative order 0 exceeds truncation order {order}")
+    column = _endpoint_kernels(np.array([start]), np.array([end]), order)[:, 0]
+    return TaylorPolynomial(column)
 
 
 def _defect_norm(defect: np.ndarray) -> float:

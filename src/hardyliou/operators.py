@@ -161,6 +161,8 @@ def scaled_liouville_matrix(
 _COLUMN_BLOCK_BYTES = 512 * 1024
 # bytes of one (cases x M) array of adjoint_battery: 1 case at N = 1024, 7 at N = 128
 _CASE_CHUNK_BYTES = 64 * 1024
+# the top degree of the battery's random symbols, whose grid must suit it
+_RANDOM_SYMBOL_DEGREE = 8
 
 
 def _weighted_columns(f: TaylorPolynomial, phi: TaylorPolynomial, order: int):
@@ -276,17 +278,23 @@ def adjoint_apply_boundary(
     On ``|z| = 1`` the adjoint is the analytic projection of
     ``conj(f(z)/z) * (z h(z))' - conj(f'(z)) * h(z)``, and
     ``conj(f(z)/z) = conj(f(z)) * z`` there.  All factors are trigonometric
-    polynomials, so with ``size >= 4 * (order + 1)`` the projection onto
-    modes ``0..order`` is exact up to rounding.  ``h`` and ``h'`` are
-    sampled by FFT; ``f`` and ``f'`` by Horner, so a symbol of any degree
-    needs no larger grid.
+    polynomials, and the integrand's modes run from ``1 - deg f`` to
+    ``order + 1``, so with ``size >= max(4 * (order + 1), order + deg f)``
+    (:func:`_boundary_floor`, where ``deg f`` is ``f.order``) none of them
+    aliases into modes ``0..order`` and the projection is exact up to
+    rounding; a smaller ``size`` raises :class:`AliasingError`, and without
+    one the grid is the smallest power of two that meets the floor.  ``h``
+    and ``h'`` are sampled by FFT; ``f`` and ``f'`` by Horner.
     """
     if h.order > order:
         raise ValueError("h must have order at most the truncation order")
     if size is None:
         size = default_boundary_size(order)
+        while size < _boundary_floor(order, f.order):
+            size *= 2
     z = unit_circle_points(size)
-    modes = _boundary_rows(h.truncated(order).coeffs[None], *_symbol_on_circle(f, z), z)
+    rows = h.truncated(order).coeffs[None]
+    modes = _boundary_rows(rows, *_symbol_on_circle(f, z), z, f.order)
     with _naming_overflow("f", f"the boundary adjoint route at order {order}"):
         return TaylorPolynomial(modes[0])
 
@@ -300,12 +308,24 @@ def _symbol_on_circle(f: TaylorPolynomial, z: np.ndarray):
             return np.conj(f(z)) * z, np.full(z.shape, np.nan + 0j)
 
 
-def _boundary_rows(rows: np.ndarray, fz, dfz, z: np.ndarray) -> np.ndarray:
+def _boundary_floor(order: int, degree: int) -> int:
+    """Fewest grid points for the boundary route at ``order`` with a symbol
+    of ``degree``: its integrand's modes ``1 - degree .. -1`` alias into
+    ``0..order`` on a grid of fewer than ``order + degree`` points."""
+    return max(4 * (order + 1), order + degree)
+
+
+def _boundary_rows(rows: np.ndarray, fz, dfz, z: np.ndarray, degree: int) -> np.ndarray:
     """The boundary route's modes for each row, with the factors of
-    :func:`_symbol_on_circle` in one row for all or one row each.  NumPy
-    transforms a 2-D array row by row, so each row keeps its bytes."""
+    :func:`_symbol_on_circle` (of symbols up to ``degree``) in one row for
+    all or one row each.  NumPy transforms a 2-D array row by row, so each
+    row keeps its bytes."""
     size, order = z.size, rows.shape[1] - 1
-    require_grid(size, 4 * (order + 1), f"the adjoint route at order {order}")
+    require_grid(
+        size,
+        _boundary_floor(order, degree),
+        f"the adjoint route at order {order} with a symbol of degree {degree}",
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         hv = np.fft.ifft(rows, size) * size  # h and h' zero padded to the grid
         combo = np.fft.ifft(rows[:, 1:] * np.arange(1, order + 1), size) * size
@@ -329,9 +349,11 @@ def adjoint_battery(
     :func:`adjoint_apply_boundary` on a random ``h`` whose coefficients
     decay geometrically with a ratio drawn from ``[0.2, 0.8]``.  Without a
     fixed ``f`` every case also draws a symbol of random degree 1..8 with
-    standard normal complex coefficients.  Each route runs once per chunk
-    of cases, with the bytes it gives each case alone; the first case where
-    a route is not finite names it, the transpose first.
+    standard normal complex coefficients, and the grid must suit degree 8
+    (:func:`_boundary_floor`).  Each route runs once per chunk of cases,
+    with the bytes it gives each case alone; the first case where a route
+    is not finite names it, the transpose first.  A gap whose squares
+    overflow keeps a finite norm (:func:`_rescue_norms`).
     """
     if cases < 1:
         raise InvalidIndexError(f"cases must be at least 1, got {cases}")
@@ -341,25 +363,29 @@ def adjoint_battery(
     chunk, worst = max(1, _CASE_CHUNK_BYTES // (16 * size)), 0.0
     for first in range(0, cases, chunk):
         rows = np.empty((min(chunk, cases - first), order + 1), dtype=np.complex128)
-        if f is None:  # degrees 1..8, zero padded: a zero tap adds a signed zero
-            coeffs = np.zeros((rows.shape[0], 9), dtype=np.complex128)
+        if f is None:  # zero padded to the top degree: a zero tap adds a signed zero
+            coeffs = np.zeros((rows.shape[0], _RANDOM_SYMBOL_DEGREE + 1), dtype=np.complex128)
             fz, dfz = np.empty((2, rows.shape[0], size), dtype=np.complex128)
         for i, row in enumerate(rows):
             if f is None:
-                deg = int(rng.integers(1, 9))
+                deg = int(rng.integers(1, _RANDOM_SYMBOL_DEGREE + 1))
                 symbol = coeffs[i, : deg + 1]
                 symbol[:] = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
                 fz[i], dfz[i] = _symbol_on_circle(TaylorPolynomial(symbol), z)
             r = float(rng.uniform(0.2, 0.8))
             row[:] = r ** np.arange(order + 1) * np.exp(2j * np.pi * rng.uniform(size=order + 1))
         transpose = _stencil_rows(coeffs, rows, order)
-        boundary = _boundary_rows(rows, fz, dfz, z)
+        boundary = _boundary_rows(rows, fz, dfz, z, coeffs.shape[1] - 1)
         finite = np.isfinite(transpose).all(axis=1), np.isfinite(boundary).all(axis=1)
         for case in np.flatnonzero(~(finite[0] & finite[1]))[:1]:  # the first failing case
             route = "boundary adjoint route" if finite[0][case] else "liouville matrix"
             with _naming_overflow("f", f"the {route} at order {order}"):
                 raise ValueError(f"case {first + case} is not finite")
-        worst = max(worst, *(float(np.linalg.norm(gap)) for gap in transpose - boundary))
+        with np.errstate(over="ignore"):
+            gaps = transpose - boundary
+            norms = np.array([np.linalg.norm(gap) for gap in gaps])
+        _rescue_norms(norms, gaps.T)
+        worst = max(worst, *norms.tolist())
     return worst
 
 

@@ -655,6 +655,38 @@ def test_adjoint_check_overflow_past_one_chunk_exits_two(tmp_path, capsys, confi
     assert message in capsys.readouterr().err
 
 
+def test_adjoint_check_gap_whose_squares_overflow_fails_with_a_finite_residual(
+    tmp_path, capsys
+):
+    config = {"N": 1, "M": 8, "f": [0, 0, 1e307], "cases": 3}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(tmp_path, "adjoint-check", config)
+    assert code == 1
+    residual = _report(out, "adjoint_check_report.json")["certificates"][0]["residual"]
+    assert np.isfinite(residual) and residual > 1e290
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"N": 1, "M": 8, "cases": 30}, "must be >= N + deg f = 9 (deg f = 8, the top degree"),
+        ({"N": 1, "M": 8, "f": [0] * 8 + [1], "cases": 3}, "must be >= N + deg f = 9 (deg f = 8), got 8"),
+        ({"N": 2, "M": 12, "f": [0] * 11 + [1], "cases": 3}, "must be >= N + deg f = 13"),
+    ],
+)
+def test_adjoint_check_grid_below_the_degree_floor_exits_two(
+    tmp_path, capsys, config, message
+):
+    code, _ = _run(tmp_path, "adjoint-check", config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'M': ") and message in err
+    code, out = _run(tmp_path, "adjoint-check", {**config, "M": config["M"] + 1})
+    assert code == 0
+
+
 def test_adjoint_check_shares_the_criterion_3_battery(tmp_path, capsys):
     run("adjoint-check", {"N": 64, "cases": 100, "seed": 0}, tmp_path / "a")
     report = _report(tmp_path / "a", "adjoint_check_report.json")

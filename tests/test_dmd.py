@@ -25,6 +25,7 @@ from hardyliou import (
     norm,
     occupation_kernel,
     read_trajectory_csv,
+    szego_kernel,
     write_trajectory_csv,
 )
 from hardyliou import dmd, occupation
@@ -414,6 +415,23 @@ def _one_orbit_moments(weights, points, count):
     return moments
 
 
+def _one_orbit_weights(times):
+    # composite Simpson on a uniform grid with an even interval count, else
+    # the trapezoid rule, one orbit at a time: the oracle of the block weights
+    gaps = np.diff(times)
+    uniform = np.max(gaps) - np.min(gaps) <= 1e-9 * np.max(gaps)
+    if uniform and (times.size - 1) % 2 == 0:
+        h = float(times[-1] - times[0]) / (times.size - 1)
+        weights = np.full(times.size, 2.0)
+        weights[1::2] = 4.0
+        weights[0] = weights[-1] = 1.0
+        return weights * (h / 3.0)
+    weights = np.zeros(times.size)
+    weights[:-1] += 0.5 * gaps
+    weights[1:] += 0.5 * gaps
+    return weights
+
+
 def _random_orbit(rng, samples, uniform):
     if uniform:
         times = np.linspace(0.0, rng.uniform(0.5, 2.0), samples)
@@ -444,17 +462,25 @@ def test_batch_moments_keep_the_bytes_of_one_orbit():
         group = [t for t in batch if t.times.size == samples]
         got = occupation._conj_moments(group, order + 1)
         for row, traj in zip(got, group):
-            weights = occupation._quadrature_weights(traj)
+            weights = _one_orbit_weights(traj.times)
             expected = _one_orbit_moments(weights, traj.points, order + 1)
             assert row.tobytes() == expected.tobytes()
 
     model = dmd.fit(batch, order=order)
+    # the sha256 of the model that one-orbit weights and kernels give
+    assert hashlib.sha256(model.to_json().encode()).hexdigest() == (
+        "182c7ce3caf08d860920dffe6810c2ae114452fd610d9c18c06b35c847c52713"
+    )
     _, targets, _ = dmd._snapshot_matrices(batch, order)
     for j, traj in enumerate(batch):
         kernel = occupation_kernel(traj, order).series.coeffs
         assert model.basis[:, j].tobytes() == kernel.tobytes()
         target = endpoint_kernel_difference(traj, order).coeffs
         assert targets[:, j].tobytes() == target.tobytes()
+        kernels = szego_kernel(traj.points[-1], order).coeffs - szego_kernel(
+            traj.points[0], order
+        ).coeffs
+        assert target.tobytes() == kernels.tobytes()
 
     short = Trajectory(np.array([0.0, 1.0]), np.array([0.1, 0.2]))
     for at in (0, len(batch) // 2, len(batch)):

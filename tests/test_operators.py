@@ -395,6 +395,7 @@ def test_adjoint_boundary_fft_sampling_matches_horner():
         h = TaylorPolynomial(
             0.97 ** np.arange(order + 1) * np.exp(2j * np.pi * rng.uniform(size=order + 1))
         )
+        size = max(size, order + f.order)  # below it the negative modes alias
         fft = adjoint_apply_boundary(f, h, order, size)
         horner = _horner_boundary_adjoint(f, h, order, size)
         scale = 1.0 + norm(horner)
@@ -468,7 +469,8 @@ def test_adjoint_battery_is_the_worst_case_of_the_public_routes(
     order, extra, cases, seed, fixed
 ):
     f = _BATTERY_SYMBOL if fixed else None
-    size = 4 * (order + 1) + extra
+    # the grid floor of the symbols: degree 3, or the random ones' top degree 8
+    size = (4 * (order + 1) if fixed else max(4 * (order + 1), order + 8)) + extra
     chunked = adjoint_battery(order, size, cases, seed, f)
     assert chunked.hex() == _battery_case_by_case(order, size, cases, seed, f).hex()
 
@@ -510,6 +512,38 @@ def test_adjoint_battery_memory_stays_in_chunks():
     assert _traced_peak(lambda: adjoint_battery(1024, 4100, 20, 7, f)) <= 2**20
     # the case-by-case battery peaked at 134,306,276 bytes (NumPy 2.4)
     assert _traced_peak(lambda: adjoint_battery(1024, 2**20, 2, 7, f)) <= 134_306_276
+
+
+def test_boundary_grid_floor_counts_the_degree_of_f():
+    # conj(f) z (h + z h') has modes down to 1 - deg f: at N = 1 a symbol of
+    # degree 8 needs N + 8 = 9 points, more than 4(N+1) = 8
+    rng = np.random.default_rng(8)
+    f = _random_poly(rng, 8)
+    h = _random_poly(rng, 1)
+    oracle = adjoint_matrix(liouville_matrix(f, 1)).apply(h)
+    boundary = adjoint_apply_boundary(f, h, 1, 9)
+    assert norm(TaylorPolynomial(boundary.coeffs - oracle.coeffs)) < 1e-12 * norm(oracle)
+    with pytest.raises(AliasingError, match="need at least 9"):
+        adjoint_apply_boundary(f, h, 1, 8)
+    # without a grid the route takes the next power of two, 16
+    assert adjoint_apply_boundary(f, h, 1).coeffs.tobytes() == adjoint_apply_boundary(
+        f, h, 1, 16
+    ).coeffs.tobytes()
+    # a fixed symbol of degree 8, and the random ones of degree up to 8
+    for symbol in (f, None):
+        assert adjoint_battery(1, 9, 30, 0, symbol) < 1e-12
+        with pytest.raises(AliasingError, match="need at least 9"):
+            adjoint_battery(1, 8, 30, 0, symbol)
+
+
+def test_adjoint_battery_gap_whose_squares_overflow_keeps_a_finite_norm():
+    # both routes are finite near 1e307, and so are their gaps, whose
+    # squares overflow; the norm is taken again at a power-of-two scale
+    f = TaylorPolynomial([0.0, 0.0, 1e307])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        worst = adjoint_battery(1, 8, 3, 0, f)
+    assert np.isfinite(worst) and worst > 1e290
 
 
 def test_hot_adjoint_paths_never_build_the_matrix(monkeypatch):
