@@ -426,7 +426,6 @@ def criterion_12() -> CriterionResult:
         detail={
             "predict_gap": float(predict_gap),
             "predict_tolerance": 1e-3,
-            "runtime_seconds": elapsed,
             "runtime_limit": 60.0,
             "n_trajectories": len(model.trajectory_digests),
         },

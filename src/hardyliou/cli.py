@@ -491,10 +491,7 @@ def _cmd_verify_all(cfg: dict, got: dict, out_dir: Path) -> dict:
             "fixed acceptance tolerance; see tests/test_acceptance.py",
             passed=result.passed,
         )
-        # wall-clock detail would break byte-for-byte report determinism
-        cert["detail"] = {
-            k: v for k, v in result.detail.items() if k != "runtime_seconds"
-        }
+        cert["detail"] = result.detail
         certs.append(cert)
     return {"certificates": certs, "findings": findings}
 

@@ -55,10 +55,9 @@ from .errors import (
 from .occupation import (
     Trajectory,
     _conj_moments,
-    _endpoint_kernels,
     _invalid_start,
 )
-from .series import DEFAULT_ORDER, TaylorPolynomial, complex_pairs
+from .series import DEFAULT_ORDER, TaylorPolynomial, _szego_columns, complex_pairs
 
 _COND_LIMIT = 1e14
 
@@ -160,9 +159,9 @@ def _snapshot_matrices(trajectories, order):
     """The basis ``S``, the targets ``T`` and the digests of a batch.
 
     Orbits that share a sample count share the blocks of
-    :func:`~hardyliou.occupation._conj_moments`; the targets are one power
-    matrix over the start and end points of all orbits
-    (:func:`~hardyliou.occupation._endpoint_kernels`).  Every column has the
+    :func:`~hardyliou.occupation._conj_moments`; the targets ``K_end -
+    K_start`` are two power matrices over the end and start points of all
+    orbits (:func:`~hardyliou.series._szego_columns`).  Every column has the
     bytes of the one-orbit call.
     """
     n = order + 1
@@ -178,7 +177,7 @@ def _snapshot_matrices(trajectories, order):
         raise ValueError("coefficients must be finite")
     starts = np.array([traj.points[0] for traj in trajectories])
     ends = np.array([traj.points[-1] for traj in trajectories])
-    targets = _endpoint_kernels(starts, ends, order)
+    targets = _szego_columns(ends, order) - _szego_columns(starts, order)
     digests = tuple(traj.content_digest() for traj in trajectories)
     return basis, targets, digests
 

@@ -23,14 +23,13 @@ from .errors import (
     DiskExitError,
     InsufficientDataError,
     InvalidIndexError,
-    InvalidKernelSpecError,
     StepBudgetError,
     SymbolOverflowError,
     TrajectoryIngestionError,
     TrajectoryMismatchWarning,
 )
-from .operators import _rescue_norms, _weighted_columns, liouville_adjoint_apply
-from .series import TaylorPolynomial, DEFAULT_ORDER
+from .operators import _row_norms, _weighted_columns, liouville_adjoint_apply
+from .series import TaylorPolynomial, DEFAULT_ORDER, szego_kernel
 
 DISK_MARGIN = 1e-3
 # 100x the longest integration in the demos, tests and benchmark (10^4 steps); a
@@ -83,10 +82,9 @@ class Trajectory:
 
     times: np.ndarray
     points: np.ndarray
-    digest: str | None = None
-    # sha256 of the canonical CSV bytes, kept by whichever of content_digest
-    # and write_trajectory_csv formats them first; never the bytes themselves
-    _csv_digest: str | None = field(default=None, init=False, repr=False)
+    # content_digest(): the sha256 of the file read_trajectory_csv parsed, or
+    # of the canonical CSV bytes; not an __init__ field, so replace() drops it
+    _digest: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         times = np.array(self.times, dtype=np.float64, copy=True)
@@ -117,15 +115,14 @@ class Trajectory:
     def content_digest(self) -> str:
         """SHA-256 of the source file, else of the canonical CSV serialization.
 
-        The canonical bytes are formatted at most once per trajectory: the
-        first call, or :func:`write_trajectory_csv`, keeps their digest on
-        the object, and later calls return it.
+        A trajectory from :func:`read_trajectory_csv` keeps the digest of
+        the file's bytes.  Any other formats its canonical bytes at most
+        once: the first call, or :func:`write_trajectory_csv`, keeps their
+        digest on the object, and later calls return it.
         """
-        if self.digest is not None:
-            return self.digest
-        if self._csv_digest is None:
-            _keep_csv_digest(self, _csv_bytes(self))
-        return self._csv_digest
+        if self._digest is None:
+            _keep_digest(self, _csv_bytes(self))
+        return self._digest
 
 
 @dataclass(frozen=True)
@@ -257,20 +254,21 @@ def _csv_bytes(trajectory: Trajectory) -> bytes:
     return (",".join(_CSV_HEADER) + "\n").encode() + body
 
 
-def _keep_csv_digest(trajectory: Trajectory, data: bytes) -> None:
-    object.__setattr__(trajectory, "_csv_digest", hashlib.sha256(data).hexdigest())
+def _keep_digest(trajectory: Trajectory, data: bytes) -> Trajectory:
+    object.__setattr__(trajectory, "_digest", hashlib.sha256(data).hexdigest())
+    return trajectory
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Serialize with 17 significant digits so doubles round-trip exactly.
 
-    A trajectory without a source-file ``digest`` keeps the digest of the
-    bytes written, so :meth:`Trajectory.content_digest` never formats them
-    again: the digest is computed at most once per trajectory.
+    A trajectory without a digest keeps the digest of the bytes written, so
+    :meth:`Trajectory.content_digest` never formats them again; one read
+    from a file keeps that file's digest.
     """
     data = _csv_bytes(trajectory)
-    if trajectory.digest is None and trajectory._csv_digest is None:
-        _keep_csv_digest(trajectory, data)
+    if trajectory._digest is None:
+        _keep_digest(trajectory, data)
     with open(path, "wb") as handle:
         handle.write(data)
 
@@ -327,11 +325,11 @@ def read_trajectory_csv(path) -> Trajectory:
     ``float`` accepts (padding, ``1_0``, ``inf``, ``nan``), so a quoted cell
     fails to parse.  A byte that is not UTF-8 decodes to U+FFFD, so its cell
     fails to parse too.  NumPy's C reader parses a file of plain ASCII cells;
-    any other file takes a row-by-row path with the same result.
+    any other file takes a row-by-row path with the same result.  Its
+    :meth:`~Trajectory.content_digest` is the sha256 of the file's bytes.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
-    digest = hashlib.sha256(raw).hexdigest()
     text = raw.decode("utf-8", errors="replace")
     lines = text.splitlines()
     if not lines or [cell.strip() for cell in lines[0].split(",")] != _CSV_HEADER:
@@ -354,7 +352,7 @@ def read_trajectory_csv(path) -> Trajectory:
     if failure is None:
         # Trajectory applies the validity rule; the row is found only on failure
         try:
-            return Trajectory(times=times, points=points, digest=digest)
+            return _keep_digest(Trajectory(times=times, points=points), raw)
         except ValueError:
             pass
     # an invalid sample before the first unparsable row is the earlier bad row
@@ -592,17 +590,6 @@ def _warn_on_mismatch(f: TaylorPolynomial, trajectory: Trajectory) -> None:
         )
 
 
-def _endpoint_kernels(starts: np.ndarray, ends: np.ndarray, order: int) -> np.ndarray:
-    """``K_end - K_start`` for each pair of endpoints, one column each.
-
-    Column j is ``conj(ends[j])^n - conj(starts[j])^n`` for n = 0..order:
-    one power matrix for all pairs, each entry the bytes of
-    :func:`~hardyliou.series.szego_kernel` at its point.
-    """
-    n = np.arange(order + 1)[:, None]
-    return np.conj(ends) ** n - np.conj(starts) ** n
-
-
 def endpoint_kernel_difference(
     trajectory: Trajectory,
     order: int = DEFAULT_ORDER,
@@ -611,30 +598,21 @@ def endpoint_kernel_difference(
     """``K_{gamma(T)} - K_{gamma(0)}``, the target of the adjoint identity.
 
     With ``phi`` the kernels sit at the composed endpoints ``phi(gamma(T))``
-    and ``phi(gamma(0))``, the target of the weighted identities.  The one
-    column of :func:`_endpoint_kernels`; the endpoints and ``order`` obey
-    the rules of :func:`~hardyliou.series.kernel`, end point first.
+    and ``phi(gamma(0))``, the target of the weighted identities.  The
+    endpoints and ``order`` obey the rules of
+    :func:`~hardyliou.series.kernel`, end point first.
     """
     start, end = trajectory.points[0], trajectory.points[-1]
     if phi is not None:
         start, end = phi(start), phi(end)
-    for w in (end, start):  # series.kernel's checks, in the order it made them
-        radius = abs(complex(w))
-        if radius >= 1.0:
-            raise DiskDomainError(f"kernel point must satisfy |w| < 1, got |w| = {radius}")
-        if order < 0:
-            raise InvalidKernelSpecError(f"derivative order 0 exceeds truncation order {order}")
-    column = _endpoint_kernels(np.array([start]), np.array([end]), order)[:, 0]
-    return TaylorPolynomial(column)
+    k_end, k_start = szego_kernel(end, order), szego_kernel(start, order)
+    return TaylorPolynomial(k_end.coeffs - k_start.coeffs)
 
 
 def _defect_norm(defect: np.ndarray) -> float:
     """``||defect||_2``, also for a finite defect whose squares overflow
-    (a time span near 1e300 gives one): see :func:`_rescue_norms`."""
-    with np.errstate(over="ignore"):
-        norms = np.array([np.linalg.norm(defect)])
-    _rescue_norms(norms, defect[:, None])
-    return float(norms[0])
+    (a time span near 1e300 gives one): see :func:`_row_norms`."""
+    return float(_row_norms(defect[None])[0])
 
 
 def liouville_occupation_residual(

@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import (
     CompositionWarning,
-    DiskDomainError,
     HardyliouError,
     InvalidIndexError,
     SymbolOverflowError,
@@ -39,6 +38,7 @@ from .series import (
     BoundaryGrid,
     TaylorPolynomial,
     DEFAULT_ORDER,
+    _kernel_point,
     default_boundary_size,
     derivative,
     kernel,
@@ -106,12 +106,23 @@ def _finite(values):
 def _rescue_norms(norms: np.ndarray, image: np.ndarray) -> None:
     """Take again, scaled by a power of two (exact), each inf in ``norms``
     (the 2-norms of ``image``'s columns) whose column is finite: only the
-    squares of such a column overflowed."""
+    squares of such a column overflowed.  The scale is read off the largest
+    part, finite where a modulus may not be."""
     for k in np.flatnonzero(np.isinf(norms)):
         column = image[:, k]
         if np.isfinite(column).all():
-            scale = 2.0 ** -float(np.frexp(np.max(np.abs(column)))[1])
+            top = max(np.max(np.abs(column.real)), np.max(np.abs(column.imag)))
+            scale = 2.0 ** -float(np.frexp(top)[1])
             norms[k] = float(np.linalg.norm(column * scale)) / scale
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of ``rows``, with no overflow warning:
+    a finite row whose squares overflow is rescued (:func:`_rescue_norms`)."""
+    with np.errstate(over="ignore"):
+        norms = np.array([np.linalg.norm(row) for row in rows])
+    _rescue_norms(norms, rows.T)
+    return norms
 
 
 def _diagonals(degree: int, order: int):
@@ -353,7 +364,7 @@ def adjoint_battery(
     (:func:`_boundary_floor`).  Each route runs once per chunk of cases,
     with the bytes it gives each case alone; the first case where a route
     is not finite names it, the transpose first.  A gap whose squares
-    overflow keeps a finite norm (:func:`_rescue_norms`).
+    overflow keeps a finite norm (:func:`_row_norms`).
     """
     if cases < 1:
         raise InvalidIndexError(f"cases must be at least 1, got {cases}")
@@ -383,9 +394,7 @@ def adjoint_battery(
                 raise ValueError(f"case {first + case} is not finite")
         with np.errstate(over="ignore"):
             gaps = transpose - boundary
-            norms = np.array([np.linalg.norm(gap) for gap in gaps])
-        _rescue_norms(norms, gaps.T)
-        worst = max(worst, *norms.tolist())
+        worst = max(worst, *_row_norms(gaps).tolist())
     return worst
 
 
@@ -407,8 +416,7 @@ def adjoint_on_derivative_kernel(
     """
     if j < 1:
         raise InvalidIndexError("j must be at least 1")
-    if abs(complex(w)) >= 1.0:
-        raise DiskDomainError("the kernel point must lie inside the unit disk")
+    w = _kernel_point(w)
     result = np.zeros(order + 1, dtype=np.complex128)
     deriv = f
     for ell in range(j):

@@ -150,33 +150,41 @@ def norm(g: TaylorPolynomial) -> float:
     return float(np.linalg.norm(g.coeffs))
 
 
+def _kernel_point(w) -> complex:
+    """``complex(w)``, the point of an evaluation kernel; needs ``|w| < 1``."""
+    w = complex(w)
+    if abs(w) >= 1.0:
+        raise DiskDomainError(f"kernel point must satisfy |w| < 1, got |w| = {abs(w)}")
+    return w
+
+
+def _szego_columns(points, order: int) -> np.ndarray:
+    """``conj(w)^n`` for ``n = 0..order``, one column per (unchecked) point ``w``."""
+    return np.conj(points) ** np.arange(order + 1)[:, None]
+
+
 def kernel(w: complex, j: int, order: int = DEFAULT_ORDER) -> TaylorPolynomial:
     """Truncated point-evaluation kernel for ``<h, kernel> = h^(j)(w)``.
 
     The ``j``-th derivative kernel has coefficients
     ``n!/(n-j)! * conj(w)^(n-j)`` for ``n >= j``; ``j = 0`` is the geometric
-    kernel ``1/(1 - conj(w) z)``.
+    kernel ``1/(1 - conj(w) z)``.  ``w`` is checked by :func:`_kernel_point`.
     """
-    w = complex(w)
+    w = _kernel_point(w)
     j = int(j)
-    if abs(w) >= 1.0:
-        raise DiskDomainError(f"kernel point must satisfy |w| < 1, got |w| = {abs(w)}")
     if j < 0:
         raise InvalidKernelSpecError("derivative order must be nonnegative")
     if j > order:
         raise InvalidKernelSpecError(
             f"derivative order {j} exceeds truncation order {order}"
         )
-    n = np.arange(order + 1)
-    wbar = np.conj(w)
     coeffs = np.zeros(order + 1, dtype=np.complex128)
-    if j == 0:
-        coeffs[:] = wbar ** n
-    else:
+    coeffs[j:] = _szego_columns(w, order - j)[:, 0]
+    if j:
         falling = np.ones(order + 1 - j)
         for i in range(j):
-            falling *= n[j:] - i
-        coeffs[j:] = falling * wbar ** (n[j:] - j)
+            falling *= np.arange(j, order + 1) - i
+        coeffs[j:] *= falling
     return TaylorPolynomial(coeffs)
 
 

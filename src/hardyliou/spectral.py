@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DiskDomainError,
     EigenConvergenceError,
     InvalidIndexError,
     SymbolHasZerosError,
@@ -43,6 +42,7 @@ from .operators import (
 from .series import (
     TaylorPolynomial,
     DEFAULT_ORDER,
+    _kernel_point,
     antiderivative,
     exp_series,
     kernel,
@@ -428,14 +428,11 @@ def zero_eigenspace(
 
     A zero of multiplicity ``m_i`` at ``z_i`` contributes the derivative
     kernels of orders ``0..m_i - 1`` at ``z_i``.  Dimension equals the total
-    zero count with multiplicity.
+    zero count with multiplicity.  Each ``z_i`` needs ``|z_i| < 1``.
     """
     basis = []
     for point, multiplicity in zeros:
-        if abs(complex(point)) >= 1.0:
-            raise DiskDomainError(
-                "eigenspace construction needs zeros strictly inside the disk"
-            )
+        point = _kernel_point(point)
         if int(multiplicity) != multiplicity or multiplicity < 1:
             raise InvalidIndexError("multiplicities must be positive integers")
         for j in range(int(multiplicity)):

@@ -34,6 +34,7 @@ from .occupation import Trajectory, endpoint_kernel_difference, occupation_kerne
 from .series import (
     TaylorPolynomial,
     DEFAULT_ORDER,
+    _kernel_point,
     compose,
     default_boundary_size,
     derivative,
@@ -131,9 +132,7 @@ def weighted_adjoint_on_kernel(
     ``phi(w)``, since ``<A g, K_w> = f(w) phi'(w) g'(phi(w))`` for every
     ``g`` in the space.
     """
-    w = complex(w)
-    if abs(w) >= 1.0:
-        raise DiskDomainError("kernel point must lie inside the unit disk")
+    w = _kernel_point(w)
     pw = complex(phi(w))
     if abs(pw) >= 1.0:
         raise CompositionOutOfDiskError(
@@ -151,8 +150,9 @@ def normalized_kernel_action_sq(
     ``|f(w)|^2 |phi'(w)|^2 (1 - |w|^2) (1 + |phi(w)|^2) / (1 - |phi(w)|^2)^3``;
     note the squared modulus on ``f(w)`` -- certified against the
     conjugate-transpose oracle, which rules out the first-power variant.
+    ``w`` obeys :func:`~hardyliou.series.kernel`'s rule, ``|w| < 1``.
     """
-    w = complex(w)
+    w = _kernel_point(w)
     pw = complex(phi(w))
     if abs(pw) >= 1.0:
         raise CompositionOutOfDiskError("phi(w) must lie inside the unit disk")

@@ -881,6 +881,20 @@ def test_unknown_command_rejected_by_argparse(capsys):
     assert excinfo.value.code == 2
 
 
+def test_run_api_rejects_an_unknown_command(tmp_path):
+    with pytest.raises(ConfigError, match="^unknown command 'frobnicate'; expected one of "):
+        run("frobnicate", {}, tmp_path)
+
+
+def test_empty_forecast_times_exit_two_naming_the_field(tmp_path, capsys):
+    config = {"N": 8, "f": [0, 1], "ode": _ODE, "predict": {"z0": 0.1, "times": []}}
+    code, _ = _run(tmp_path, "dmd", config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "'predict.times'" in err and "nonempty list" in err
+
+
 def test_run_api_rejects_non_dict_config(tmp_path):
     with pytest.raises(ConfigError):
         run("spectrum", [1, 2], tmp_path)

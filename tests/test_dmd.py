@@ -169,21 +169,31 @@ def test_stored_digest_never_replaces_the_source_file_digest(tmp_path, cell):
     write_trajectory_csv(trajectory, tmp_path / "canonical.csv")
     assert _sha256(tmp_path / "canonical.csv") != _sha256(source)
     model = dmd.fit([trajectory], order=4)
-    assert trajectory.content_digest() == trajectory.digest == _sha256(source)
+    assert trajectory.content_digest() == _sha256(source)
     assert model.trajectory_digests == (_sha256(source),)
 
 
 def test_replaced_trajectory_gets_the_digest_of_its_own_bytes(tmp_path):
-    trajectory = _affine_batch(n_radii=1, n_angles=1, dt=1e-2)[0]
-    before = repr(trajectory)
-    trajectory.content_digest()
-    assert repr(trajectory) == before
     parameters = inspect.signature(Trajectory).parameters
-    assert list(parameters) == ["times", "points", "digest"]
-    halved = dataclasses.replace(trajectory, points=0.5 * trajectory.points)
-    write_trajectory_csv(halved, tmp_path / "halved.csv")
-    assert halved.content_digest() == _sha256(tmp_path / "halved.csv")
-    assert halved.content_digest() != trajectory.content_digest()
+    assert list(parameters) == ["times", "points"]
+    orbit = _affine_batch(n_radii=1, n_angles=1, dt=1e-2)[0]
+    canonical, source = tmp_path / "canonical.csv", tmp_path / "source.csv"
+    write_trajectory_csv(orbit, canonical)
+    # a source file that is not canonical: its digest is not the orbit's
+    source.write_bytes(canonical.read_bytes().replace(b"\n", b"\r\n"))
+    cases = [(orbit, canonical), (read_trajectory_csv(source), source)]
+    for trajectory, path in cases:
+        before = repr(trajectory)
+        assert trajectory.content_digest() == _sha256(path)
+        assert repr(trajectory) == before
+        halved = dataclasses.replace(trajectory, points=0.5 * trajectory.points)
+        write_trajectory_csv(halved, tmp_path / "halved.csv")
+        assert halved.content_digest() == _sha256(tmp_path / "halved.csv")
+        assert halved.content_digest() != trajectory.content_digest()
+        model = dmd.fit([trajectory, halved], order=4)
+        assert model.trajectory_digests == (
+            trajectory.content_digest(), _sha256(tmp_path / "halved.csv")
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +287,11 @@ def test_predict_array_times_match_scalar_path(affine_model):
     assert isinstance(values, np.ndarray) and values.shape == times.shape
     for t, value in zip(times, values):
         assert abs(value - dmd.predict(affine_model, 0.3, t)) <= 1e-14
+
+
+def test_predict_refuses_times_of_two_dimensions(affine_model):
+    with pytest.raises(ValueError, match="1-d array of times"):
+        dmd.predict(affine_model, 0.3, np.zeros((2, 2)))
 
 
 def test_predict_warns_when_forecast_not_finite():

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import struct
 import types
 import warnings
@@ -21,6 +22,7 @@ from hardyliou import (
     DiskExitError,
     InsufficientDataError,
     InvalidIndexError,
+    InvalidKernelSpecError,
     StepBudgetError,
     SymbolOverflowError,
     TaylorPolynomial,
@@ -302,6 +304,12 @@ def test_trajectory_cites_first_offending_sample(times, points, error, cited):
 # ---------------------------------------------------------------------------
 
 
+def _with_file_digest(trajectory, digest):
+    """``trajectory`` carrying ``digest`` as ``read_trajectory_csv`` leaves it."""
+    object.__setattr__(trajectory, "_digest", digest)
+    return trajectory
+
+
 def _row_by_row_reader(path, margin=1e-3):
     """The earlier reader: per-row disk and ordering checks, then finiteness."""
     with open(path, "rb") as handle:
@@ -338,7 +346,7 @@ def _row_by_row_reader(path, margin=1e-3):
     if not finite.all():
         row = int(np.argmin(finite)) + 2
         raise TrajectoryIngestionError(f"{path}: row {row} is not finite")
-    return Trajectory(times=times, points=points, digest=digest)
+    return _with_file_digest(Trajectory(times=times, points=points), digest)
 
 
 def _first_bad_row(lines):
@@ -499,7 +507,7 @@ def _csv_module_reader(path):
         failure = f"row {invalid[0] + 2} {invalid[1]}"
     if failure is not None:
         raise TrajectoryIngestionError(f"{path}: {failure}")
-    return Trajectory(times=times, points=points, digest=digest)
+    return _with_file_digest(Trajectory(times=times, points=points), digest)
 
 
 def _read_outcome(reader, path):
@@ -921,6 +929,37 @@ def test_endpoint_kernel_difference():
         - szego_kernel(complex(traj.points[0]), 16).coeffs
     )
     assert np.allclose(diff.coeffs, expected)
+
+
+_TRIPLE = TaylorPolynomial([0.0, 3.0])
+_DOUBLE = TaylorPolynomial([0.0, 2.0])
+_OUTSIDE = "kernel point must satisfy |w| < 1, got |w| = {}"
+
+
+@pytest.mark.parametrize(
+    "first, last, phi, order, error, message",
+    [
+        (0.2, 0.5, None, -1, InvalidKernelSpecError,
+         "derivative order 0 exceeds truncation order -1"),
+        # the end point is checked first: phi(0.5) = 1.5
+        (0.2, 0.5, _TRIPLE, 16, DiskDomainError, _OUTSIDE.format(1.5)),
+        (0.45, 0.5, _TRIPLE, 16, DiskDomainError, _OUTSIDE.format(1.5)),
+        (0.45, 0.5, _TRIPLE, -1, DiskDomainError, _OUTSIDE.format(1.5)),
+        # an end point inside, a start point outside: phi(0.52) = 1.04
+        (0.52, 0.2, _DOUBLE, 16, DiskDomainError, _OUTSIDE.format(1.04)),
+        # the end point's order check comes before the start point's disk check
+        (0.52, 0.2, _DOUBLE, -1, InvalidKernelSpecError,
+         "derivative order 0 exceeds truncation order -1"),
+    ],
+)
+def test_endpoint_kernel_difference_refuses_what_kernel_refuses(
+    first, last, phi, order, error, message
+):
+    # the samples of a trajectory lie inside the disk, so only a composed
+    # endpoint can leave it
+    traj = Trajectory(times=[0.0, 0.5, 1.0], points=[first, 0.5 * (first + last), last])
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        endpoint_kernel_difference(traj, order, phi)
 
 
 def test_liouville_occupation_residual_small():

@@ -546,6 +546,19 @@ def test_adjoint_battery_gap_whose_squares_overflow_keeps_a_finite_norm():
     assert np.isfinite(worst) and worst > 1e290
 
 
+def test_rescued_norm_takes_its_scale_from_the_largest_part():
+    # |1.5e308 + 1.5e308j| is not finite, but each part is: the norm is inf,
+    # with no warning; at 1.2e308 the modulus is finite and so is the norm
+    image = np.array([[1.5e308 + 1.5e308j, 1.2e308 + 1.2e308j], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = np.full(2, np.inf)
+        operators_module._rescue_norms(norms, image)
+    assert norms[0] == np.inf
+    assert norms[1] == pytest.approx(1.2e308 * np.sqrt(2.0), rel=1e-15)
+    assert f"{norms[1]:.4g}" == "1.697e+308"
+
+
 def test_hot_adjoint_paths_never_build_the_matrix(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense matrix built on a hot adjoint path")

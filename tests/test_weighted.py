@@ -84,6 +84,16 @@ def test_normalized_kernel_action_closed_form():
     )
 
 
+@pytest.mark.parametrize("w", [2.0, 1.0])
+def test_normalized_kernel_action_refuses_a_point_outside_the_disk(w):
+    # phi(w) = 0.1 w stays inside, so only the kernel point's own rule can
+    # refuse it, as weighted_adjoint_on_kernel does
+    f, phi = TaylorPolynomial([1.0]), TaylorPolynomial([0.0, 0.1])
+    for action in (normalized_kernel_action_sq, weighted_adjoint_on_kernel):
+        with pytest.raises(DiskDomainError, match=f"got [|]w[|] = {w}$"):
+            action(f, phi, w)
+
+
 # ---------------------------------------------------------------------------
 # self-adjointness constraints
 # ---------------------------------------------------------------------------
