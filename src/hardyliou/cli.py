@@ -274,8 +274,6 @@ def _cmd_spectrum(cfg: dict, got: dict, out_dir: Path) -> dict:
 
 
 def _cmd_adjoint_check(cfg: dict, got: dict, out_dir: Path) -> dict:
-    if got["M"] < 4 * (got["N"] + 1):  # the boundary route's own floor
-        _fail("M", f"must be >= 4(N+1) = {4 * (got['N'] + 1)}, got {got['M']}")
     cases = _get_int(cfg, "cases", default=100)
     if cases > MAX_CASES:
         _fail("cases", f"must be <= {MAX_CASES} (run-time budget), got {cases}")
@@ -283,9 +281,9 @@ def _cmd_adjoint_check(cfg: dict, got: dict, out_dir: Path) -> dict:
     f = None if _lookup(cfg, "f", None) is None else _parse_coeffs(cfg, "f")
     degree = _RANDOM_SYMBOL_DEGREE if f is None else f.order
     floor = _boundary_floor(got["N"], degree)
-    if got["M"] < floor:  # the integrand's negative modes alias below it
+    if got["M"] < floor:  # the boundary route's floor: its integrand aliases below it
         why = f"deg f = {degree}" + (", the top degree of the random symbols" if f is None else "")
-        _fail("M", f"must be >= N + deg f = {floor} ({why}), got {got['M']}")
+        _fail("M", f"must be >= max(4(N+1), N + deg f) = {floor} ({why}), got {got['M']}")
     cert = _certificate(
         "adjoint_route_agreement",
         adjoint_battery(got["N"], got["M"], cases, seed, f),

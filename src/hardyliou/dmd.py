@@ -49,7 +49,6 @@ import numpy as np
 from .errors import (
     IllConditionedError,
     InsufficientDataError,
-    InvalidIndexError,
     LowConfidenceWarning,
 )
 from .occupation import (
@@ -57,7 +56,7 @@ from .occupation import (
     _conj_moments,
     _invalid_start,
 )
-from .series import DEFAULT_ORDER, TaylorPolynomial, _szego_columns, complex_pairs
+from .series import DEFAULT_ORDER, TaylorPolynomial, _require_order, _szego_columns, complex_pairs
 
 _COND_LIMIT = 1e14
 
@@ -199,8 +198,7 @@ def fit(
     observable is the coefficient of ``z``.  The model has
     ``k = min(m, N+1)`` eigenvalues.
     """
-    if not order >= 1:
-        raise InvalidIndexError(f"order must be at least 1, got {order!r}")
+    _require_order(order, 1)
     if ridge is not None and not (math.isfinite(ridge) and ridge >= 0.0):
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
     trajectories = list(trajectories)

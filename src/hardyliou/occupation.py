@@ -18,18 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    CompositionOutOfDiskError,
     DiskDomainError,
     DiskExitError,
     InsufficientDataError,
-    InvalidIndexError,
     StepBudgetError,
     SymbolOverflowError,
     TrajectoryIngestionError,
     TrajectoryMismatchWarning,
 )
 from .operators import _row_norms, _weighted_columns, liouville_adjoint_apply
-from .series import TaylorPolynomial, DEFAULT_ORDER, szego_kernel
+from .series import TaylorPolynomial, DEFAULT_ORDER, _composed_points, _require_order, szego_kernel
 
 DISK_MARGIN = 1e-3
 # 100x the longest integration in the demos, tests and benchmark (10^4 steps); a
@@ -551,8 +549,7 @@ def occupation_kernel(
     the trapezoid rule otherwise; the tag records which.  Coefficients obey
     ``|c_n| <= duration * max|theta|^n``.  ``order`` must be at least 0.
     """
-    if not order >= 0:
-        raise InvalidIndexError(f"order must be at least 0, got {order!r}")
+    _require_order(order)
     tag = _quadrature_rule(trajectory)
     coeffs = _conj_moments([trajectory], order + 1)[0]
     return OccupationKernel(
@@ -643,14 +640,10 @@ def weighted_occupation_residual(
 
     ``A_{f,phi}* Gamma = K_{phi(gamma(T))} - K_{phi(gamma(0))}`` for
     trajectories of ``zdot = f(z)``; requires ``phi`` to keep the samples
-    inside the disk.
+    in ``|w| < 1`` (:class:`CompositionOutOfDiskError`).
     """
     _warn_on_mismatch(f, trajectory)
-    top = float(np.max(np.abs(phi(trajectory.points))))
-    if top >= 1.0:
-        raise CompositionOutOfDiskError(
-            f"phi maps a sample to |w| = {top:.6g} >= 1"
-        )
+    _composed_points(phi, trajectory.points)
     gamma = occupation_kernel(trajectory, order).series.coeffs
     # (A* Gamma)_n = <column n, Gamma>: no (N+1)^2 matrix
     lhs = np.zeros(order + 1, dtype=np.complex128)

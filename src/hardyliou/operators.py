@@ -39,6 +39,7 @@ from .series import (
     TaylorPolynomial,
     DEFAULT_ORDER,
     _kernel_point,
+    _require_order,
     default_boundary_size,
     derivative,
     kernel,
@@ -136,7 +137,8 @@ def _diagonals(degree: int, order: int):
 
 
 def liouville_matrix(f: TaylorPolynomial, order: int = DEFAULT_ORDER) -> OperatorMatrix:
-    """Matrix of ``g -> f * g'``: column ``n`` is ``n * f`` shifted by ``n-1``."""
+    """Matrix of ``g -> f * g'``: column ``n`` is ``n * f`` shifted by ``n-1``; ``order >= 0``."""
+    _require_order(order)
     entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
     with _naming_overflow("f", f"the liouville matrix at order {order}"):
         for k, n in _diagonals(f.order, order):
@@ -151,7 +153,9 @@ def scaled_liouville_matrix(
 
     Same operator as the weighted construction with ``phi = a z``; built
     directly so the two routes can be cross-checked column by column.
+    ``order`` must be at least 0, as for every builder here.
     """
+    _require_order(order)
     entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
     a = complex(a)
     # a^n by repeated scalar multiplication, so every entry keeps its rounding
@@ -231,6 +235,7 @@ def weighted_liouville_matrix(
     from :func:`_weighted_columns`.  The hot paths consume those columns
     without forming this matrix; it stays as their oracle.
     """
+    _require_order(order)
     entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
     for n, column in _weighted_columns(f, phi, order):
         entries[:, n] = column

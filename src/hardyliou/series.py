@@ -26,7 +26,9 @@ import numpy as np
 
 from .errors import (
     AliasingError,
+    CompositionOutOfDiskError,
     DiskDomainError,
+    InvalidIndexError,
     InvalidKernelSpecError,
     LogDomainError,
     SingularSymbolError,
@@ -46,6 +48,12 @@ def default_boundary_size(order: int) -> int:
 def unit_circle_points(size: int) -> np.ndarray:
     """The ``size`` uniform samples ``exp(2i*pi*m/size)`` of the circle."""
     return np.exp(2j * np.pi * np.arange(size) / size)
+
+
+def _require_order(order: int, least: int = 0) -> None:
+    """Raise :class:`InvalidIndexError` unless the truncation ``order`` is at least ``least``."""
+    if not order >= least:
+        raise InvalidIndexError(f"order must be at least {least}, got {order!r}")
 
 
 def require_grid(size: int, minimum: int, what: str) -> None:
@@ -150,12 +158,26 @@ def norm(g: TaylorPolynomial) -> float:
     return float(np.linalg.norm(g.coeffs))
 
 
-def _kernel_point(w) -> complex:
-    """``complex(w)``, the point of an evaluation kernel; needs ``|w| < 1``."""
+def _open_disk(top: float, error: type, message: str) -> None:
+    """The open-disk rule: raise ``error(message.format(top))`` unless ``top = max|v| < 1``."""
+    if not top < 1.0:  # also true for a NaN
+        raise error(message.format(top))
+
+
+def _kernel_point(w, what: str = "kernel point") -> complex:
+    """``complex(w)``, the point of an evaluation kernel (or ``what``); needs ``|w| < 1``."""
     w = complex(w)
-    if abs(w) >= 1.0:
-        raise DiskDomainError(f"kernel point must satisfy |w| < 1, got |w| = {abs(w)}")
+    _open_disk(abs(w), DiskDomainError, what + " must satisfy |w| < 1, got |w| = {}")
     return w
+
+
+def _composed_points(phi: TaylorPolynomial, points):
+    """``phi(points)``, all in ``|w| < 1`` (:class:`CompositionOutOfDiskError`); NaN fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = phi(points)
+    top = float(np.max(np.abs(values)))
+    _open_disk(top, CompositionOutOfDiskError, "phi must map into |w| < 1, got max |phi| = {:.6g}")
+    return values
 
 
 def _szego_columns(points, order: int) -> np.ndarray:

@@ -29,12 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompositionOutOfDiskError, DiskDomainError
-from .occupation import Trajectory, endpoint_kernel_difference, occupation_kernel
+from .occupation import Trajectory, _defect_norm, endpoint_kernel_difference, occupation_kernel
 from .series import (
     TaylorPolynomial,
     DEFAULT_ORDER,
+    _composed_points,
     _kernel_point,
+    _require_order,
     compose,
     default_boundary_size,
     derivative,
@@ -130,14 +131,10 @@ def weighted_adjoint_on_kernel(
 
     Equals ``conj(f(w) phi'(w))`` times the first-derivative kernel at
     ``phi(w)``, since ``<A g, K_w> = f(w) phi'(w) g'(phi(w))`` for every
-    ``g`` in the space.
+    ``g`` in the space.  ``w`` and ``phi(w)`` must lie in ``|w| < 1``.
     """
     w = _kernel_point(w)
-    pw = complex(phi(w))
-    if abs(pw) >= 1.0:
-        raise CompositionOutOfDiskError(
-            f"phi({w}) has modulus {abs(pw):.6g} >= 1"
-        )
+    pw = complex(_composed_points(phi, w))
     factor = np.conj(complex(f(w)) * complex(derivative(phi)(w)))
     return TaylorPolynomial(factor * kernel(pw, 1, order).coeffs)
 
@@ -150,12 +147,10 @@ def normalized_kernel_action_sq(
     ``|f(w)|^2 |phi'(w)|^2 (1 - |w|^2) (1 + |phi(w)|^2) / (1 - |phi(w)|^2)^3``;
     note the squared modulus on ``f(w)`` -- certified against the
     conjugate-transpose oracle, which rules out the first-power variant.
-    ``w`` obeys :func:`~hardyliou.series.kernel`'s rule, ``|w| < 1``.
+    ``w`` and ``phi(w)`` obey the rule of :func:`weighted_adjoint_on_kernel`.
     """
     w = _kernel_point(w)
-    pw = complex(phi(w))
-    if abs(pw) >= 1.0:
-        raise CompositionOutOfDiskError("phi(w) must lie inside the unit disk")
+    pw = complex(_composed_points(phi, w))
     amp = abs(complex(f(w))) ** 2 * abs(complex(derivative(phi)(w))) ** 2
     return (
         amp
@@ -222,13 +217,8 @@ def _growth_expression(
     f: TaylorPolynomial, phi: TaylorPolynomial, grid: np.ndarray
 ) -> np.ndarray:
     fv = np.abs(np.asarray(f(grid))) ** 2
-    pv = np.asarray(phi(grid))
+    r2 = np.abs(_composed_points(phi, grid)) ** 2
     dv = np.asarray(derivative(phi)(grid))
-    r2 = np.abs(pv) ** 2
-    if np.max(r2) >= 1.0:
-        raise CompositionOutOfDiskError(
-            "phi maps a grid point onto or outside the unit circle"
-        )
     return (
         fv
         * np.abs(dv) ** 2
@@ -280,18 +270,15 @@ class BlaschkeProduct:
 
     A zero ``a != 0`` contributes ``(|a|/a) (a - z)/(1 - conj(a) z)``; a zero
     at the origin contributes ``z``.  Unimodular on the circle by
-    construction.
+    construction.  Each zero obeys the kernel-point rule ``|a| < 1``.
     """
 
     zeros: tuple
 
     def __post_init__(self):
-        zs = tuple(complex(a) for a in self.zeros)
+        zs = tuple(_kernel_point(a, "Blaschke zero") for a in self.zeros)
         if not zs:
             raise ValueError("a Blaschke product needs at least one zero")
-        for a in zs:
-            if abs(a) >= 1.0:
-                raise DiskDomainError("Blaschke zeros must lie inside the disk")
         object.__setattr__(self, "zeros", zs)
 
     def _factors(self, z: np.ndarray) -> np.ndarray:
@@ -375,8 +362,10 @@ def hs_norm(
     Frobenius sum of the truncation stays finite.  A finite symbol whose
     squared Frobenius sum or boundary weight ``|f phi'|^2`` overflows raises
     :class:`SymbolOverflowError` naming ``f``.  The Frobenius sum takes the
-    columns one at a time and never forms the (N+1)^2 matrix.
+    columns one at a time and never forms the (N+1)^2 matrix.  ``order``
+    must be at least 0.
     """
+    _require_order(order)
     column_sq = np.zeros(order + 1)
     for n, column in _weighted_columns(f, phi, order):
         column_sq[n] = np.vdot(column, column).real
@@ -417,10 +406,9 @@ def occupation_self_adjoint_relation(
     with the occupation-kernel derivative taken as-is; ``reading="composed"``
     first composes ``Gamma'`` with ``phi``.  The two readings coincide for
     ``phi = z``; both residuals are worth recording when probing a general
-    self-adjoint pair.
+    self-adjoint pair.  ``phi`` must keep the samples in ``|w| < 1``.
     """
-    if float(np.max(np.abs(phi(trajectory.points)))) >= 1.0:
-        raise CompositionOutOfDiskError("phi pushes the trajectory out of the disk")
+    _composed_points(phi, trajectory.points)
     gamma = occupation_kernel(trajectory, order).series
     dgamma = derivative(gamma).truncated(order)
     if reading == "composed":
@@ -430,4 +418,4 @@ def occupation_self_adjoint_relation(
     weight = multiply(f, derivative(phi), order)
     lhs = multiply(dgamma, weight, order)
     rhs = endpoint_kernel_difference(trajectory, order, phi)
-    return float(np.linalg.norm(lhs.coeffs - rhs.coeffs))
+    return _defect_norm(lhs.coeffs - rhs.coeffs)

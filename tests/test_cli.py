@@ -671,9 +671,9 @@ def test_adjoint_check_gap_whose_squares_overflow_fails_with_a_finite_residual(
 @pytest.mark.parametrize(
     "config, message",
     [
-        ({"N": 1, "M": 8, "cases": 30}, "must be >= N + deg f = 9 (deg f = 8, the top degree"),
-        ({"N": 1, "M": 8, "f": [0] * 8 + [1], "cases": 3}, "must be >= N + deg f = 9 (deg f = 8), got 8"),
-        ({"N": 2, "M": 12, "f": [0] * 11 + [1], "cases": 3}, "must be >= N + deg f = 13"),
+        ({"N": 1, "M": 8, "cases": 30}, "must be >= max(4(N+1), N + deg f) = 9 (deg f = 8, the top degree"),
+        ({"N": 1, "M": 8, "f": [0] * 8 + [1], "cases": 3}, "must be >= max(4(N+1), N + deg f) = 9 (deg f = 8), got 8"),
+        ({"N": 2, "M": 12, "f": [0] * 11 + [1], "cases": 3}, "must be >= max(4(N+1), N + deg f) = 13"),
     ],
 )
 def test_adjoint_check_grid_below_the_degree_floor_exits_two(

@@ -211,7 +211,8 @@ def test_adjoint_check_needs_four_samples_per_coefficient(tmp_path, capsys):
     code, _ = _run(tmp_path, "adjoint-check", config)
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: config field 'M': must be >= 4(N+1) = 36, got 20\n"
+        "error: config field 'M': must be >= max(4(N+1), N + deg f) = 36 "
+        "(deg f = 8, the top degree of the random symbols), got 20\n"
     )
 
 

@@ -35,6 +35,7 @@ from hardyliou import (
     liouville_occupation_residual,
     monomial,
     occupation_kernel,
+    occupation_self_adjoint_relation,
     read_trajectory_csv,
     szego_kernel,
     weighted_occupation_residual,
@@ -975,6 +976,18 @@ def test_weighted_occupation_residual_small():
     phi = monomial(2)
     traj = integrate_ode(f, 0.2, 1.0, 1e-3)
     assert weighted_occupation_residual(f, phi, traj, 64) < 1e-8
+
+
+def test_occupation_identities_share_one_residual_norm():
+    # a time span of 2e200 gives moments whose squares overflow: all three
+    # identities rescue the norm, with no RuntimeWarning (an error here)
+    traj = Trajectory([0.0, 1e200, 2e200], [0.1, 0.2, 0.3])
+    f, phi = TaylorPolynomial([0.1, 0.9]), monomial(1)
+    plain = liouville_occupation_residual(f, traj, 8)
+    weighted = weighted_occupation_residual(f, phi, traj, 8)
+    relation = occupation_self_adjoint_relation(f, phi, traj, 8)
+    assert plain == weighted  # phi = z: the same columns and endpoints
+    assert 1e199 < plain < 1e201 and 1e199 < relation < 1e201
 
 
 def test_weighted_occupation_residual_out_of_disk():

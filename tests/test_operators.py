@@ -245,6 +245,25 @@ def _horner_boundary_adjoint(f, h, order, size):
     return project_h2(BoundaryGrid(combo), order)
 
 
+@pytest.mark.parametrize("order", [-1, -2])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda f, order: liouville_matrix(f, order),
+        lambda f, order: scaled_liouville_matrix(f, 0.5, order),
+        lambda f, order: weighted_liouville_matrix(f, monomial(1), order),
+        lambda f, order: hs_norm(f, TaylorPolynomial([0.0, 0.5]), order),
+    ],
+    ids=["liouville", "scaled", "weighted", "hs_norm"],
+)
+def test_builders_reject_a_negative_order(build, order):
+    # the one order rule names the order; order 0 still builds
+    f = TaylorPolynomial([0.1, 0.9])
+    with pytest.raises(InvalidIndexError, match=f"order must be at least 0, got {order}$"):
+        build(f, order)
+    build(f, 0)
+
+
 def test_liouville_builders_match_column_loop():
     rng = np.random.default_rng(31)
     scales = (0.5, 0.3 - 0.25j, 1.7 + 0.4j, -0.9j)

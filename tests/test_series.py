@@ -141,6 +141,10 @@ def test_derivative_kernel_norm_closed_form():
 def test_kernel_validation():
     with pytest.raises(DiskDomainError):
         szego_kernel(1.0, 16)
+    # the open-disk rule is "not |w| < 1", which a NaN fails
+    for j in (0, 1):
+        with pytest.raises(DiskDomainError, match="got [|]w[|] = nan$"):
+            kernel(complex("nan"), j, 16)
     with pytest.raises(InvalidKernelSpecError):
         kernel(0.5, -1, 16)
     with pytest.raises(InvalidKernelSpecError):

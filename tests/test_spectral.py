@@ -519,6 +519,8 @@ def test_zero_eigenspace_annihilated_by_adjoint():
 def test_zero_eigenspace_validation():
     with pytest.raises(DiskDomainError):
         zero_eigenspace([(1.5, 1)], 8)
+    with pytest.raises(DiskDomainError, match="got [|]w[|] = nan$"):
+        zero_eigenspace([(float("nan"), 1)], 8)
     with pytest.raises(InvalidIndexError):
         zero_eigenspace([(0.3, 0)], 8)
 

@@ -23,6 +23,7 @@ from hardyliou import (
     unit_circle_points,
     weighted_adjoint_on_kernel,
     weighted_liouville_matrix,
+    weighted_occupation_residual,
 )
 from hardyliou.weighted import RadialProfile
 
@@ -84,7 +85,7 @@ def test_normalized_kernel_action_closed_form():
     )
 
 
-@pytest.mark.parametrize("w", [2.0, 1.0])
+@pytest.mark.parametrize("w", [2.0, 1.0, float("nan")])
 def test_normalized_kernel_action_refuses_a_point_outside_the_disk(w):
     # phi(w) = 0.1 w stays inside, so only the kernel point's own rule can
     # refuse it, as weighted_adjoint_on_kernel does
@@ -92,6 +93,46 @@ def test_normalized_kernel_action_refuses_a_point_outside_the_disk(w):
     for action in (normalized_kernel_action_sq, weighted_adjoint_on_kernel):
         with pytest.raises(DiskDomainError, match=f"got [|]w[|] = {w}$"):
             action(f, phi, w)
+
+
+_ORBIT = integrate_ode(TaylorPolynomial([0.0, -0.3 + 1.0j]), 0.5, 0.5, 0.01)
+_COMPOSITIONS = {
+    "weighted_occupation_residual": lambda f, phi: weighted_occupation_residual(
+        f, phi, _ORBIT, 8
+    ),
+    "weighted_adjoint_on_kernel": lambda f, phi: weighted_adjoint_on_kernel(
+        f, phi, 0.5, 8
+    ),
+    "normalized_kernel_action_sq": lambda f, phi: normalized_kernel_action_sq(
+        f, phi, 0.5
+    ),
+    "boundedness_bound": lambda f, phi: boundedness_bound(f, phi),
+    "occupation_self_adjoint_relation": lambda f, phi: occupation_self_adjoint_relation(
+        f, phi, _ORBIT, 8
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_COMPOSITIONS))
+@pytest.mark.parametrize(
+    "phi, top",
+    [([0.0, 5.0], r"[2-4]\.[0-9]+"), ([1.5e308, 1e308], "inf")],  # overflows at 0.5
+    ids=["outside", "overflow"],
+)
+def test_composition_sites_share_the_open_disk_rule(site, phi, top):
+    # every site refuses with one message naming the largest |phi| it read,
+    # and an overflowing phi leaks no RuntimeWarning
+    f = TaylorPolynomial([0.0, -0.3 + 1.0j])
+    message = f"^phi must map into [|]w[|] < 1, got max [|]phi[|] = {top}$"
+    with pytest.raises(CompositionOutOfDiskError, match=message):
+        _COMPOSITIONS[site](f, TaylorPolynomial(phi))
+
+
+def test_composed_nan_fails_the_open_disk_rule():
+    # a NaN grid point gives a NaN phi-value, which is not inside the disk
+    grid = np.full((3, 4), np.nan + 0j)
+    with pytest.raises(CompositionOutOfDiskError, match="max [|]phi[|] = nan$"):
+        boundedness_bound(TaylorPolynomial([1.0]), monomial(1), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +214,11 @@ def test_blaschke_derivative_matches_finite_difference():
 def test_blaschke_zero_validation():
     with pytest.raises(DiskDomainError):
         BlaschkeProduct((1.2,))
+    # each zero obeys the kernel-point rule, which a NaN fails
+    for zero in (1.2, 1.0, complex("nan")):
+        message = f"Blaschke zero must satisfy [|]w[|] < 1, got [|]w[|] = {abs(zero)}$"
+        with pytest.raises(DiskDomainError, match=message):
+            BlaschkeProduct((0.3, zero))
     with pytest.raises(ValueError):
         BlaschkeProduct(())
 
