@@ -35,7 +35,6 @@ from .operators import (
     adjoint_on_derivative_kernel,
     hermitian_defect,
     liouville_matrix,
-    modulus_identity_defect,
     smirnov_decompose,
 )
 from .series import (
@@ -362,7 +361,7 @@ def criterion_10() -> CriterionResult:
     for coeffs in ([0.5, 1.0], [1.0, 0.3j, -0.2], [0.1, 0.0, 0.0, 0.6]):
         f = TaylorPolynomial(coeffs)
         pair = smirnov_decompose(to_boundary(f, size), order)
-        defect = max(defect, modulus_identity_defect(pair.a, pair.b, size))
+        defect = max(defect, pair.defect)
     passed = defect <= 1e-10 and roundtrip <= 1e-8
     return CriterionResult(
         index=10,

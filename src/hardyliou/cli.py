@@ -45,7 +45,6 @@ from .operators import (
     _boundary_floor,
     _naming_overflow,
     adjoint_battery,
-    modulus_identity_defect,
     smirnov_decompose,
 )
 from .series import TaylorPolynomial, complex_pairs, to_boundary
@@ -463,7 +462,7 @@ def _cmd_smirnov(cfg: dict, got: dict, out_dir: Path) -> dict:
     pair = smirnov_decompose(samples, order)
     cert = _certificate(
         "modulus_identity",
-        modulus_identity_defect(pair.a, pair.b, size),
+        pair.defect,
         got["tolerance"],
         "max over boundary grid of ||a|^2 + |b|^2 - 1| <= tolerance",
     )

@@ -54,7 +54,7 @@ from .errors import (
 from .occupation import (
     Trajectory,
     _conj_moments,
-    _invalid_start,
+    _start_point,
 )
 from .series import DEFAULT_ORDER, TaylorPolynomial, _require_order, _szego_columns, complex_pairs
 
@@ -169,7 +169,7 @@ def _snapshot_matrices(trajectories, order):
     for j, traj in enumerate(trajectories):
         by_length[traj.times.size].append(j)
     for columns in by_length.values():
-        basis[:, columns] = _conj_moments([trajectories[j] for j in columns], n).T
+        basis[:, columns] = _conj_moments([trajectories[j] for j in columns], n)[0].T
     if not np.isfinite(basis).all():
         # the rule of the TaylorPolynomial each column is; the weights of a
         # time span near the largest double can sum past it
@@ -294,10 +294,7 @@ def predict(model: DmdModel, z0: complex, t: float | np.ndarray):
     outside ``|z| <= 1 - DISK_MARGIN`` raises ``DiskDomainError``, and one
     that is not finite ``ValueError``.
     """
-    z0 = complex(z0)
-    invalid = _invalid_start(z0)
-    if invalid is not None:
-        raise invalid[2](f"z0 {invalid[1]}")
+    z0 = _start_point(z0)
     if model.identity_residual > 1e-2:
         warnings.warn(
             "identity observable poorly captured by the trajectory span "

@@ -74,6 +74,15 @@ def _invalid_start(z0: complex):
     return _first_invalid_sample(np.zeros(1), np.array([z0]))
 
 
+def _start_point(z0) -> complex:
+    """``complex(z0)``; raises as a trajectory whose first sample is ``z0`` would."""
+    z0 = complex(z0)
+    invalid = _invalid_start(z0)
+    if invalid is not None:
+        raise invalid[2](f"z0 {invalid[1]}")
+    return z0
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Strictly increasing times paired with points inside the unit disk."""
@@ -103,12 +112,6 @@ class Trajectory:
     @property
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
-
-    @property
-    def uniform(self) -> bool:
-        if self.times.size < 3:
-            return True
-        return bool(_uniform_rows(np.diff(self.times)[None])[0])
 
     def content_digest(self) -> str:
         """SHA-256 of the source file, else of the canonical CSV serialization.
@@ -389,10 +392,7 @@ def integrate_ode(
             f"t_final / dt = {t_final / dt:.6g} exceeds the RK4 step budget "
             f"of {MAX_RK4_STEPS} steps"
         )
-    z0 = complex(z0)
-    invalid = _invalid_start(z0)
-    if invalid is not None:
-        raise invalid[2](f"z0 {invalid[1]}")
+    z0 = _start_point(z0)
     limit = 1.0 - DISK_MARGIN
     steps = max(2, round(t_final / dt))
     if steps % 2:
@@ -457,31 +457,21 @@ def integrate_ode(
     return Trajectory(times=times, points=np.array(samples, dtype=np.complex128))
 
 
-def _uniform_rows(gaps: np.ndarray) -> np.ndarray:
-    """Rows of ``gaps`` (rows x intervals) whose gaps agree to 1e-9 of the largest."""
-    top = gaps.max(axis=1)
-    return top - gaps.min(axis=1) <= 1e-9 * top
+def _quadrature_rows(times: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add the quadrature weights of each row of ``times`` (rows x T) to the
+    zeros in ``out``; returns the mask of rows that take composite Simpson.
 
-
-def _simpson_rows(gaps: np.ndarray) -> np.ndarray:
-    """Rows of ``gaps`` (rows x intervals) that take composite Simpson: a
-    uniform grid with an even interval count.  The others take the
-    trapezoid rule."""
-    if gaps.shape[1] < 2:
-        raise InsufficientDataError("quadrature needs at least 3 samples")
-    return _uniform_rows(gaps) & (gaps.shape[1] % 2 == 0)
-
-
-def _quadrature_rows(times: np.ndarray, out: np.ndarray) -> None:
-    """Add the quadrature weights of each row of ``times`` (rows x T), by the
-    rule :func:`_simpson_rows` picks, to the zeros in ``out``.
-
-    Each row gets the bytes of that row alone, and beyond ``times`` and
-    ``out`` one (rows x T) temporary is live at a time.
+    A row takes Simpson when its gaps agree to 1e-9 of the largest and their
+    count is even, and the trapezoid rule otherwise.  Each row gets the bytes
+    of that row alone, and beyond ``times`` and ``out`` one (rows x T)
+    temporary is live at a time.
     """
     samples = times.shape[1]
+    if samples < 3:
+        raise InsufficientDataError("quadrature needs at least 3 samples")
     gaps = np.diff(times, axis=1)
-    simpson = _simpson_rows(gaps)
+    top = gaps.max(axis=1)
+    simpson = (top - gaps.min(axis=1) <= 1e-9 * top) & (samples % 2 == 1)
     np.multiply(gaps, 0.5, out=gaps)  # trapezoid on every row ...
     out[:, :-1] += gaps
     out[:, 1:] += gaps
@@ -491,17 +481,7 @@ def _quadrature_rows(times: np.ndarray, out: np.ndarray) -> None:
     pattern[1::2] = 4.0
     pattern[0] = pattern[-1] = 1.0
     out[simpson] = pattern * (h / 3.0)[:, None]  # ... then Simpson on its rows
-
-
-def _quadrature_rule(trajectory: Trajectory) -> str:
-    """``"simpson"`` or ``"trapezoid"``, as :func:`_simpson_rows` picks."""
-    return "simpson" if _simpson_rows(np.diff(trajectory.times)[None])[0] else "trapezoid"
-
-
-def _quadrature_weights(trajectory: Trajectory) -> np.ndarray:
-    weights = np.zeros(trajectory.times.size)
-    _quadrature_rows(trajectory.times[None], weights[None])
-    return weights
+    return simpson
 
 
 # bytes of running product per block of _conj_moments, 32 rows of 1001 samples:
@@ -510,8 +490,9 @@ def _quadrature_weights(trajectory: Trajectory) -> np.ndarray:
 _MOMENT_BLOCK_BYTES = 512 * 1024
 
 
-def _conj_moments(trajectories, count: int) -> np.ndarray:
-    """``sum_t w_t conj(points_t)^n`` for ``n < count``, one row per trajectory.
+def _conj_moments(trajectories, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sum_t w_t conj(points_t)^n`` for ``n < count``, one row per trajectory,
+    and the mask of the trajectories whose weights ``w`` are Simpson's.
 
     The trajectories share one sample count.  They run in blocks of rows
     that hold about ``_MOMENT_BLOCK_BYTES`` of running product: each block
@@ -525,11 +506,12 @@ def _conj_moments(trajectories, count: int) -> np.ndarray:
     samples = trajectories[0].points.size
     step = max(1, _MOMENT_BLOCK_BYTES // (16 * samples))
     moments = np.empty((len(trajectories), count), dtype=np.complex128)
+    simpson = np.empty(len(trajectories), dtype=bool)
     for start in range(0, len(trajectories), step):
         block = trajectories[start : start + step]
         term = np.zeros((len(block), samples), dtype=np.complex128)
         times = np.concatenate([t.times for t in block]).reshape(len(block), samples)
-        _quadrature_rows(times, term.real)
+        simpson[start : start + step] = _quadrature_rows(times, term.real)
         del times
         base = np.concatenate([t.points for t in block]).reshape(len(block), samples)
         np.conj(base, out=base)
@@ -537,7 +519,7 @@ def _conj_moments(trajectories, count: int) -> np.ndarray:
         for n in range(count):
             out[:, n] = term.sum(axis=1)
             term *= base
-    return moments
+    return moments, simpson
 
 
 def occupation_kernel(
@@ -550,10 +532,11 @@ def occupation_kernel(
     ``|c_n| <= duration * max|theta|^n``.  ``order`` must be at least 0.
     """
     _require_order(order)
-    tag = _quadrature_rule(trajectory)
-    coeffs = _conj_moments([trajectory], order + 1)[0]
+    moments, simpson = _conj_moments([trajectory], order + 1)
     return OccupationKernel(
-        series=TaylorPolynomial(coeffs), source=trajectory, quadrature=tag
+        series=TaylorPolynomial(moments[0]),
+        source=trajectory,
+        quadrature="simpson" if simpson[0] else "trapezoid",
     )
 
 
@@ -563,12 +546,14 @@ def occupation_kernel(
 
 
 def field_defect(f: TaylorPolynomial, trajectory: Trajectory) -> float:
-    """Central-difference defect of ``zdot = f(z)`` along the samples."""
+    """Central-difference defect of ``zdot = f(z)`` along the samples; inf
+    or nan when ``f`` overflows on them."""
     t, z = trajectory.times, trajectory.points
     if t.size < 3:
         return 0.0
     slopes = (z[2:] - z[:-2]) / (t[2:] - t[:-2])
-    return float(np.max(np.abs(slopes - np.asarray(f(z[1:-1])))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(slopes - np.asarray(f(z[1:-1])))))
 
 
 def _warn_on_mismatch(f: TaylorPolynomial, trajectory: Trajectory) -> None:
@@ -578,7 +563,7 @@ def _warn_on_mismatch(f: TaylorPolynomial, trajectory: Trajectory) -> None:
         return
     dt = float(np.max(np.diff(trajectory.times)))
     defect = field_defect(f, trajectory)
-    if defect > 10.0 * dt * dt:
+    if not defect <= 10.0 * dt * dt:  # also true for a nan defect
         warnings.warn(
             f"trajectory does not follow the claimed field "
             f"(finite-difference defect {defect:.3e} > {10 * dt * dt:.3e})",

@@ -136,14 +136,19 @@ def _diagonals(degree: int, order: int):
         yield k, np.arange(1, min(order, order + 1 - k) + 1)
 
 
+def _shifted_columns(f: TaylorPolynomial, scale, order: int, what: str) -> OperatorMatrix:
+    """The matrix whose column ``n`` is ``scale[n] * f`` shifted by ``n-1``."""
+    entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
+    with _naming_overflow("f", f"{what} at order {order}"):
+        for k, n in _diagonals(f.order, order):
+            entries[n - 1 + k, n] = scale[n] * f.coeffs[k]
+        return OperatorMatrix(entries)
+
+
 def liouville_matrix(f: TaylorPolynomial, order: int = DEFAULT_ORDER) -> OperatorMatrix:
     """Matrix of ``g -> f * g'``: column ``n`` is ``n * f`` shifted by ``n-1``; ``order >= 0``."""
     _require_order(order)
-    entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
-    with _naming_overflow("f", f"the liouville matrix at order {order}"):
-        for k, n in _diagonals(f.order, order):
-            entries[n - 1 + k, n] = n * f.coeffs[k]
-        return OperatorMatrix(entries)
+    return _shifted_columns(f, np.arange(order + 1), order, "the liouville matrix")
 
 
 def scaled_liouville_matrix(
@@ -156,7 +161,6 @@ def scaled_liouville_matrix(
     ``order`` must be at least 0, as for every builder here.
     """
     _require_order(order)
-    entries = np.zeros((order + 1, order + 1), dtype=np.complex128)
     a = complex(a)
     # a^n by repeated scalar multiplication, so every entry keeps its rounding
     scale = np.zeros(order + 1, dtype=np.complex128)
@@ -164,10 +168,7 @@ def scaled_liouville_matrix(
     for n in range(1, order + 1):
         scale[n] = n * power
         power *= a
-    with _naming_overflow("f", f"the scaled matrix at order {order}"):
-        for k, n in _diagonals(f.order, order):
-            entries[n - 1 + k, n] = scale[n] * f.coeffs[k]
-        return OperatorMatrix(entries)
+    return _shifted_columns(f, scale, order, "the scaled matrix")
 
 
 # bytes of columns per overflow scope of _weighted_columns: 31 columns at
@@ -195,7 +196,7 @@ def _weighted_columns(f: TaylorPolynomial, phi: TaylorPolynomial, order: int):
     the disk; a non-finite column raises :class:`SymbolOverflowError` naming
     ``phi``.
     """
-    if abs(phi(0.0)) >= 1.0:
+    if abs(phi.coeffs[0]) >= 1.0:  # phi(0), with no product to overflow
         warnings.warn(
             "phi(0) lies outside the open unit disk; composition leaves the "
             "Hardy space",
@@ -442,18 +443,22 @@ def adjoint_on_derivative_kernel(
 class SmirnovPair:
     """Quotient representation ``f = b / a`` with ``a`` outer.
 
-    ``normalized`` records whether ``|a|^2 + |b|^2 = 1`` held on the boundary
-    grid (within 1e-10) when the pair was built.
+    ``defect`` is :func:`modulus_identity_defect` on the boundary grid the
+    pair was built from; ``normalized`` is whether it is within 1e-10.
     """
 
     a: TaylorPolynomial
     b: TaylorPolynomial
-    normalized: bool
+    defect: float
 
     def __post_init__(self):
         a0 = self.a.coeffs[0]
         if not (a0.real > 0 and abs(a0.imag) <= 1e-12 * a0.real):
             raise ValueError("the outer factor must satisfy a(0) real positive")
+
+    @property
+    def normalized(self) -> bool:
+        return self.defect <= 1e-10
 
 
 def smirnov_decompose(f_boundary: BoundaryGrid, order: int) -> SmirnovPair:
@@ -468,8 +473,7 @@ def smirnov_decompose(f_boundary: BoundaryGrid, order: int) -> SmirnovPair:
     a = outer_from_modulus(BoundaryGrid(modulus), order)
     av = np.asarray(a(unit_circle_points(f_boundary.size)))
     b = project_h2(BoundaryGrid(fv * av), order)
-    defect = modulus_identity_defect(a, b, f_boundary.size)
-    return SmirnovPair(a=a, b=b, normalized=bool(defect <= 1e-10))
+    return SmirnovPair(a=a, b=b, defect=modulus_identity_defect(a, b, f_boundary.size))
 
 
 def modulus_identity_defect(

@@ -167,7 +167,8 @@ def _open_disk(top: float, error: type, message: str) -> None:
 def _kernel_point(w, what: str = "kernel point") -> complex:
     """``complex(w)``, the point of an evaluation kernel (or ``what``); needs ``|w| < 1``."""
     w = complex(w)
-    _open_disk(abs(w), DiskDomainError, what + " must satisfy |w| < 1, got |w| = {}")
+    top = math.hypot(w.real, w.imag)  # complex abs, but inf where abs raises OverflowError
+    _open_disk(top, DiskDomainError, what + " must satisfy |w| < 1, got |w| = {}")
     return w
 
 

@@ -103,15 +103,16 @@ def _liouville_spectrum(f: TaylorPolynomial, order: int):
     The same arrays as :func:`eigendecompose` gives.  A triangular
     truncation with a distinct diagonal is swept from the diagonals of
     ``f`` and keeps no eigenvector, so it holds one column block and no
-    ``(N+1)^2`` array; any other builds the matrix.
+    ``(N+1)^2`` array.  Any other builds the matrix and goes straight to
+    the dense eigensolver, as :func:`eigendecompose` would once its own
+    structure test (the same band) or sweep failed.
     """
     band = _symbol_band(f, order)
     found = None if band is None else _band_eigenpairs(band, keep_vectors=False)
     if found is None:
         what = f"the eigenvalues of the liouville matrix at order {order}"
         with _naming_overflow("f", what):
-            result = eigendecompose(liouville_matrix(f, order))
-        return result.values, result.residuals
+            found = _dense_eigenpairs(liouville_matrix(f, order).entries)
     values, _, residuals = found
     values, residuals, _ = _sorted(values, residuals)
     return values, residuals

@@ -166,27 +166,23 @@ def normalized_kernel_action_sq(
 
 
 def self_adjoint_symbol_relation(
-    f: TaylorPolynomial,
-    phi: TaylorPolynomial,
-    points: np.ndarray | None = None,
-    order: int = DEFAULT_ORDER,
-    kernel_points: tuple[complex, ...] = (0.3, -0.2 + 0.4j, 0.5j),
+    f: TaylorPolynomial, phi: TaylorPolynomial, order: int = DEFAULT_ORDER
 ) -> SelfAdjointDefect:
     """How far the pair ``(f, phi)`` is from generating a self-adjoint operator.
 
-    ``symbol_residual`` is the max deviation of ``phi'(z) f(z)`` from the
-    rational expression its origin data must generate when the operator is
+    ``symbol_residual`` is the max deviation, over the polar grid of 16
+    radii up to 0.9 and 64 angles, of ``phi'(z) f(z)`` from the rational
+    expression its origin data must generate when the operator is
     self-adjoint:
 
         ((z - conj(phi(0)) z^2) conj(phi'(0) f'(0) + f(0) phi''(0))
          + 2 z^2 conj(phi'(0) f(0))) / (1 - conj(phi(0)) z)^3.
 
-    ``kernel_defect`` is the max over sample points of
-    ``||A K_alpha - A* K_alpha||`` with both sides in the truncated space.
+    ``kernel_defect`` is the max over ``alpha`` in ``{0.3, -0.2 + 0.4i,
+    0.5i}`` of ``||A K_alpha - A* K_alpha||`` with both sides in the
+    truncated space.
     """
-    if points is None:
-        points = polar_grid(16, 64, 0.9).ravel()
-    points = np.asarray(points, dtype=np.complex128)
+    points = polar_grid(16, 64, 0.9).ravel()
     fpad = f.truncated(max(f.order, 1)).coeffs
     ppad = phi.truncated(max(phi.order, 2)).coeffs
     lhs = np.asarray(derivative(phi)(points)) * np.asarray(f(points))
@@ -198,7 +194,7 @@ def self_adjoint_symbol_relation(
 
     matrix = weighted_liouville_matrix(f, phi, order)
     defect = 0.0
-    for alpha in kernel_points:
+    for alpha in (0.3, -0.2 + 0.4j, 0.5j):
         k_alpha = szego_kernel(complex(alpha), order)
         forward = matrix.apply(k_alpha)
         backward = weighted_adjoint_on_kernel(f, phi, complex(alpha), order)
@@ -318,20 +314,15 @@ class BlaschkeProduct:
         return complex(total) if total.shape == () else total
 
 
-def blaschke_ratio_profile(
-    phi: BlaschkeProduct,
-    radii: np.ndarray | None = None,
-    n_angles: int = 256,
-) -> RadialProfile:
+def blaschke_ratio_profile(phi: BlaschkeProduct) -> RadialProfile:
     """Deviation of ``|phi'(w)| (1 - |w|^2) / (1 - |phi(w)|^2)`` from 1.
 
     The ratio tends to 1 at the boundary for finite Blaschke products; the
-    profile records the max deviation per radius.
+    profile records the max deviation over 256 angles at each of 12 radii
+    from 0.9 to 0.999.
     """
-    if radii is None:
-        radii = np.linspace(0.9, 0.999, 12)
-    radii = np.asarray(radii, dtype=np.float64)
-    angles = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+    radii = np.linspace(0.9, 0.999, 12)
+    angles = np.exp(2j * np.pi * np.arange(256) / 256)
     grid = radii[:, None] * angles[None, :]
     ratio = (
         np.abs(phi.derivative(grid))

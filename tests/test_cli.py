@@ -21,7 +21,7 @@ from hardyliou import (
     write_trajectory_csv,
 )
 from hardyliou.cli import console_main, run
-from hardyliou.errors import ConfigError
+from hardyliou.errors import ConfigError, TrajectoryMismatchWarning
 
 
 def _run(tmp_path, command, config, out="out"):
@@ -147,6 +147,8 @@ def test_boundary_size_constraint_enforced(tmp_path, capsys):
         ("smirnov", {"N": 8, "f": [0.1, 1e308]}, "symbol f "),
         ("bounds", {"f": [1e308], "phi": [0, 0.5]}, "symbol f "),
         ("smirnov", {"N": 8, "f": [1e308, 1e308]}, "symbol f "),
+        # phi(0) = 0, read off the coefficients: no product that overflows
+        ("hs-norm", {"N": 8, "f": [1], "phi": [0, [1e308, 1e308]]}, "symbol phi"),
         # dense route: the spectrum is linear in f, and at 2.5e307 its top
         # eigenvalue (about 3.1e308) is past the largest double
         ("spectrum", {"N": 6, "f": [2.5e307] * 3}, "symbol f overflows the eigenvalues"),
@@ -162,6 +164,26 @@ def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, confi
     assert "Traceback" not in err
     lines = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(lines) == 1 and symbol in lines[0]
+
+
+def test_field_overflowing_on_the_samples_exits_without_traceback(tmp_path, capsys):
+    # the orbit reaches z = 0.87, where f's Horner sum passes the largest double
+    orbit = integrate_ode(TaylorPolynomial([0.0, 1.0]), 0.5, 0.55, 0.01)
+    write_trajectory_csv(orbit, tmp_path / "orbit.csv")
+    huge = [0, [1e308, 1e308], [1e308, 1e308]]
+    config = {"N": 16, "f": huge, "trajectories": [str(tmp_path / "orbit.csv")]}
+    # the overflowing defect is nan, which still warns
+    with pytest.warns(TrajectoryMismatchWarning, match="defect nan"):
+        code, _ = _run(tmp_path, "occupation", config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: symbol f ")
+    with pytest.warns(TrajectoryMismatchWarning, match="defect nan"):
+        code, _ = _run(tmp_path, "weighted", {**config, "phi": [0, 0.5]}, out="weighted")
+    assert code == 1
+    printed = capsys.readouterr()
+    assert "FAIL weighted_occupation_adjoint_identity" in printed.out
+    assert "Traceback" not in printed.err
 
 
 @pytest.mark.parametrize(

@@ -316,6 +316,9 @@ _CHANGE = st.one_of(*(st.tuples(st.just(k), v) for k, v in _FIELDS.items()))
 @example("dmd", [("predict", {"z0": 0.0, "times": [10**400]})])
 # a constant phi whose |phi|^2 overflows a float
 @example("hs-norm", [("N", 8), ("f", [1.0]), ("phi", [1e308])])
+# phi(0) = 0 exactly, though evaluating it as (1e308+1e308j) * 0 raises the
+# overflow flag
+@example("hs-norm", [("phi", [0, [1e308, 1e308]])])
 # phi maps a sample out of the disk, and an orbit that leaves the disk: no
 # certificate is computed, so both exit 2
 @example("weighted", [("phi", [0.0, 5.0])])

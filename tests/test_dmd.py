@@ -472,10 +472,12 @@ def _mixed_batch():
 def test_batch_moments_keep_the_bytes_of_one_orbit():
     batch = _mixed_batch()
     order = 16
-    assert {occupation._quadrature_rule(t) for t in batch} == {"simpson", "trapezoid"}
+    rules = [occupation.occupation_kernel(t, 0).quadrature for t in batch]
+    assert set(rules) == {"simpson", "trapezoid"}
     for samples in {t.times.size for t in batch}:
         group = [t for t in batch if t.times.size == samples]
-        got = occupation._conj_moments(group, order + 1)
+        got, simpson = occupation._conj_moments(group, order + 1)
+        assert [rules[batch.index(t)] == "simpson" for t in group] == simpson.tolist()
         for row, traj in zip(got, group):
             weights = _one_orbit_weights(traj.times)
             expected = _one_orbit_moments(weights, traj.points, order + 1)

@@ -69,9 +69,9 @@ def test_trajectory_disk_margin_cites_sample():
 def test_trajectory_properties():
     traj = Trajectory(np.array([0.0, 0.5, 1.0]), np.array([0.1, 0.2, 0.3j]))
     assert traj.duration == 1.0
-    assert traj.uniform
+    assert occupation_kernel(traj, 0).quadrature == "simpson"
     skew = Trajectory(np.array([0.0, 0.5, 2.0]), np.array([0.1, 0.2, 0.3]))
-    assert not skew.uniform
+    assert occupation_kernel(skew, 0).quadrature == "trapezoid"
 
 
 def test_trajectory_immutable_arrays():
@@ -713,7 +713,7 @@ def test_integrate_linear_field_endpoint():
     assert traj.times[-1] == pytest.approx(1.0)
     # even interval count so Simpson applies directly
     assert (traj.times.size - 1) % 2 == 0
-    assert traj.uniform
+    assert occupation_kernel(traj, 0).quadrature == "simpson"
 
 
 def test_integrate_convergence_order():
@@ -882,7 +882,8 @@ def test_running_product_moments_match_power_formula():
     traj = integrate_ode(f, 0.6 + 0.1j, 10.0, 1e-3)
     assert traj.times.size == 10001
     order = 1024
-    weights = occupation._quadrature_weights(traj)
+    weights = np.zeros(traj.times.size)
+    assert occupation._quadrature_rows(traj.times[None], weights[None])[0]
     powers = np.conj(traj.points)[:, None] ** np.arange(order + 1)[None, :]
     expected = weights @ powers
     got = occupation_kernel(traj, order).series.coeffs

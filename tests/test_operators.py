@@ -698,6 +698,14 @@ def test_smirnov_quotient_battery():
         assert modulus_identity_defect(pair.a, pair.b, 1024) < 1e-10
 
 
+def test_smirnov_pair_keeps_its_modulus_defect():
+    # the defect smirnov_decompose measured, on the grid it was given
+    for coeffs, size in (([0.5, 1.0], 1024), ([1.0, -0.5, 3.0], 128)):
+        pair = smirnov_decompose(to_boundary(TaylorPolynomial(coeffs), size), size // 8)
+        assert pair.defect == modulus_identity_defect(pair.a, pair.b, size)
+        assert pair.normalized == (pair.defect <= 1e-10)
+
+
 def test_membership_reconstruction_integral():
     # the candidate is c + J(a h); check J and the evaluation agree at 0
     f = TaylorPolynomial([1.0, 0.5])

@@ -1,5 +1,7 @@
 """Series layer: kernels, arithmetic, boundary transforms, outer functions."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +151,17 @@ def test_kernel_validation():
         kernel(0.5, -1, 16)
     with pytest.raises(InvalidKernelSpecError):
         kernel(0.5, 20, 16)
+
+
+def test_kernel_point_modulus_past_the_largest_double():
+    # finite parts whose modulus overflows: complex abs raises OverflowError
+    with pytest.raises(DiskDomainError, match="got [|]w[|] = inf$"):
+        kernel(complex(1.5e308, 1.5e308), 0, 4)
+    # elsewhere the modulus is complex abs's, bit for bit
+    for w in (0.6 + 0.8j, 1.0 + 1e-300j, complex("inf"), complex(1e308, 1e308)):
+        with pytest.raises(DiskDomainError, match=re.escape(f"got |w| = {abs(w)}") + "$"):
+            kernel(w, 0, 4)
+    assert kernel(0.6 + 0.79j, 0, 4).coeffs[1] == 0.6 - 0.79j
 
 
 # ---------------------------------------------------------------------------

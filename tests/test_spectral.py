@@ -305,6 +305,23 @@ def test_spectrum_route_is_eigendecompose_without_vectors(monkeypatch, coeffs, o
     assert np.array_equal(residuals, result.residuals)
 
 
+@pytest.mark.parametrize(
+    "coeffs, order",
+    [([0.25, -1.0, 1.0], 40), ([0.3, 0.0], 20)],  # not triangular; a repeated diagonal
+)
+def test_spectrum_fallback_is_eigendecompose(monkeypatch, coeffs, order):
+    f = TaylorPolynomial(coeffs)
+    result = eigendecompose(liouville_matrix(f, order))
+
+    def rescan(entries):
+        raise AssertionError("the symbol's band failed, yet the matrix was scanned again")
+
+    monkeypatch.setattr(spectral, "_triangular_eigenpairs", rescan)
+    values, residuals = spectral._liouville_spectrum(f, order)
+    assert values.tobytes() == result.values.tobytes()
+    assert residuals.tobytes() == result.residuals.tobytes()
+
+
 def test_sweep_block_width_changes_no_byte(monkeypatch):
     # blocks of 64 columns against one block of all of them
     for coeffs, order in ([0.2 - 0.1j, -0.7 + 0.4j], 200), ([0.0, 0.8j, 0.1, -0.2j], 150):
