@@ -147,11 +147,11 @@ def test_boundary_size_constraint_enforced(tmp_path, capsys):
         ("smirnov", {"N": 8, "f": [0.1, 1e308]}, "symbol f "),
         ("bounds", {"f": [1e308], "phi": [0, 0.5]}, "symbol f "),
         ("smirnov", {"N": 8, "f": [1e308, 1e308]}, "symbol f "),
-        # phi(0) = 0, read off the coefficients: no product that overflows
-        ("hs-norm", {"N": 8, "f": [1], "phi": [0, [1e308, 1e308]]}, "symbol phi"),
         # dense route: the spectrum is linear in f, and at 2.5e307 its top
         # eigenvalue (about 3.1e308) is past the largest double
         ("spectrum", {"N": 6, "f": [2.5e307] * 3}, "symbol f overflows the eigenvalues"),
+        # phi(0) = 0, read off the coefficients: no product that overflows
+        ("hs-norm", {"N": 8, "f": [1], "phi": [0, [1e308, 1e308]]}, "symbol phi"),
     ],
 )
 def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, config, symbol):
