@@ -426,7 +426,7 @@ def criterion_12() -> CriterionResult:
             "predict_gap": float(predict_gap),
             "predict_tolerance": 1e-3,
             "runtime_limit": 60.0,
-            "n_trajectories": len(model.trajectory_digests),
+            "n_trajectories": model.n_trajectories,
         },
     )
 

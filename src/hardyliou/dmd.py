@@ -32,17 +32,18 @@ U diag(sigma) W e^{t diag(mu)} W^{-1} diag(F) U^H c)`` with
 ridge-regularized projection ``S (G + ridge I)^{-1} S^H`` of the identity
 observable evaluated at ``z0``, the correctness anchor for the whole chain.
 Only ``c`` and ``e^{t diag(mu)}`` depend on ``(z0, t)``, so the model
-stores ``W^{-1} diag(F) U^H`` and ``(U diag(sigma) W)[1, :]`` once, and a
-forecast is one k x (N+1) matrix-vector product and k exponentials.
+stores ``W^{-1} diag(F) U^H`` and ``(U diag(sigma) W)[1, :]`` once.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import json
 import math
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -80,6 +81,10 @@ class DmdModel:
     the data-space residual ``||T v - mu S v||`` at ``v = V w_j``.
     ``identity_residual`` measures how well the identity observable is
     captured by the span; predictions degrade once it grows.
+    ``trajectory_digests`` is each fitted orbit's
+    :meth:`~hardyliou.occupation.Trajectory.content_digest`, resolved when
+    first read; until then the model holds only the orbits whose digest is
+    still unknown.
     """
 
     basis: np.ndarray
@@ -93,12 +98,15 @@ class DmdModel:
     regularization: float
     identity_residual: float
     order: int
-    trajectory_digests: tuple
+    trajectories: InitVar[list]
     # derived in __post_init__ so they always match the fields above
     _forecast_map: np.ndarray = field(init=False, repr=False, compare=False)
     _readout: np.ndarray = field(init=False, repr=False, compare=False)
+    # a list holding each orbit's digest, or the orbit itself while its
+    # digest is unknown; the tuple of digests once trajectory_digests is read
+    _digests: list | tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, trajectories):
         # the (z0, t)-independent part of predict: W^{-1} diag(F) U^H, solved
         # against W, never inverted, and r = (U diag(sigma) W)[1, :]
         filtered = _filter_factors(self.singular_values, self.regularization)
@@ -113,6 +121,17 @@ class DmdModel:
         readout.setflags(write=False)
         object.__setattr__(self, "_forecast_map", forecast_map)
         object.__setattr__(self, "_readout", readout)
+        digests = [t if t._digest is None else t._digest for t in trajectories]
+        object.__setattr__(self, "_digests", digests)
+
+    @property
+    def trajectory_digests(self) -> tuple:
+        if isinstance(self._digests, list):
+            digests = tuple(
+                d if isinstance(d, str) else d.content_digest() for d in self._digests
+            )
+            object.__setattr__(self, "_digests", digests)
+        return self._digests
 
     @property
     def n_trajectories(self) -> int:
@@ -155,7 +174,7 @@ class DmdModel:
 
 
 def _snapshot_matrices(trajectories, order):
-    """The basis ``S``, the targets ``T`` and the digests of a batch.
+    """The basis ``S`` and the targets ``T`` of a batch.
 
     Orbits that share a sample count share the blocks of
     :func:`~hardyliou.occupation._conj_moments`; the targets ``K_end -
@@ -177,8 +196,7 @@ def _snapshot_matrices(trajectories, order):
     starts = np.array([traj.points[0] for traj in trajectories])
     ends = np.array([traj.points[-1] for traj in trajectories])
     targets = _szego_columns(ends, order) - _szego_columns(starts, order)
-    digests = tuple(traj.content_digest() for traj in trajectories)
-    return basis, targets, digests
+    return basis, targets
 
 
 def fit(
@@ -207,7 +225,7 @@ def fit(
     for traj in trajectories:
         if not isinstance(traj, Trajectory):
             raise TypeError("trajectories must be Trajectory instances")
-    basis, targets, digests = _snapshot_matrices(trajectories, order)
+    basis, targets = _snapshot_matrices(trajectories, order)
     left, sigma, right_h = np.linalg.svd(basis, full_matrices=False)
     with np.errstate(over="ignore"):
         gram_trace = float(np.sum(sigma**2))
@@ -271,8 +289,17 @@ def fit(
         regularization=float(ridge),
         identity_residual=identity_residual,
         order=order,
-        trajectory_digests=digests,
+        trajectories=trajectories,
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _exponents(order: int) -> np.ndarray:
+    # n = 0..N, the powers of z0 that predict conjugates into c; complex,
+    # as power casts integer exponents to complex anyway
+    exponents = np.arange(order + 1, dtype=np.complex128)
+    exponents.setflags(write=False)
+    return exponents
 
 
 def predict(model: DmdModel, z0: complex, t: float | np.ndarray):
@@ -285,11 +312,12 @@ def predict(model: DmdModel, z0: complex, t: float | np.ndarray):
     the output is exactly the subspace reconstruction of ``z0``.
 
     The solve against the eigenvectors is factored once when the model is
-    built, so a forecast costs one matrix-vector product and ``k``
-    exponentials.  A scalar ``t``
-    returns a ``complex``; a 1-d array of times returns an array of
-    forecasts.  A forecast that is not finite (far outside the data span)
-    emits ``LowConfidenceWarning``.  ``z0`` obeys the rule of a trajectory's
+    built, so a call costs ``N + 1`` powers of ``z0``, a k x (N+1)
+    matrix-vector product, and per time ``k`` exponentials and a length-k
+    dot product.  A scalar ``t`` returns a ``complex``; a 1-d array of times
+    returns an array of forecasts, each with the bytes of its scalar call.
+    A forecast that is not finite (far outside the data span) emits
+    ``LowConfidenceWarning``.  ``z0`` obeys the rule of a trajectory's
     samples, as in :func:`~hardyliou.occupation.integrate_ode`: a start
     outside ``|z| <= 1 - DISK_MARGIN`` raises ``DiskDomainError``, and one
     that is not finite ``ValueError``.
@@ -303,21 +331,36 @@ def predict(model: DmdModel, z0: complex, t: float | np.ndarray):
             LowConfidenceWarning,
             stacklevel=2,
         )
-    times = np.asarray(t, dtype=np.float64)
-    if times.ndim > 1:
-        raise ValueError("t must be a real number or a 1-d array of times")
-    coords = model._forecast_map @ np.conj(z0 ** np.arange(model.order + 1))
+    scalar = isinstance(t, (int, float))
+    if scalar:
+        times = float(t)
+    else:
+        times = np.asarray(t, dtype=np.float64)
+        if times.ndim > 1:
+            raise ValueError("t must be a real number or a 1-d array of times")
+        scalar = times.ndim == 0
+        # a (1, k) @ (k,) dot per time, as for a scalar: a matrix-vector
+        # product would give bytes that depend on the other times
+        times = float(times) if scalar else times[:, None, None]
+    coords = model._forecast_map @ np.conj(z0 ** _exponents(model.order))
     with np.errstate(over="ignore", invalid="ignore"):
-        evolved = np.exp(np.multiply.outer(times, model.eigenvalues)) * coords
-        values = np.conj(evolved @ model._readout)
-    finite = np.isfinite(values)
-    if not finite.all():
-        first = float(times.reshape(-1)[np.argmin(finite.reshape(-1))])
-        warnings.warn(
-            f"forecast is not finite at t = {first:.6g} "
-            f"({values.size - np.count_nonzero(finite)} of {values.size} "
-            "times); t lies too far outside the data span",
-            LowConfidenceWarning,
-            stacklevel=2,
-        )
-    return complex(values) if times.ndim == 0 else values
+        values = np.exp(times * model.eigenvalues) * coords @ model._readout
+    if scalar:
+        forecast = complex(values).conjugate()
+        if cmath.isfinite(forecast):
+            return forecast
+        first, count, size = times, 1, 1
+    else:
+        forecast = np.conj(values[:, 0])
+        finite = np.isfinite(forecast)
+        if finite.all():
+            return forecast
+        first = float(times[np.argmin(finite), 0, 0])
+        count, size = forecast.size - np.count_nonzero(finite), forecast.size
+    warnings.warn(
+        f"forecast is not finite at t = {first:.6g} ({count} of {size} "
+        "times); t lies too far outside the data span",
+        LowConfidenceWarning,
+        stacklevel=2,
+    )
+    return forecast

@@ -1,11 +1,13 @@
 """Data-driven compression: fit, spectrum recovery, prediction."""
 
 import dataclasses
+import gc
 import hashlib
 import inspect
 import json
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -153,12 +155,39 @@ def test_each_trajectory_is_formatted_once(tmp_path, monkeypatch):
     assert len(counted_formats) == 3
     assert digests == [_sha256(path) for path in paths]
     assert first.trajectory_digests == second.trajectory_digests == tuple(digests)
-    # never written: formatted by the first fit only
+    # never written: a fit formats nothing, and the first model to read its
+    # digests formats it once
     models = [dmd.fit([fresh], order=16) for _ in range(2)]
+    assert len(counted_formats) == 3
+    assert models[0].trajectory_digests == models[1].trajectory_digests
     assert len(counted_formats) == 4 and counted_formats[-1] is fresh
     write_trajectory_csv(fresh, tmp_path / "fresh.csv")
     for model in models:
         assert model.trajectory_digests == (_sha256(tmp_path / "fresh.csv"),)
+
+
+def test_model_keeps_only_orbits_whose_digest_is_unknown(tmp_path):
+    batch = _affine_batch(n_radii=1, n_angles=3, dt=1e-2)
+    paths = [tmp_path / f"orbit{k}.csv" for k in range(len(batch))]
+    for trajectory, path in zip(batch, paths):
+        write_trajectory_csv(trajectory, path)
+    read = [read_trajectory_csv(path) for path in paths]
+    refs = [weakref.ref(trajectory) for trajectory in read]
+    model = dmd.fit(read, order=8)
+    del read
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(paths)
+    assert model.trajectory_digests == tuple(_sha256(path) for path in paths)
+    # an orbit never digested stays alive until the model reads its digest
+    fresh = _affine_batch(n_radii=1, n_angles=1, dt=1e-2)[0]
+    ref = weakref.ref(fresh)
+    model = dmd.fit([fresh], order=8)
+    del fresh
+    gc.collect()
+    assert ref() is not None
+    digests = model.trajectory_digests
+    gc.collect()
+    assert ref() is None and model.trajectory_digests is digests
 
 
 @pytest.mark.parametrize("cell", [" 0.1 ", "1e-1"])
@@ -285,8 +314,33 @@ def test_predict_array_times_match_scalar_path(affine_model):
     times = np.linspace(0.0, 1.0, 11)
     values = dmd.predict(affine_model, 0.3, times)
     assert isinstance(values, np.ndarray) and values.shape == times.shape
-    for t, value in zip(times, values):
-        assert abs(value - dmd.predict(affine_model, 0.3, t)) <= 1e-14
+    scalars = [dmd.predict(affine_model, 0.3, t) for t in times]
+    assert values.tobytes() == np.array(scalars).tobytes()
+    # each forecast has the same bytes whatever other times share its array
+    for count in range(1, times.size):
+        assert dmd.predict(affine_model, 0.3, times[:count]).tobytes() == (
+            values[:count].tobytes()
+        )
+
+
+# sha256 of the repr of each forecast of _PINNED_FORECASTS in turn, joined by
+# newlines; the last (z0, t) overflows
+_PINNED_FORECASTS = [
+    (0.3, 0.0), (0.3, -0.4), (0.1 + 0.2j, 0.5), (-0.25j, 1.0),
+    (0.2 - 0.1j, 2.5), (0.3, 1e4),
+]
+_PINNED_FORECAST_SHA256 = (
+    "954f8d33c9b8306e24d01be038c5e4b462027eb579cd75397161cc377cff6e83"
+)
+
+
+def test_forecast_bytes_are_pinned(affine_model):
+    reprs = [repr(dmd.predict(affine_model, z0, t)) for z0, t in _PINNED_FORECASTS[:-1]]
+    z0, t = _PINNED_FORECASTS[-1]
+    with pytest.warns(LowConfidenceWarning, match=r"t = 10000 \(1 of 1 times\)"):
+        reprs.append(repr(dmd.predict(affine_model, z0, t)))
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == _PINNED_FORECAST_SHA256
 
 
 def test_predict_refuses_times_of_two_dimensions(affine_model):
@@ -314,7 +368,7 @@ def test_predict_warns_when_forecast_not_finite():
 def _gram_fit(trajectories, order, ridge):
     # oracle: the m x m Gram route, C = (G + ridge I)^{-1} S^H T
     # eigendecomposed in trajectory space, with its own factor-once predictor
-    basis, targets, _ = dmd._snapshot_matrices(trajectories, order)
+    basis, targets = dmd._snapshot_matrices(trajectories, order)
     gram = basis.conj().T @ basis
     if ridge is None:
         ridge = 1e-10 * float(np.trace(gram).real)
@@ -488,7 +542,7 @@ def test_batch_moments_keep_the_bytes_of_one_orbit():
     assert hashlib.sha256(model.to_json().encode()).hexdigest() == (
         "182c7ce3caf08d860920dffe6810c2ae114452fd610d9c18c06b35c847c52713"
     )
-    _, targets, _ = dmd._snapshot_matrices(batch, order)
+    _, targets = dmd._snapshot_matrices(batch, order)
     for j, traj in enumerate(batch):
         kernel = occupation_kernel(traj, order).series.coeffs
         assert model.basis[:, j].tobytes() == kernel.tobytes()

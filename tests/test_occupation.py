@@ -235,6 +235,26 @@ def test_standard_batch_digests_are_pinned():
     assert [orbit.content_digest() for orbit in batch] == _STANDARD_BATCH_DIGESTS
 
 
+def test_release_gate_formats_no_orbit(monkeypatch):
+    formatted = []  # the trajectory of each _csv_bytes call
+    formatter = occupation._csv_bytes
+
+    def counted(trajectory):
+        formatted.append(trajectory)
+        return formatter(trajectory)
+
+    monkeypatch.setattr(occupation, "_csv_bytes", counted)
+    with acceptance.standard_fit_scope():
+        acceptance.run_all()
+        acceptance.findings()
+        model = acceptance._standard_model()
+    assert formatted == []
+    # read afterwards, the digests are the pinned ones, each formatted once
+    assert list(model.trajectory_digests) == _STANDARD_BATCH_DIGESTS
+    assert list(model.trajectory_digests) == _STANDARD_BATCH_DIGESTS
+    assert len(formatted) == 20
+
+
 # sha256 of the canonical bytes of the 10,001-sample orbit that the occupation
 # command integrates at N = 1024 (zdot = (-0.5 + i) z from 0.6 + 0.1i, T = 10)
 _LONG_ORBIT_DIGEST = "5d631fe9019d1dde2f700076e6341639409887b1c3662feb6663568507b05870"
