@@ -303,6 +303,7 @@ def adjoint_apply_boundary(
     one the grid is the smallest power of two that meets the floor.  ``h``
     and ``h'`` are sampled by FFT; ``f`` and ``f'`` by Horner.
     """
+    _require_order(order)
     if h.order > order:
         raise ValueError("h must have order at most the truncation order")
     if size is None:
@@ -372,6 +373,7 @@ def adjoint_battery(
     is not finite names it, the transpose first.  A gap whose squares
     overflow keeps a finite norm (:func:`_row_norms`).
     """
+    _require_order(order)
     if cases < 1:
         raise InvalidIndexError(f"cases must be at least 1, got {cases}")
     rng, z = np.random.default_rng(seed), unit_circle_points(size)
@@ -423,6 +425,7 @@ def adjoint_on_derivative_kernel(
     if j < 1:
         raise InvalidIndexError("j must be at least 1")
     w = _kernel_point(w)
+    _require_order(order)
     result = np.zeros(order + 1, dtype=np.complex128)
     deriv = f
     for ell in range(j):

@@ -13,8 +13,12 @@ Conventions used throughout the package:
 * boundary sampling uses ``M`` uniform points on the circle with
   ``M >= 2N + 2`` so that projection back onto the first ``N + 1``
   nonnegative Fourier modes is alias-free;
-* truncation error is controlled through the tail helpers
-  (:func:`geometric_tail`, :func:`kernel_tail`) rather than magic numbers.
+* every truncation order passes one rule, :func:`_require_order`, before
+  anything is allocated; a bad order raises :class:`InvalidIndexError`.
+
+The tail bounds :func:`geometric_tail` and :func:`kernel_tail` are exported
+but have no caller yet: no tolerance in the package is derived from them
+(ROADMAP.md's open items plan their callers).
 """
 
 from __future__ import annotations
@@ -104,8 +108,7 @@ class TaylorPolynomial:
 
     def truncated(self, order: int) -> "TaylorPolynomial":
         """Coefficients re-cut to ``order`` (zero padded when extending)."""
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        _require_order(order)
         out = np.zeros(order + 1, dtype=np.complex128)
         keep = min(order, self.order) + 1
         out[:keep] = self.coeffs[:keep]
@@ -113,11 +116,12 @@ class TaylorPolynomial:
 
 
 def monomial(degree: int, order: int | None = None) -> TaylorPolynomial:
-    """The monomial ``z**degree``, optionally padded to ``order``."""
-    size = (degree if order is None else order) + 1
-    if degree >= size:
-        raise ValueError("order too small for the requested degree")
-    out = np.zeros(size, dtype=np.complex128)
+    """The monomial ``z**degree``, optionally padded to ``order >= degree >= 0``."""
+    if not degree >= 0:
+        raise InvalidIndexError(f"degree must be at least 0, got {degree!r}")
+    order = degree if order is None else order
+    _require_order(order, degree)
+    out = np.zeros(order + 1, dtype=np.complex128)
     out[degree] = 1.0
     return TaylorPolynomial(out)
 
@@ -240,6 +244,7 @@ def multiply(
     """Product truncated at ``order`` (exact when ``order`` is None)."""
     prod = np.convolve(g.coeffs, h.coeffs)
     if order is not None:
+        _require_order(order)
         prod = prod[: order + 1] if prod.size > order + 1 else np.pad(
             prod, (0, order + 1 - prod.size)
         )
@@ -266,6 +271,7 @@ def antiderivative(h: TaylorPolynomial) -> TaylorPolynomial:
 
 def reciprocal(g: TaylorPolynomial, order: int) -> TaylorPolynomial:
     """Multiplicative inverse mod ``z^(order+1)``; needs ``g(0) != 0``."""
+    _require_order(order)
     c = g.coeffs
     if c[0] == 0:
         raise SingularSymbolError("reciprocal requires a nonzero constant term")
@@ -280,6 +286,7 @@ def reciprocal(g: TaylorPolynomial, order: int) -> TaylorPolynomial:
 
 def exp_series(g: TaylorPolynomial, order: int) -> TaylorPolynomial:
     """Exponential mod ``z^(order+1)`` via ``(e^g)' = g' e^g``."""
+    _require_order(order)
     kc = np.arange(g.coeffs.size) * g.coeffs
     out = np.zeros(order + 1, dtype=np.complex128)
     out[0] = np.exp(g.coeffs[0])
@@ -320,6 +327,7 @@ def to_boundary(g: TaylorPolynomial, size: int | None = None) -> BoundaryGrid:
 
 def project_h2(grid: BoundaryGrid, order: int) -> TaylorPolynomial:
     """Keep Fourier modes ``0..order``; negative modes are discarded."""
+    _require_order(order)
     require_grid(grid.size, 2 * order + 2, f"order {order}")
     modes = np.fft.fft(grid.values) / grid.size
     return TaylorPolynomial(modes[: order + 1])
@@ -333,6 +341,7 @@ def outer_from_modulus(grid: BoundaryGrid, order: int) -> TaylorPolynomial:
     coefficients of ``log m``; then ``|G| = m`` on the circle and ``G(0)``
     equals ``exp(mean log m) > 0``.
     """
+    _require_order(order)
     vals = grid.values
     scale = float(np.max(np.abs(vals))) or 1.0
     if np.any(vals.real <= 0) or np.max(np.abs(vals.imag)) > 1e-9 * scale:

@@ -43,6 +43,7 @@ from .series import (
     TaylorPolynomial,
     DEFAULT_ORDER,
     _kernel_point,
+    _require_order,
     antiderivative,
     exp_series,
     kernel,
@@ -410,6 +411,7 @@ def hk_eigenfunction(
         raise InvalidIndexError("m must be an integer >= 2")
     if int(k) != k or not 1 <= k <= m - 1:
         raise InvalidIndexError(f"branch index k must lie in 1..{m - 1}")
+    _require_order(order)
     coeffs = np.zeros(order + 1, dtype=np.complex128)
     term = 1.0 + 0.0j
     index = k

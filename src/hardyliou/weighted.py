@@ -322,8 +322,7 @@ def blaschke_ratio_profile(phi: BlaschkeProduct) -> RadialProfile:
     from 0.9 to 0.999.
     """
     radii = np.linspace(0.9, 0.999, 12)
-    angles = np.exp(2j * np.pi * np.arange(256) / 256)
-    grid = radii[:, None] * angles[None, :]
+    grid = radii[:, None] * unit_circle_points(256)[None, :]
     ratio = (
         np.abs(phi.derivative(grid))
         * (1.0 - np.abs(grid) ** 2)

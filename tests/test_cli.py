@@ -4,8 +4,10 @@ Each test drives ``console_main`` with a config file in a temp directory and
 inspects the exit code, the printed certificate lines, and the JSON report.
 """
 
+import hashlib
 import json
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +39,10 @@ def _report(out_dir, name):
     return json.loads((out_dir / name).read_text())
 
 
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def test_spectrum_exit_zero_and_report_contents(tmp_path):
     code, out = _run(
         tmp_path, "spectrum", {"N": 12, "f": [[0.1, 0.0], [0.9, 0.0]]}
@@ -57,6 +63,16 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     first = (tmp_path / "a" / "spectrum_report.json").read_bytes()
     second = (tmp_path / "b" / "spectrum_report.json").read_bytes()
     assert first == second
+    # two dmd fits of the same CSVs, with forecasts: report and model alike
+    field, paths = TaylorPolynomial([0.0, -0.3 + 1.0j]), []
+    for k in range(6):
+        paths.append(str(tmp_path / f"orbit_{k}.csv"))
+        write_trajectory_csv(integrate_ode(field, 0.1 * (k + 1) * 1j**k, 1.0, 1e-3), paths[-1])
+    config = {"N": 16, "trajectories": paths, "predict": {"z0": 0.1, "times": [0, 0.5, 1]}}
+    for out in ("dmd_a", "dmd_b"):
+        assert _run(tmp_path, "dmd", config, out=out)[0] == 0
+    for name in ("dmd_report.json", "dmd_model.json"):
+        assert (tmp_path / "dmd_a" / name).read_bytes() == (tmp_path / "dmd_b" / name).read_bytes()
 
 
 def test_certificate_failure_exits_one(tmp_path, capsys):
@@ -152,6 +168,14 @@ def test_boundary_size_constraint_enforced(tmp_path, capsys):
         ("spectrum", {"N": 6, "f": [2.5e307] * 3}, "symbol f overflows the eigenvalues"),
         # phi(0) = 0, read off the coefficients: no product that overflows
         ("hs-norm", {"N": 8, "f": [1], "phi": [0, [1e308, 1e308]]}, "symbol phi"),
+        # a finite phi that leaves the disk on the orbit or the polar grid is
+        # refused the same way
+        (
+            "weighted",
+            {"f": [0.1, 0.9], "phi": [0, 5], "ode": {"z0": 0.2, "T": 0.5, "dt": 0.01}},
+            "phi must map into",
+        ),
+        ("bounds", {"f": [1], "phi": [0, 2]}, "phi must map into"),
     ],
 )
 def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, config, symbol):
@@ -523,7 +547,9 @@ def test_occupation_from_ode_config(tmp_path):
     code, out = _run(tmp_path, "occupation", config)
     assert code == 0
     report = _report(out, "occ.json")
-    assert len(report["trajectory_digests"]) == 1
+    # the integrated orbit is cited by the sha256 of its CSV file
+    write_trajectory_csv(integrate_ode(TaylorPolynomial([0.0, 1.0]), 0.2, 1.0, 1e-3), tmp_path / "orbit.csv")
+    assert report["trajectory_digests"] == [_sha256(tmp_path / "orbit.csv")]
     assert report["certificates"][0]["residual"] < 1e-6
 
 
@@ -539,6 +565,7 @@ def test_occupation_from_csv_files(tmp_path):
     code, out = _run(tmp_path, "occupation", config)
     assert code == 0
     report = _report(out, "occupation_report.json")
+    assert report["trajectory_digests"] == [_sha256(path) for path in paths]
     assert len(report["residuals"]) == 2
     assert max(report["residuals"]) < 1e-6
 

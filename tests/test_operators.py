@@ -23,10 +23,14 @@ from hardyliou import (
     adjoint_matrix,
     adjoint_on_derivative_kernel,
     antiderivative,
+    compose,
     default_boundary_size,
     derivative,
     endpoint_kernel_difference,
+    exp_eigenfunction,
+    exp_series,
     hermitian_defect,
+    hk_eigenfunction,
     hs_norm,
     integrate_ode,
     kernel,
@@ -38,7 +42,10 @@ from hardyliou import (
     multiply,
     norm,
     occupation_kernel,
+    occupation_self_adjoint_relation,
+    outer_from_modulus,
     project_h2,
+    reciprocal,
     scaled_liouville_matrix,
     smirnov_decompose,
     szego_kernel,
@@ -245,19 +252,46 @@ def _horner_boundary_adjoint(f, h, order, size):
     return project_h2(BoundaryGrid(combo), order)
 
 
+_HALF_Z = TaylorPolynomial([0.0, 0.5])
+_BUILDERS = {
+    "liouville": lambda f, order: liouville_matrix(f, order),
+    "scaled": lambda f, order: scaled_liouville_matrix(f, 0.5, order),
+    "weighted": lambda f, order: weighted_liouville_matrix(f, monomial(1), order),
+    "hs_norm": lambda f, order: hs_norm(f, _HALF_Z, order),
+    # every other public function that truncates at an order takes the same rule
+    "truncated": lambda f, order: f.truncated(order),
+    "monomial": lambda f, order: monomial(0, order),
+    "multiply": lambda f, order: multiply(f, f, order),
+    "reciprocal": lambda f, order: reciprocal(f, order),
+    "exp_series": lambda f, order: exp_series(f, order),
+    "compose": lambda f, order: compose(f, _HALF_Z, order),
+    "project_h2": lambda f, order: project_h2(to_boundary(f, 8), order),
+    "outer_from_modulus": lambda f, order: outer_from_modulus(BoundaryGrid(np.full(8, 2.0)), order),
+    "smirnov_decompose": lambda f, order: smirnov_decompose(to_boundary(f, 8), order),
+    "liouville_adjoint_apply": lambda f, order: liouville_adjoint_apply(f, f, order),
+    "adjoint_apply_boundary": lambda f, order: adjoint_apply_boundary(f, TaylorPolynomial([1.0]), order),
+    "adjoint_battery": lambda f, order: adjoint_battery(order, 512, 5, 0),
+    "exp_eigenfunction": lambda f, order: exp_eigenfunction(TaylorPolynomial([1.0, 0.5]), 0.3, order),
+    "hk_eigenfunction": lambda f, order: hk_eigenfunction(2, 1, 0.3, order),
+    "occupation_kernel": lambda f, order: occupation_kernel(integrate_ode(f, 0.2, 0.5, 0.01), order),
+    "liouville_occupation_residual": lambda f, order: liouville_occupation_residual(
+        f, integrate_ode(f, 0.2, 0.5, 0.01), order
+    ),
+    "weighted_occupation_residual": lambda f, order: weighted_occupation_residual(
+        f, _HALF_Z, integrate_ode(f, 0.2, 0.5, 0.01), order
+    ),
+    "occupation_self_adjoint_relation": lambda f, order: occupation_self_adjoint_relation(
+        f, _HALF_Z, integrate_ode(f, 0.2, 0.5, 0.01), order
+    ),
+}
+
+
 @pytest.mark.parametrize("order", [-1, -2])
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda f, order: liouville_matrix(f, order),
-        lambda f, order: scaled_liouville_matrix(f, 0.5, order),
-        lambda f, order: weighted_liouville_matrix(f, monomial(1), order),
-        lambda f, order: hs_norm(f, TaylorPolynomial([0.0, 0.5]), order),
-    ],
-    ids=["liouville", "scaled", "weighted", "hs_norm"],
-)
+@pytest.mark.parametrize("build", list(_BUILDERS.values()), ids=list(_BUILDERS))
 def test_builders_reject_a_negative_order(build, order):
-    # the one order rule names the order; order 0 still builds
+    # the one order rule names the order before anything is allocated; order 0
+    # still builds.  The kernels keep their own rule (InvalidKernelSpecError),
+    # and dmd.fit needs order 1
     f = TaylorPolynomial([0.1, 0.9])
     with pytest.raises(InvalidIndexError, match=f"order must be at least 0, got {order}$"):
         build(f, order)
@@ -647,6 +681,10 @@ def test_adjoint_variants_agree_only_below_j3():
 def test_adjoint_on_derivative_kernel_validation():
     with pytest.raises(InvalidIndexError):
         adjoint_on_derivative_kernel(monomial(1), 0.5, 0, 8)
+    # the order rule, before the (order + 1)-long result is allocated
+    for order in (-1, -2):
+        with pytest.raises(InvalidIndexError, match=f"order must be at least 0, got {order}$"):
+            adjoint_on_derivative_kernel(monomial(1), 0.5, 1, order)
 
 
 def test_hermitian_defect_diagonal_symbols():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hardyliou import (
     AliasingError,
     DiskDomainError,
+    InvalidIndexError,
     InvalidKernelSpecError,
     LogDomainError,
     SingularSymbolError,
@@ -70,6 +71,14 @@ def test_monomial():
     assert m.coeffs[3] == 1.0
     assert np.count_nonzero(m.coeffs) == 1
     assert monomial(2, order=5).order == 5
+    # a negative degree is refused, not read from the end of the vector (z^2)
+    for args, message in [
+        ((-2, 3), "degree must be at least 0, got -2"),
+        ((-1,), "degree must be at least 0, got -1"),
+        ((5, 3), "order must be at least 5, got 3"),
+    ]:
+        with pytest.raises(InvalidIndexError, match=f"^{message}$"):
+            monomial(*args)
 
 
 @pytest.mark.parametrize(
