@@ -47,7 +47,7 @@ from .operators import (
     adjoint_battery,
     smirnov_decompose,
 )
-from .series import TaylorPolynomial, complex_pairs, to_boundary
+from .series import TaylorPolynomial, complex_pairs, json_text, to_boundary
 from .spectral import _liouville_spectrum
 from .weighted import boundedness_bound, hs_norm, polar_grid
 
@@ -231,23 +231,9 @@ def _certificate(name, residual, tolerance, formula, passed=None):
     }
 
 
-def _strict_json(value):
-    # RFC 8259 JSON has no Infinity or NaN, so non-finite floats become strings
-    if isinstance(value, float) and not math.isfinite(value):
-        if math.isnan(value):
-            return "nan"
-        return "infinite" if value > 0 else "-infinite"
-    if isinstance(value, dict):
-        return {k: _strict_json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict_json(v) for v in value]
-    return value
-
-
 def _write_report(payload: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(_strict_json(payload), sort_keys=True, indent=2, allow_nan=False)
-    path.write_text(text + "\n")
+    path.write_text(json_text(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +361,7 @@ def _cmd_dmd(cfg: dict, got: dict, out_dir: Path) -> dict:
         "singular_value_ratio": model.singular_value_ratio,
         "regularization": model.regularization,
         "eigenvalues": complex_pairs(model.eigenvalues),
-        "mode_residuals": [float(r) for r in model.mode_residuals],
+        "mode_residuals": model.mode_residuals.tolist(),
         "identity_residual": model.identity_residual,
         "trajectory_digests": list(model.trajectory_digests),
         "predictions": predictions,

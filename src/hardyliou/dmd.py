@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 import warnings
 from collections import defaultdict
@@ -57,7 +56,14 @@ from .occupation import (
     _conj_moments,
     _start_point,
 )
-from .series import DEFAULT_ORDER, TaylorPolynomial, _require_order, _szego_columns, complex_pairs
+from .series import (
+    DEFAULT_ORDER,
+    TaylorPolynomial,
+    _require_order,
+    _szego_columns,
+    complex_pairs,
+    json_text,
+)
 
 _COND_LIMIT = 1e14
 
@@ -155,6 +161,7 @@ class DmdModel:
         return gram
 
     def to_json(self) -> str:
+        """The model as strict JSON, written like the CLI reports."""
         payload = {
             "schema": 2,
             "order": self.order,
@@ -163,14 +170,14 @@ class DmdModel:
             "singular_value_ratio": self.singular_value_ratio,
             "regularization": self.regularization,
             "identity_residual": self.identity_residual,
-            "singular_values": [float(s) for s in self.singular_values],
+            "singular_values": self.singular_values.tolist(),
             "operator": complex_pairs(self.operator),
             "eigenvalues": complex_pairs(self.eigenvalues),
-            "mode_residuals": [float(r) for r in self.mode_residuals],
+            "mode_residuals": self.mode_residuals.tolist(),
             "modes": [complex_pairs(m.coeffs) for m in self.modes],
             "trajectory_digests": list(self.trajectory_digests),
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json_text(payload)
 
 
 def _snapshot_matrices(trajectories, order):

@@ -474,9 +474,10 @@ def smirnov_decompose(f_boundary: BoundaryGrid, order: int) -> SmirnovPair:
     with _naming_overflow("f", "the modulus (1 + |f|^2)^(-1/2)"):
         modulus = 1.0 / np.sqrt(_finite(1.0 + np.abs(fv) ** 2))
     a = outer_from_modulus(BoundaryGrid(modulus), order)
-    av = np.asarray(a(unit_circle_points(f_boundary.size)))
+    z = unit_circle_points(f_boundary.size)
+    av = np.asarray(a(z))
     b = project_h2(BoundaryGrid(fv * av), order)
-    return SmirnovPair(a=a, b=b, defect=modulus_identity_defect(a, b, f_boundary.size))
+    return SmirnovPair(a=a, b=b, defect=_modulus_defect(av, np.asarray(b(z))))
 
 
 def modulus_identity_defect(
@@ -484,6 +485,9 @@ def modulus_identity_defect(
 ) -> float:
     """Max boundary deviation ``| |a|^2 + |b|^2 - 1 |`` on the ``size``-grid."""
     z = unit_circle_points(size)
-    av = np.asarray(a(z))
-    bv = np.asarray(b(z))
+    return _modulus_defect(np.asarray(a(z)), np.asarray(b(z)))
+
+
+def _modulus_defect(av: np.ndarray, bv: np.ndarray) -> float:
+    # the samples of a and b on one grid; smirnov_decompose already holds a's
     return float(np.max(np.abs(np.abs(av) ** 2 + np.abs(bv) ** 2 - 1.0)))

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
 
@@ -72,6 +74,80 @@ def complex_pairs(values) -> list:
     """JSON form of complex values: each becomes ``[re, im]``, shape kept."""
     a = np.asarray(values, dtype=np.complex128)
     return np.stack((a.real, a.imag), -1).tolist()
+
+
+def json_text(value) -> str:
+    """Strict JSON text of a report or model, ending in a newline.
+
+    Byte for byte ``json.dumps(value, sort_keys=True, indent=2)``, except
+    that a non-finite float is written as the string ``"nan"``,
+    ``"infinite"`` or ``"-infinite"``: RFC 8259 has no NaN or Infinity.
+    """
+    return _json(value, "\n") + "\n"
+
+
+def _json(value, pad):
+    # pad is the newline and indentation of the line that holds value
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        if math.isnan(value):
+            return '"nan"'
+        return '"infinite"' if value > 0 else '"-infinite"'
+    inner = pad + "  "
+    if isinstance(value, dict):
+        parts = [f"{_escape(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        text = _number_nest(value, pad) if type(value) is list else None
+        if text is not None:
+            return text
+        parts = [_json(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not parts:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(parts) + pad + brackets[1]
+
+
+def _number_nest(value, pad):
+    # one C-level repr formats a nonempty list nest whose leaves are all
+    # finite floats or ints at one depth.  Between two siblings k levels
+    # above the leaves it writes "]"*k + ", " + "["*k, which becomes the
+    # closing lines, the comma and the opening lines with their indentation.
+    # None for any other list
+    level, depth = value, 1
+    while True:
+        kinds = set(map(type, level))
+        if kinds and kinds <= {float, int}:
+            break
+        if kinds != {list} or not all(level):
+            return None
+        level = list(chain.from_iterable(level))
+        depth += 1
+    del level  # the flattened copy goes before the text is built
+    text = repr(value)
+    if "n" in text:  # nan or inf
+        return None
+    splices = []
+    close, open_ = "", pad + "  " * depth
+    for k in range(depth):  # from the innermost level out
+        splices.append(("]" * k + ", " + "[" * k, close + "," + open_))
+        indent = pad + "  " * (depth - 1 - k)
+        close, open_ = close + indent + "]", indent + "[" + open_
+    text = text[depth:-depth]
+    for old, new in reversed(splices):  # a longer pattern holds the shorter ones
+        text = text.replace(old, new)
+    return open_[len(pad) :] + text + close
 
 
 # ---------------------------------------------------------------------------

@@ -131,8 +131,10 @@ def weighted_adjoint_on_kernel(
 
     Equals ``conj(f(w) phi'(w))`` times the first-derivative kernel at
     ``phi(w)``, since ``<A g, K_w> = f(w) phi'(w) g'(phi(w))`` for every
-    ``g`` in the space.  ``w`` and ``phi(w)`` must lie in ``|w| < 1``.
+    ``g`` in the space.  ``w`` and ``phi(w)`` must lie in ``|w| < 1``, and
+    ``order`` must be at least 1, the order of the first-derivative kernel.
     """
+    _require_order(order, 1)
     w = _kernel_point(w)
     pw = complex(_composed_points(phi, w))
     factor = np.conj(complex(f(w)) * complex(derivative(phi)(w)))
@@ -180,8 +182,10 @@ def self_adjoint_symbol_relation(
 
     ``kernel_defect`` is the max over ``alpha`` in ``{0.3, -0.2 + 0.4i,
     0.5i}`` of ``||A K_alpha - A* K_alpha||`` with both sides in the
-    truncated space.
+    truncated space.  ``order`` must be at least 1, as in
+    :func:`weighted_adjoint_on_kernel`.
     """
+    _require_order(order, 1)
     points = polar_grid(16, 64, 0.9).ravel()
     fpad = f.truncated(max(f.order, 1)).coeffs
     ppad = phi.truncated(max(phi.order, 2)).coeffs

@@ -450,6 +450,31 @@ def test_model_json_deterministic(affine_model):
     assert dmd.fit(_affine_batch(dt=5e-3), order=48).to_json() == a
 
 
+def _reject_constant(token):
+    raise AssertionError(f"model contains the non-JSON token {token}")
+
+
+def test_model_json_is_strict(affine_model):
+    # no fit yields a non-finite model value today; one built with them
+    # writes the strings reports use, never a bare NaN or Infinity token
+    residuals = affine_model.mode_residuals.copy()
+    residuals[0] = np.inf
+    eigenvalues = affine_model.eigenvalues.copy()
+    eigenvalues[0] = complex(-np.inf, np.nan)
+    model = dataclasses.replace(
+        affine_model,
+        identity_residual=float("nan"),
+        mode_residuals=residuals,
+        eigenvalues=eigenvalues,
+        trajectories=_affine_batch(dt=5e-3),
+    )
+    payload = json.loads(model.to_json(), parse_constant=_reject_constant)
+    assert payload["identity_residual"] == "nan"
+    assert payload["mode_residuals"][0] == "infinite"
+    assert payload["eigenvalues"][0] == ["-infinite", "nan"]
+    assert payload["mode_residuals"][1:] == affine_model.mode_residuals[1:].tolist()
+
+
 def test_wide_batch_model_holds_no_m_by_m_array():
     # m = 30 trajectories at N = 8: rank k = 9, and 21 structural zero
     # eigenvalues of the m x m Gram operator are gone

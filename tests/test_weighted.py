@@ -7,6 +7,7 @@ from hardyliou import (
     BlaschkeProduct,
     CompositionOutOfDiskError,
     DiskDomainError,
+    InvalidIndexError,
     TaylorPolynomial,
     adjoint_matrix,
     blaschke_ratio_profile,
@@ -165,6 +166,23 @@ def test_generic_pair_fails_symbol_relation():
     )
     assert result.symbol_residual > 1e-3
     assert result.kernel_defect > 1e-3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, phi, order: self_adjoint_symbol_relation(f, phi, order),
+        lambda f, phi, order: weighted_adjoint_on_kernel(f, phi, 0.3, order),
+    ],
+    ids=["self_adjoint_symbol_relation", "weighted_adjoint_on_kernel"],
+)
+@pytest.mark.parametrize("order", [0, -1])
+def test_derivative_kernel_sites_need_order_one(call, order):
+    # both build the first-derivative kernel, so order 0 is refused up front
+    # by the order rule, not by the kernel inside
+    f, phi = TaylorPolynomial([0.1, 0.9]), TaylorPolynomial([0.0, 0.5])
+    with pytest.raises(InvalidIndexError, match=f"^order must be at least 1, got {order}$"):
+        call(f, phi, order)
 
 
 # ---------------------------------------------------------------------------
