@@ -56,7 +56,8 @@ from .series import (
 # two reused (N+1) x 64 buffers
 _RESIDUAL_BLOCK = 64
 # the substitution sweep holds about this many bytes of eigenvector columns
-# at a time, in whole residual blocks: 256 columns at N = 1024, 64 at 4096
+# at a time: (N+1) rows by a whole number of residual blocks (256 columns at
+# N = 1024, 64 at 4096), filled by blocks as wide as their rows allow
 _SWEEP_BLOCK_BYTES = 4 * 2**20
 # an eigenvector entry past 2^500 scales its column by 2^-500, which is exact;
 # every entry then stays below 2^500, so a column's sum of squares stays
@@ -242,10 +243,11 @@ def _substitution_sweep(values, taps, vectors=None):
     ``(i, i + d)`` in ``taps[i, d - 1]``.  Eigenvector ``j`` lives on rows
     ``0..j`` with ``v_j = 1``; row ``i`` solves
     ``(a_ii - lambda_j) v_i + sum_{0 < d <= band} a_{i,i+d} v_{i+d} = 0``.
-    The sweep solves a block of columns ``s..e`` on rows ``0..e`` at
+    The sweep solves each block of :func:`_sweep_plan` on its rows at
     ``O(N * band)`` per column, normalises it and takes its residuals before
     it starts the next block.  With ``vectors`` (zeros) each block is solved
-    in its own columns; without, one block buffer is reused.
+    in its own columns; without, one buffer of the plan's largest block is
+    reused.
 
     A block with an overflowing column is solved again with its columns
     rescaled, so no eigenvector overflows.  None only when one substitution
@@ -255,18 +257,15 @@ def _substitution_sweep(values, taps, vectors=None):
     division whatever the scale.
     """
     size, band = taps.shape
-    blocks = round(_SWEEP_BLOCK_BYTES / (16 * size * _RESIDUAL_BLOCK))
-    width = min(max(blocks, 1) * _RESIDUAL_BLOCK, size)
-    buffer = None if vectors is not None else np.empty((size, width), dtype=np.complex128)
+    plan = _sweep_plan(size, band)
+    if vectors is None:
+        entries = max(rows * (stop - start) for start, stop, rows in plan)
+        buffer = np.empty(entries, dtype=np.complex128)
     scratch = np.empty((2, size * _RESIDUAL_BLOCK), dtype=np.complex128)
     residuals = np.empty(size)
-    for start in range(0, size, width):
-        stop = min(start + width, size)
-        # rows below stop - 1 are zero; keeping band of them gives each row's
-        # product the length it has on the whole matrix
-        rows = min(stop - 1 + band, size - 1) + 1
+    for start, stop, rows in plan:
         if vectors is None:
-            block = buffer[:rows, : stop - start]
+            block = buffer[: rows * (stop - start)].reshape(rows, stop - start)
         else:
             block = vectors[:rows, start:stop]
         if not _solve_block(values, taps, start, block, rescale=False):
@@ -274,6 +273,37 @@ def _substitution_sweep(values, taps, vectors=None):
                 return None
         _block_residuals(values, taps, start, block, scratch, residuals)
     return residuals
+
+
+def _sweep_plan(size: int, band: int) -> list:
+    """``(start, stop, rows)`` of each column block of the sweep, in order.
+
+    Columns ``start..stop-1`` vanish below row ``stop - 1``, and ``band``
+    rows more give each row's product the length it has on the whole
+    matrix, so a block is solved on its first ``rows`` rows.  A block
+    starts on a multiple of ``_RESIDUAL_BLOCK`` (so residuals group their
+    columns as one block of all of them would) and takes as many residual
+    blocks as fit ``(N+1)`` rows by ``_SWEEP_BLOCK_BYTES`` worth of whole
+    residual blocks, and at least one: blocks of early columns are short,
+    so they are wide.  A last run of fewer than ``_RESIDUAL_BLOCK`` columns
+    joins the block before it rather than sweeping every row on its own.
+    """
+
+    def rows(stop):
+        return min(stop - 1 + band, size - 1) + 1
+
+    step = _RESIDUAL_BLOCK
+    budget = size * step * round(_SWEEP_BLOCK_BYTES / (16 * size * step))
+    plan, start = [], 0
+    while start < size:
+        stop = start + step
+        while stop + step <= size and rows(stop + step) * (stop + step - start) <= budget:
+            stop += step
+        if size - stop < step:
+            stop = size
+        plan.append((start, stop, rows(stop)))
+        start = stop
+    return plan
 
 
 def _solve_block(values, taps, start, block, rescale: bool) -> bool:
@@ -291,16 +321,23 @@ def _solve_block(values, taps, start, block, rescale: bool) -> bool:
     size, band = taps.shape
     stop = start + block.shape[1]
     columns = values[start:stop]
-    block[...] = 0.0
+    # the sweep writes every row above start; below it, only above the diagonal
+    block[start:] = 0.0
     block[np.arange(start, stop), np.arange(stop - start)] = 1.0
     # rescales[i, c]: how often column c was scaled while solving row i
     rescales = np.zeros(block.shape, dtype=np.int8) if rescale else None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(stop - 2, -1, -1):
-            lo = max(i + 1 - start, 0)
+            if i >= start - 1:
+                # row i solves columns lo.. of the block; the rows above
+                # start - 1 solve all of them, through the view of lo = 0
+                lo = i + 1 - start
+                tail = columns[lo:]
             row = block[i, lo:]
+            # matmul: a product of single band rows rounds differently, and
+            # would change the eigenvector bytes
             known = taps[i, : size - 1 - i] @ block[i + 1 : i + 1 + band, lo:]
-            np.divide(known, columns[lo:] - values[i], out=row)
+            np.divide(known, tail - values[i], out=row)
             for tries in range(6 if rescale else 0):
                 if np.max(np.abs(row)) <= _RESCALE_LIMIT:
                     break

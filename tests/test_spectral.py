@@ -323,21 +323,60 @@ def test_spectrum_fallback_is_eigendecompose(monkeypatch, coeffs, order):
 
 
 def test_sweep_block_width_changes_no_byte(monkeypatch):
-    # blocks of 64 columns against one block of all of them
-    for coeffs, order in ([0.2 - 0.1j, -0.7 + 0.4j], 200), ([0.0, 0.8j, 0.1, -0.2j], 150):
+    # the production plan against blocks of 64 columns and one block of all
+    # of them; then a merged one-column remainder (N = 1024), the flipped
+    # lower triangular route and the rescaling route
+    cases = [
+        ([0.2 - 0.1j, -0.7 + 0.4j], 200),
+        ([0.0, 0.8j, 0.1, -0.2j], 150),
+        ([0.1, 0.9], 1024),
+        ([0.0, 1.0, 0.3], 700),
+        ([1.0, 0.01], 256),
+    ]
+    production = spectral._SWEEP_BLOCK_BYTES
+    for coeffs, order in cases:
         A = liouville_matrix(TaylorPolynomial(coeffs), order)
-        monkeypatch.setattr(spectral, "_SWEEP_BLOCK_BYTES", 1)
-        narrow = eigendecompose(A)
-        monkeypatch.setattr(spectral, "_SWEEP_BLOCK_BYTES", 2**40)
-        wide = eigendecompose(A)
-        for name in ("values", "vectors", "residuals"):
-            assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
+        results = []
+        for budget in (production, 1, 2**40):
+            monkeypatch.setattr(spectral, "_SWEEP_BLOCK_BYTES", budget)
+            results.append(eigendecompose(A))
+        planned, *others = results
+        for other in others:
+            for name in ("values", "vectors", "residuals"):
+                assert np.array_equal(getattr(planned, name), getattr(other, name)), name
+    # budget 1 is blocks of 64 columns, the last with the remainder
+    monkeypatch.setattr(spectral, "_SWEEP_BLOCK_BYTES", 1)
+    assert {stop - start for start, stop, _ in spectral._sweep_plan(1025, 1)} == {64, 65}
+
+
+@pytest.mark.parametrize("order", [64, 128, 700, 1024, 4096])
+def test_sweep_plan_fills_its_buffer_in_fewer_row_steps(order):
+    # f = 0.1 + 0.9z: upper bidiagonal, band 1
+    size, band, step = order + 1, 1, spectral._RESIDUAL_BLOCK
+    plan = spectral._sweep_plan(size, band)
+    assert [start for start, _, _ in plan] == [0] + [stop for _, stop, _ in plan[:-1]]
+    assert plan[-1][1] == size
+    # blocks of this one width, each on all rows, filled the same buffer
+    blocks = round(spectral._SWEEP_BLOCK_BYTES / (16 * size * step))
+    width = min(max(blocks, 1) * step, size)
+    for start, stop, rows in plan:
+        assert start % step == 0
+        assert rows == min(stop - 1 + band, size - 1) + 1
+        # that buffer, and at most one merged remainder
+        assert rows * (stop - start - (stop - start) % step) <= size * width
+        assert (stop - start) % step == 0 or stop == size
+    if order <= 128:
+        assert plan == [(0, size, size)]
+    if order == 1024:
+        old_steps = sum(min(s + width, size) - 1 for s in range(0, size, width))
+        assert old_steps == 3580
+        assert sum(stop - 1 for _, stop, _ in plan) <= 2240
 
 
 def test_spectrum_command_holds_no_square_array(tmp_path, capsys):
-    # the sweep holds one block of about 4 MiB (256 columns here) and two
-    # (N+1) x 64 residual buffers: 0.39 of 16 (N+1)^2 bytes; building the
-    # matrix and its eigenvectors took 2.15
+    # the sweep holds one buffer of its largest planned block (1025 x 257
+    # entries here, about 4 MiB) and two (N+1) x 64 residual buffers: 0.39
+    # of 16 (N+1)^2 bytes; building the matrix and its eigenvectors took 2.15
     order = 1024
     config = {"N": order, "f": [0.1, 0.9]}
     run("spectrum", {**config, "N": 8}, tmp_path)  # numpy's lazy imports
@@ -347,7 +386,7 @@ def test_spectrum_command_holds_no_square_array(tmp_path, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.75 * 16 * (order + 1) ** 2
+    assert peak < 0.45 * 16 * (order + 1) ** 2
 
 
 def test_spectrum_and_criteria_1_2_never_call_dense_eig(tmp_path, monkeypatch, capsys):
