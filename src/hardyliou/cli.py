@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from types import EllipsisType
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -195,7 +195,10 @@ def ingest_trajectories(paths) -> list[Trajectory]:
     return out
 
 
-def _trajectories_from_config(cfg: dict) -> list[Trajectory]:
+def _trajectories_from_config(cfg: dict) -> Iterable[Trajectory]:
+    """The config's trajectories, once its fields are checked: the CSV files
+    read lazily, one :func:`ingest_trajectories` call per file as the
+    iterator reaches it, or the one orbit that ``ode`` integrates."""
     paths = _lookup(cfg, "trajectories", None)
     if paths is not None:
         if not isinstance(paths, list) or not paths:
@@ -205,7 +208,7 @@ def _trajectories_from_config(cfg: dict) -> list[Trajectory]:
                 _fail(f"trajectories[{k}]", "must be a path string")
             if not Path(p).is_file():
                 _fail(f"trajectories[{k}]", f"file not found: {p}")
-        return ingest_trajectories(paths)
+        return (traj for path in paths for traj in ingest_trajectories([path]))
     ode = _lookup(cfg, "ode", None)
     if ode is not None:
         if not isinstance(ode, dict):
@@ -288,7 +291,8 @@ def _cmd_adjoint_check(cfg: dict, got: dict, out_dir: Path) -> dict:
 def _cmd_occupation(cfg: dict, got: dict, out_dir: Path) -> dict:
     """``occupation``, and ``weighted`` when the row reads a ``phi``."""
     f, phi, order = got["f"], got.get("phi"), got["N"]
-    trajectories = _trajectories_from_config(cfg)
+    # every file is read before the first residual, as the errors are ordered
+    trajectories = list(_trajectories_from_config(cfg))
     if phi is None:
         residuals = [liouville_occupation_residual(f, t, order) for t in trajectories]
         name, endpoints = "occupation_adjoint_identity", "K_end_i - K_start_i"
@@ -328,11 +332,12 @@ def _cmd_dmd(cfg: dict, got: dict, out_dir: Path) -> dict:
         if not isinstance(times, list) or not times:
             _fail("predict.times", "must be a nonempty list of reals")
         times = [_number(t, f"predict.times[{k}]") for k, t in enumerate(times)]
-    trajectories = _trajectories_from_config(cfg)
-    model = dmd.fit(trajectories, order=got["N"], ridge=ridge)
+    # one pass: dmd.fit drops each orbit once its block of moments is done
+    model = dmd.fit(_trajectories_from_config(cfg), order=got["N"], ridge=ridge)
     gram = model.gram
     psd_defect = float(max(0.0, -np.min(np.linalg.eigvalsh(gram))))
     psd_floor = 1e-12 * float(np.trace(gram).real)
+    del gram  # 16 m^2 bytes, the largest array: not held through the model write
     certs = [
         _certificate(
             "gram_positive_semidefinite",

@@ -54,6 +54,8 @@ from .errors import (
 from .occupation import (
     Trajectory,
     _conj_moments,
+    _moment_block_rows,
+    _require_quadrature,
     _start_point,
 )
 from .series import (
@@ -109,7 +111,8 @@ class DmdModel:
     _forecast_map: np.ndarray = field(init=False, repr=False, compare=False)
     _readout: np.ndarray = field(init=False, repr=False, compare=False)
     # a list holding each orbit's digest, or the orbit itself while its
-    # digest is unknown; the tuple of digests once trajectory_digests is read
+    # digest is unknown (the trajectories argument, as fit passes it); the
+    # tuple of digests once trajectory_digests is read
     _digests: list | tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, trajectories):
@@ -127,8 +130,7 @@ class DmdModel:
         readout.setflags(write=False)
         object.__setattr__(self, "_forecast_map", forecast_map)
         object.__setattr__(self, "_readout", readout)
-        digests = [t if t._digest is None else t._digest for t in trajectories]
-        object.__setattr__(self, "_digests", digests)
+        object.__setattr__(self, "_digests", list(trajectories))
 
     @property
     def trajectory_digests(self) -> tuple:
@@ -181,28 +183,52 @@ class DmdModel:
 
 
 def _snapshot_matrices(trajectories, order):
-    """The basis ``S`` and the targets ``T`` of a batch.
+    """The basis ``S`` and the targets ``T`` of a batch, read in one pass.
 
-    Orbits that share a sample count share the blocks of
-    :func:`~hardyliou.occupation._conj_moments`; the targets ``K_end -
-    K_start`` are two power matrices over the end and start points of all
-    orbits (:func:`~hardyliou.series._szego_columns`).  Every column has the
-    bytes of the one-orbit call.
+    ``trajectories`` is any iterable of trajectories; it is read once.
+    Orbits that share a sample count wait in one pending block of
+    :func:`~hardyliou.occupation._conj_moments`, computed as soon as it
+    holds exactly its row count (a last, partial block after the pass), so
+    past its block an orbit is held only as its start and end point.  The
+    targets ``K_end - K_start`` are two power matrices over the end and
+    start points of all orbits (:func:`~hardyliou.series._szego_columns`).
+    Every column has the bytes of the one-orbit call, whatever the other
+    rows of its block.
     """
     n = order + 1
-    basis = np.zeros((n, len(trajectories)), dtype=np.complex128)
-    by_length = defaultdict(list)
+    pending = defaultdict(list)  # sample count -> [(column, orbit)], one block
+    blocks = []  # (columns, moments) of each block done
+    starts, ends = [], []
+
+    def flush(group):
+        moments = _conj_moments([traj for _, traj in group], n)[0]
+        blocks.append(([j for j, _ in group], moments))
+        group.clear()
+
     for j, traj in enumerate(trajectories):
-        by_length[traj.times.size].append(j)
-    for columns in by_length.values():
-        basis[:, columns] = _conj_moments([trajectories[j] for j in columns], n)[0].T
+        samples = traj.times.size
+        _require_quadrature(samples)
+        starts.append(traj.points[0])
+        ends.append(traj.points[-1])
+        group = pending[samples]
+        group.append((j, traj))
+        if len(group) == _moment_block_rows(samples):
+            flush(group)
+    if not starts:
+        raise InsufficientDataError("need at least one trajectory")
+    for group in pending.values():
+        if group:
+            flush(group)
+    basis = np.empty((n, len(starts)), dtype=np.complex128)
+    for columns, moments in blocks:
+        basis[:, columns] = moments.T
     if not np.isfinite(basis).all():
         # the rule of the TaylorPolynomial each column is; the weights of a
         # time span near the largest double can sum past it
         raise ValueError("coefficients must be finite")
-    starts = np.array([traj.points[0] for traj in trajectories])
-    ends = np.array([traj.points[-1] for traj in trajectories])
-    targets = _szego_columns(ends, order) - _szego_columns(starts, order)
+    targets = _szego_columns(np.array(ends), order) - _szego_columns(
+        np.array(starts), order
+    )
     return basis, targets
 
 
@@ -212,6 +238,15 @@ def fit(
     ridge: float | None = None,
 ) -> DmdModel:
     """Compress the adjoint generator onto the span of occupation kernels.
+
+    ``trajectories`` is any iterable of :class:`Trajectory` (a list, or a
+    generator that reads them lazily), read once.  Each orbit is dropped as
+    soon as its block of moments is done; the fit keeps per orbit only its
+    moments, its end points, its time span and its digest (the orbit itself
+    while the digest is unknown).  An item that is not a ``Trajectory``
+    raises ``TypeError`` and an orbit of fewer than 3 samples
+    ``InsufficientDataError``, both when read; no item at all raises
+    ``InsufficientDataError``.
 
     ``ridge`` regularizes the Gram system ``S^H S + ridge I``, applied as the
     filter factors ``sigma / (sigma^2 + ridge)`` on the thin SVD of ``S``;
@@ -226,20 +261,26 @@ def fit(
     _require_order(order, 1)
     if ridge is not None and not (math.isfinite(ridge) and ridge >= 0.0):
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
-    trajectories = list(trajectories)
-    if len(trajectories) < 1:
-        raise InsufficientDataError("need at least one trajectory")
-    for traj in trajectories:
-        if not isinstance(traj, Trajectory):
-            raise TypeError("trajectories must be Trajectory instances")
-    basis, targets = _snapshot_matrices(trajectories, order)
+    sources, spans = [], []
+
+    def read():
+        # per orbit, its digest (or the orbit while the digest is unknown)
+        # and its time span; the samples go once their block is done
+        for traj in trajectories:
+            if not isinstance(traj, Trajectory):
+                raise TypeError("trajectories must be Trajectory instances")
+            sources.append(traj if traj._digest is None else traj._digest)
+            spans.append(traj.duration)
+            yield traj
+
+    basis, targets = _snapshot_matrices(read(), order)
     left, sigma, right_h = np.linalg.svd(basis, full_matrices=False)
     with np.errstate(over="ignore"):
         gram_trace = float(np.sum(sigma**2))
     if not math.isfinite(gram_trace):
         # finite moments of a huge time span can still square past the
         # largest double, and the filter factors and G with them
-        span = max(traj.duration for traj in trajectories)
+        span = max(spans)
         raise IllConditionedError(
             "the Gram matrix of the occupation kernels overflows: the "
             f"trajectories span up to {span:.6g} time units; rescale time"
@@ -296,7 +337,7 @@ def fit(
         regularization=float(ridge),
         identity_residual=identity_residual,
         order=order,
-        trajectories=trajectories,
+        trajectories=sources,
     )
 
 

@@ -27,7 +27,14 @@ from .errors import (
     TrajectoryMismatchWarning,
 )
 from .operators import _row_norms, _weighted_columns, liouville_adjoint_apply
-from .series import TaylorPolynomial, DEFAULT_ORDER, _composed_points, _require_order, szego_kernel
+from .series import (
+    DEFAULT_ORDER,
+    TaylorPolynomial,
+    _composed_points,
+    _modulus,
+    _require_order,
+    szego_kernel,
+)
 
 DISK_MARGIN = 1e-3
 # 100x the longest integration in the demos, tests and benchmark (10^4 steps); a
@@ -43,7 +50,7 @@ def _first_invalid_sample(times: np.ndarray, points: np.ndarray):
     finite time span ``t - t_0`` from the first sample.
     """
     nonfinite = ~(np.isfinite(times) & np.isfinite(points))
-    outside = np.abs(points) > 1.0 - DISK_MARGIN
+    outside = _modulus(points) > 1.0 - DISK_MARGIN
     unordered = np.r_[False, times[1:] <= times[:-1]]
     with np.errstate(over="ignore", invalid="ignore"):
         wide = ~np.isfinite(times - times[:1])
@@ -457,6 +464,12 @@ def integrate_ode(
     return Trajectory(times=times, points=np.array(samples, dtype=np.complex128))
 
 
+def _require_quadrature(samples: int) -> None:
+    """The floor of every quadrature rule here: at least 3 samples."""
+    if samples < 3:
+        raise InsufficientDataError("quadrature needs at least 3 samples")
+
+
 def _quadrature_rows(times: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Add the quadrature weights of each row of ``times`` (rows x T) to the
     zeros in ``out``; returns the mask of rows that take composite Simpson.
@@ -467,8 +480,7 @@ def _quadrature_rows(times: np.ndarray, out: np.ndarray) -> np.ndarray:
     temporary is live at a time.
     """
     samples = times.shape[1]
-    if samples < 3:
-        raise InsufficientDataError("quadrature needs at least 3 samples")
+    _require_quadrature(samples)
     gaps = np.diff(times, axis=1)
     top = gaps.max(axis=1)
     simpson = (top - gaps.min(axis=1) <= 1e-9 * top) & (samples % 2 == 1)
@@ -490,6 +502,11 @@ def _quadrature_rows(times: np.ndarray, out: np.ndarray) -> np.ndarray:
 _MOMENT_BLOCK_BYTES = 512 * 1024
 
 
+def _moment_block_rows(samples: int) -> int:
+    """Rows per block of :func:`_conj_moments` for orbits of ``samples`` samples."""
+    return max(1, _MOMENT_BLOCK_BYTES // (16 * samples))
+
+
 def _conj_moments(trajectories, count: int) -> tuple[np.ndarray, np.ndarray]:
     """``sum_t w_t conj(points_t)^n`` for ``n < count``, one row per trajectory,
     and the mask of the trajectories whose weights ``w`` are Simpson's.
@@ -504,7 +521,7 @@ def _conj_moments(trajectories, count: int) -> tuple[np.ndarray, np.ndarray]:
     ``**`` formula to rounding.
     """
     samples = trajectories[0].points.size
-    step = max(1, _MOMENT_BLOCK_BYTES // (16 * samples))
+    step = _moment_block_rows(samples)
     moments = np.empty((len(trajectories), count), dtype=np.complex128)
     simpson = np.empty(len(trajectories), dtype=bool)
     for start in range(0, len(trajectories), step):

@@ -6,6 +6,7 @@ inspects the exit code, the printed certificate lines, and the JSON report.
 
 import hashlib
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -802,6 +803,33 @@ def test_dmd_command_fits_and_predicts(tmp_path):
     assert report["rank"] == model["rank"] == 12
     ratio = report["singular_value_ratio"]
     assert ratio == model["singular_value_ratio"] and 0.0 < ratio < 1.0
+
+
+def test_dmd_command_holds_one_block_of_orbits_not_all(tmp_path):
+    # 200 CSV orbits of 1001 samples: holding every orbit's times and points
+    # takes m T 24 bytes, which the command peaked at 1.4 times; read in one
+    # pass it holds one block of 32 orbits and its moments (0.43 times)
+    count, samples = 200, 1001
+    rng = np.random.default_rng(2)
+    field = TaylorPolynomial([0.0, complex(-0.5, 1.0)])
+    starts = 0.6 * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
+    paths = []
+    for k, z0 in enumerate(starts):
+        paths.append(str(tmp_path / f"orbit_{k:03d}.csv"))
+        write_trajectory_csv(integrate_ode(field, complex(z0), 1.0, 1e-3), paths[-1])
+    # imports and caches outside the measurement
+    _run(tmp_path, "dmd", {"N": 16, "trajectories": paths[:2]}, out="warm")
+    tracemalloc.start()
+    try:
+        code, out = _run(tmp_path, "dmd", {"N": 16, "trajectories": paths})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert _report(out, "dmd_report.json")["trajectory_digests"] == [
+        hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in paths
+    ]
+    assert peak < count * samples * 12
 
 
 def test_bounds_writes_profile_csv(tmp_path):

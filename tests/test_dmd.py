@@ -584,6 +584,63 @@ def test_batch_moments_keep_the_bytes_of_one_orbit():
             dmd.fit(batch[:at] + [short] + batch[at:], order=order)
 
 
+def test_fit_reads_a_generator_once_with_the_bytes_of_a_list():
+    for batch, order in ((_affine_batch(dt=5e-3), 48), (_mixed_batch(), 16)):
+        drawn = []
+
+        def orbits():
+            for traj in batch:
+                drawn.append(traj)
+                yield traj
+
+        streamed = dmd.fit(orbits(), order=order)
+        assert streamed.to_json() == dmd.fit(batch, order=order).to_json()
+        assert drawn == batch
+
+
+def test_fit_checks_each_orbit_as_it_reads_it():
+    good = integrate_ode(monomial(1), 0.2, 1.0, 1e-2)
+    short = Trajectory(np.array([0.0, 1.0]), np.array([0.1, 0.2]))
+
+    def then_stop(bad):
+        yield good
+        yield bad
+        raise AssertionError("the fit read past a bad orbit")
+
+    with pytest.raises(InsufficientDataError, match="at least one trajectory"):
+        dmd.fit(iter(()))
+    with pytest.raises(TypeError, match="Trajectory instances"):
+        dmd.fit(then_stop(np.zeros(4)))
+    with pytest.raises(InsufficientDataError, match="at least 3 samples"):
+        dmd.fit(then_stop(short))
+    # a list is read in order too: its short orbit comes before its array
+    with pytest.raises(InsufficientDataError, match="at least 3 samples"):
+        dmd.fit([good, short, np.zeros(4)])
+
+
+def test_fit_drops_each_orbit_once_its_block_is_done():
+    # orbits whose digest is known: the model keeps only the digest
+    samples = 1001
+    rows = occupation._moment_block_rows(samples)
+    rng = np.random.default_rng(11)
+    alive, held = [], []
+
+    def orbits():
+        for k in range(2 * rows + 1):
+            if k > rows:
+                gc.collect()
+                held.append(sum(ref() is not None for ref in alive[:rows]))
+            traj = _random_orbit(rng, samples, True)
+            traj.content_digest()
+            alive.append(weakref.ref(traj))
+            yield traj
+
+    model = dmd.fit(orbits(), order=8)
+    assert model.n_trajectories == 2 * rows + 1
+    # the first block is gone by the time the fit draws the second orbit after it
+    assert held == [0] * rows
+
+
 def test_fit_rejects_an_overflowing_time_span():
     # Simpson weights of a span beyond the largest double would be infinite;
     # the trajectory's validity rule refuses such a span before any fit

@@ -66,6 +66,20 @@ def test_trajectory_disk_margin_cites_sample():
     assert "sample 1" in str(info.value)
 
 
+def test_start_point_and_sample_share_one_disk_rule():
+    # abs(z) is 0.999, which the start rule passed, while the sample rule
+    # measured np.abs(z) one ulp above and refused the same point
+    z = 0.9218132791140075 + 0.3850471119864179j
+    assert occupation._start_point(z) == z
+    assert Trajectory(np.zeros(1), [z]).points[0] == z
+    rng = np.random.default_rng(8)
+    scale = 0.999 * (1.0 + rng.uniform(-4e-16, 4e-16, 2000))
+    for z in scale * np.exp(2j * np.pi * rng.uniform(size=2000)):
+        as_start = occupation._invalid_start(complex(z)) is None
+        as_sample = occupation._first_invalid_sample(np.zeros(1), np.array([z])) is None
+        assert as_start == as_sample == (abs(complex(z)) <= 0.999)
+
+
 def test_trajectory_properties():
     traj = Trajectory(np.array([0.0, 0.5, 1.0]), np.array([0.1, 0.2, 0.3j]))
     assert traj.duration == 1.0

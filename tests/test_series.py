@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hardyliou import (
     AliasingError,
+    CompositionOutOfDiskError,
     DiskDomainError,
     InvalidIndexError,
     InvalidKernelSpecError,
@@ -36,7 +37,7 @@ from hardyliou import (
     Trajectory,
     unit_circle_points,
 )
-from hardyliou.series import BoundaryGrid
+from hardyliou.series import BoundaryGrid, _composed_points, _modulus
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +172,28 @@ def test_kernel_point_modulus_past_the_largest_double():
         with pytest.raises(DiskDomainError, match=re.escape(f"got |w| = {abs(w)}") + "$"):
             kernel(w, 0, 4)
     assert kernel(0.6 + 0.79j, 0, 4).coeffs[1] == 0.6 - 0.79j
+
+
+def test_every_disk_rule_measures_with_complex_abs():
+    # np.abs differs from abs (libm hypot) in the last bit for about half of
+    # the points near a circle, and math.hypot for some, so one point could
+    # pass one disk rule and fail another
+    rng = np.random.default_rng(4)
+    for radius in (0.999, 1.0):
+        scale = radius * (1.0 + rng.uniform(-4e-16, 4e-16, 20000))
+        points = scale * np.exp(2j * np.pi * rng.uniform(size=20000))
+        expected = np.array([abs(complex(w)) for w in points])
+        assert _modulus(points).tobytes() == expected.tobytes()
+    # abs(w) is 1.0; math.hypot read 0.9999999999999999 and let it in
+    with pytest.raises(DiskDomainError, match="got [|]w[|] = 1.0$"):
+        kernel(0.10140995205361931 + 0.9948447223685124j, 0, 4)
+    # np.abs(w) < 1 <= abs(w): w is no kernel point, and phi = z may not
+    # compose onto it either
+    w = -0.9462606126801407 + 0.32340509100848214j
+    with pytest.raises(DiskDomainError):
+        kernel(w, 0, 4)
+    with pytest.raises(CompositionOutOfDiskError):
+        _composed_points(TaylorPolynomial([0.0, 1.0]), np.array([0.5, w]))
 
 
 # ---------------------------------------------------------------------------
