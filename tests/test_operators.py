@@ -1,5 +1,6 @@
 """Operator truncations, the two adjoint routes, and Smirnov factorization."""
 
+import hashlib
 import tracemalloc
 import warnings
 
@@ -421,6 +422,64 @@ def test_hs_norm_frobenius_sum_is_pinned_at_order_1024():
     assert hs_norm(f, phi, 1024).frobenius_sq.hex() == _HS_NORM_1024_FROBENIUS
 
 
+def test_hs_norm_frobenius_sum_is_pinned_at_order_128():
+    # the acceptance workload's hs-norm config
+    f, phi = TaylorPolynomial([0.3, 0.5]), TaylorPolynomial([0.1, 0.5, 0.2])
+    assert hs_norm(f, phi, 128).frobenius_sq.hex() == "0x1.cc71bef88efebp+1"
+
+
+_DEG5_F = [0.2, complex(-0.3, 0.1), 0.05j]
+_DEG5_PHI = [
+    complex(0.05, -0.0),
+    complex(-0.2, 0.3),
+    complex(0.1, -0.1),
+    complex(-0.0, 0.05),
+    complex(0.04, -0.02),
+    complex(-0.03, -0.0),
+]
+
+
+# sha256 of the weighted matrix's entries: every column's bytes, with the
+# signs of its zeros.  Taps with negative and -0.0 parts; N = 300 spans three
+# column blocks
+@pytest.mark.parametrize(
+    "f_coeffs, phi_coeffs, order, digest",
+    [
+        pytest.param(
+            [0.3, 0.5], [0.1, 0.5, 0.2], 300,
+            "bf4de1862fef97b924b64059df2df9e548d2a9de90618ca136633e451f81ab78",
+            id="deg2-N300",
+        ),
+        pytest.param(
+            [complex(1.0, -0.5), complex(-0.0, -0.25)],
+            [complex(-0.0, 0.1), complex(0.6, -0.0)],
+            130,
+            "7eab6e2bcd49de6da63e9aa5bd645e47cdeaa183213a71fe4f23bdb1299215e7",
+            id="deg1-N130",
+        ),
+        pytest.param(
+            _DEG5_F, _DEG5_PHI, 17,
+            "61e629477c61a26be334fc66f911e7289b02b0d8326f92f7d1231ded93246176",
+            id="deg5-N17",
+        ),
+        pytest.param(
+            _DEG5_F, _DEG5_PHI, 0,
+            "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+            id="deg5-N0",
+        ),
+        pytest.param(
+            [complex(-0.5, -0.0)], [complex(-0.0, -0.2), complex(0.3, -0.4)], 1,
+            "e23a46ade4499e478ab6d4008f9e561b0a0e19b4ee64c1e00d6bea36b56bb249",
+            id="deg1-N1",
+        ),
+    ],
+)
+def test_weighted_matrix_bytes_are_pinned(f_coeffs, phi_coeffs, order, digest):
+    f, phi = TaylorPolynomial(f_coeffs), TaylorPolynomial(phi_coeffs)
+    entries = weighted_liouville_matrix(f, phi, order).entries
+    assert hashlib.sha256(entries.tobytes()).hexdigest() == digest
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
@@ -439,6 +498,8 @@ def test_weighted_column_routes_stay_in_linear_memory():
     traj = integrate_ode(field, 0.1, 1.0, 1e-3)
     peak = _traced_peak(lambda: weighted_occupation_residual(field, phi, traj, 1024))
     assert peak < 2_000_000
+    residual = weighted_occupation_residual(field, phi, traj, 1024)
+    assert residual.hex() == "0x1.ca3edcb4f5a33p-51"
 
 
 def test_adjoint_boundary_fft_sampling_matches_horner():
