@@ -385,6 +385,19 @@ def test_weighted_overflow_messages():
         "symbol f (with phi) overflows the Hilbert-Schmidt norm at order 16; "
         "its values must be finite"
     )
+    # |f phi'|^2 is finite (1e306 in the first case), but the quadrature
+    # integrand's (1 - |phi|^2)^-3 passes 1e8 on the circle, and the mean
+    # of the two overflows
+    for f, phi, order in [
+        (TaylorPolynomial([1e153]), TaylorPolynomial([0, 0.999]), 4),
+        (TaylorPolynomial([1e140]), TaylorPolynomial([0, 0.999999999999999]), 64),
+    ]:
+        with pytest.raises(SymbolOverflowError) as info:
+            hs_norm(f, phi, order)
+        assert str(info.value) == (
+            f"symbol f (with phi) overflows the Hilbert-Schmidt norm at order {order}; "
+            "its values must be finite"
+        )
     # column 3 is 3 * 0.81 * 9e307; phi = 0.9z keeps the samples inside
     traj = integrate_ode(TaylorPolynomial([0.0, 1.0]), 0.2, 1.0, 1e-2)
     with pytest.warns(TrajectoryMismatchWarning), pytest.raises(SymbolOverflowError) as info:
