@@ -155,14 +155,6 @@ def test_boundary_size_constraint_enforced(tmp_path, capsys):
         ("adjoint-check", {"N": 8, "f": [1e308, 1e308], "cases": 1}, "symbol f "),
         ("hs-norm", {"N": 8, "f": [0.3, 0.5], "phi": [0.1, 1e308, 1e308]}, "symbol phi"),
         ("hs-norm", {"N": 8, "f": [1e308, 0.5], "phi": [0.1, 0.3]}, "symbol f "),
-        # a finite weight |f phi'|^2 whose quadrature integrand overflows
-        # where |phi| is near 1
-        (
-            "hs-norm",
-            {"N": 4, "f": [1e153], "phi": [0, 0.999]},
-            "symbol f (with phi) overflows the Hilbert-Schmidt norm at order 4",
-        ),
-        ("hs-norm", {"f": [1e140], "phi": [0, 0.999999999999999]}, "symbol f (with phi)"),
         (
             "occupation",
             {"N": 8, "f": [1e308, 1e308], "ode": {"z0": 0.2, "T": 0.1, "dt": 0.01}},
@@ -185,6 +177,14 @@ def test_boundary_size_constraint_enforced(tmp_path, capsys):
             "phi must map into",
         ),
         ("bounds", {"f": [1], "phi": [0, 2]}, "phi must map into"),
+        # a finite weight |f phi'|^2 whose quadrature integrand overflows
+        # where |phi| is near 1
+        (
+            "hs-norm",
+            {"N": 4, "f": [1e153], "phi": [0, 0.999]},
+            "symbol f (with phi) overflows the Hilbert-Schmidt norm at order 4",
+        ),
+        ("hs-norm", {"f": [1e140], "phi": [0, 0.999999999999999]}, "symbol f (with phi)"),
     ],
 )
 def test_overflowing_symbol_exits_two_naming_it(tmp_path, capsys, command, config, symbol):
