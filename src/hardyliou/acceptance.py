@@ -16,6 +16,7 @@ batch.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -47,7 +48,7 @@ from .series import (
     to_boundary,
     unit_circle_points,
 )
-from .spectral import eigendecompose, hk_eigenfunction, zero_eigenspace
+from .spectral import eigendecompose, flow_check, hk_eigenfunction, zero_eigenspace
 from .weighted import (
     boundedness_bound,
     hs_norm,
@@ -67,13 +68,6 @@ class CriterionResult:
     residual: float
     tolerance: float
     detail: dict = field(default_factory=dict)
-
-    def line(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        return (
-            f"{verdict} criterion {self.index:2d} [{self.name}]: "
-            f"residual {self.residual:.3e} vs tolerance {self.tolerance:.1e}"
-        )
 
 
 _BATCH_FIELD = TaylorPolynomial([0.1, 0.9])
@@ -224,8 +218,6 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     """Closed-form adjoint eigenfunctions for monomial symbols."""
-    import math
-
     order = 64
     # frozen anchor: m=2, k=1, lam=1+i collapses to z exp(lam z)
     lam0 = 1 + 1j
@@ -375,8 +367,6 @@ def criterion_10() -> CriterionResult:
 
 def criterion_11() -> CriterionResult:
     """Eigenfunction flow relation along integrated trajectories."""
-    from .spectral import flow_check
-
     f = monomial(1)
     traj = integrate_ode(f, 0.2, 1.0, 1e-4)
     worst = 0.0

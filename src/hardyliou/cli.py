@@ -181,23 +181,20 @@ def _read_shared(cfg: dict, command: _Command) -> tuple[dict, dict]:
     return got, echo
 
 
-def ingest_trajectories(paths) -> list[Trajectory]:
-    """Read and validate trajectory CSVs; ingestion errors cite file and row."""
-    out = []
-    for path in paths:
-        traj = read_trajectory_csv(path)
-        if traj.times.size < 3:
-            raise TrajectoryIngestionError(
-                f"{path}: {traj.times.size} data rows; the occupation "
-                "quadrature needs at least 3"
-            )
-        out.append(traj)
-    return out
+def ingest_trajectories(path) -> Trajectory:
+    """Read and validate one trajectory CSV; ingestion errors cite file and row."""
+    traj = read_trajectory_csv(path)
+    if traj.times.size < 3:
+        raise TrajectoryIngestionError(
+            f"{path}: {traj.times.size} data rows; the occupation "
+            "quadrature needs at least 3"
+        )
+    return traj
 
 
 def _trajectories_from_config(cfg: dict) -> Iterable[Trajectory]:
     """The config's trajectories, once its fields are checked: the CSV files
-    read lazily, one :func:`ingest_trajectories` call per file as the
+    read lazily, one :func:`ingest_trajectories` call per path as the
     iterator reaches it, or the one orbit that ``ode`` integrates."""
     paths = _lookup(cfg, "trajectories", None)
     if paths is not None:
@@ -208,7 +205,7 @@ def _trajectories_from_config(cfg: dict) -> Iterable[Trajectory]:
                 _fail(f"trajectories[{k}]", "must be a path string")
             if not Path(p).is_file():
                 _fail(f"trajectories[{k}]", f"file not found: {p}")
-        return (traj for path in paths for traj in ingest_trajectories([path]))
+        return map(ingest_trajectories, paths)
     ode = _lookup(cfg, "ode", None)
     if ode is not None:
         if not isinstance(ode, dict):

@@ -183,22 +183,27 @@ class DmdModel:
 
 
 def _snapshot_matrices(trajectories, order):
-    """The basis ``S`` and the targets ``T`` of a batch, read in one pass.
+    """``(basis, targets, sources, span)`` of a batch, read in one pass.
 
-    ``trajectories`` is any iterable of trajectories; it is read once.
-    Orbits that share a sample count wait in one pending block of
-    :func:`~hardyliou.occupation._conj_moments`, computed as soon as it
-    holds exactly its row count (a last, partial block after the pass), so
-    past its block an orbit is held only as its start and end point.  The
-    targets ``K_end - K_start`` are two power matrices over the end and
-    start points of all orbits (:func:`~hardyliou.series._szego_columns`).
-    Every column has the bytes of the one-orbit call, whatever the other
-    rows of its block.
+    ``trajectories`` is any iterable of trajectories; this is the one loop
+    that reads it, once, and it checks each item as it reads it, with the
+    errors that :func:`fit` names.  ``sources`` holds each orbit's digest,
+    or the orbit itself while its digest is unknown, and ``span`` is the
+    longest time span.  Orbits that share a sample count wait in one
+    pending block of :func:`~hardyliou.occupation._conj_moments`, computed
+    as soon as it holds exactly :func:`~hardyliou.occupation._moment_block_rows`
+    rows (a last, partial block after the pass), so past its block an orbit
+    is held only as its start and end point.  The targets
+    ``K_end - K_start`` are two power matrices over the end and start
+    points of all orbits (:func:`~hardyliou.series._szego_columns`).  Every
+    column has the bytes of the one-orbit call, whatever the other rows of
+    its block.
     """
     n = order + 1
     pending = defaultdict(list)  # sample count -> [(column, orbit)], one block
     blocks = []  # (columns, moments) of each block done
-    starts, ends = [], []
+    sources, starts, ends = [], [], []
+    span = 0.0
 
     def flush(group):
         moments = _conj_moments([traj for _, traj in group], n)[0]
@@ -206,8 +211,12 @@ def _snapshot_matrices(trajectories, order):
         group.clear()
 
     for j, traj in enumerate(trajectories):
+        if not isinstance(traj, Trajectory):
+            raise TypeError("trajectories must be Trajectory instances")
         samples = traj.times.size
         _require_quadrature(samples)
+        sources.append(traj if traj._digest is None else traj._digest)
+        span = max(span, traj.duration)
         starts.append(traj.points[0])
         ends.append(traj.points[-1])
         group = pending[samples]
@@ -229,7 +238,7 @@ def _snapshot_matrices(trajectories, order):
     targets = _szego_columns(np.array(ends), order) - _szego_columns(
         np.array(starts), order
     )
-    return basis, targets
+    return basis, targets, sources, span
 
 
 def fit(
@@ -240,13 +249,14 @@ def fit(
     """Compress the adjoint generator onto the span of occupation kernels.
 
     ``trajectories`` is any iterable of :class:`Trajectory` (a list, or a
-    generator that reads them lazily), read once.  Each orbit is dropped as
-    soon as its block of moments is done; the fit keeps per orbit only its
-    moments, its end points, its time span and its digest (the orbit itself
-    while the digest is unknown).  An item that is not a ``Trajectory``
-    raises ``TypeError`` and an orbit of fewer than 3 samples
-    ``InsufficientDataError``, both when read; no item at all raises
-    ``InsufficientDataError``.
+    generator that reads them lazily), read once by
+    :func:`_snapshot_matrices`.  Each orbit is dropped as soon as its block
+    of moments is done; the fit keeps per orbit only its moments, its end
+    points and its digest (the orbit itself while the digest is unknown),
+    and of the batch only the longest time span.  An item that is not a
+    ``Trajectory`` raises ``TypeError`` and an orbit of fewer than 3
+    samples ``InsufficientDataError``, both when read; no item at all
+    raises ``InsufficientDataError``.
 
     ``ridge`` regularizes the Gram system ``S^H S + ridge I``, applied as the
     filter factors ``sigma / (sigma^2 + ridge)`` on the thin SVD of ``S``;
@@ -261,26 +271,13 @@ def fit(
     _require_order(order, 1)
     if ridge is not None and not (math.isfinite(ridge) and ridge >= 0.0):
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
-    sources, spans = [], []
-
-    def read():
-        # per orbit, its digest (or the orbit while the digest is unknown)
-        # and its time span; the samples go once their block is done
-        for traj in trajectories:
-            if not isinstance(traj, Trajectory):
-                raise TypeError("trajectories must be Trajectory instances")
-            sources.append(traj if traj._digest is None else traj._digest)
-            spans.append(traj.duration)
-            yield traj
-
-    basis, targets = _snapshot_matrices(read(), order)
+    basis, targets, sources, span = _snapshot_matrices(trajectories, order)
     left, sigma, right_h = np.linalg.svd(basis, full_matrices=False)
     with np.errstate(over="ignore"):
         gram_trace = float(np.sum(sigma**2))
     if not math.isfinite(gram_trace):
         # finite moments of a huge time span can still square past the
         # largest double, and the filter factors and G with them
-        span = max(spans)
         raise IllConditionedError(
             "the Gram matrix of the occupation kernels overflows: the "
             f"trajectories span up to {span:.6g} time units; rescale time"

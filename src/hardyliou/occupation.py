@@ -511,31 +511,26 @@ def _conj_moments(trajectories, count: int) -> tuple[np.ndarray, np.ndarray]:
     """``sum_t w_t conj(points_t)^n`` for ``n < count``, one row per trajectory,
     and the mask of the trajectories whose weights ``w`` are Simpson's.
 
-    The trajectories share one sample count.  They run in blocks of rows
-    that hold about ``_MOMENT_BLOCK_BYTES`` of running product: each block
-    stacks its times and takes all its weights ``w`` from one
-    :func:`_quadrature_rows` call, then a running product
-    ``p <- p * conj(z)`` replaces the T x count power matrix, so memory is
-    O(block), not O(rows x T).  Each row is the same pairwise sum of the
-    same products as a block of one row, bit for bit, and agrees with the
-    ``**`` formula to rounding.
+    The trajectories share one sample count and form one block: a caller
+    passes at most :func:`_moment_block_rows` of them, so the running
+    product holds about ``_MOMENT_BLOCK_BYTES``.  The block stacks its
+    times and takes all its weights ``w`` from one :func:`_quadrature_rows`
+    call, then a running product ``p <- p * conj(z)`` replaces the
+    T x count power matrix, so memory is O(rows x T), not O(rows x T x count).
+    Each row is the same pairwise sum of the same products as a block of
+    one row, bit for bit, and agrees with the ``**`` formula to rounding.
     """
-    samples = trajectories[0].points.size
-    step = _moment_block_rows(samples)
-    moments = np.empty((len(trajectories), count), dtype=np.complex128)
-    simpson = np.empty(len(trajectories), dtype=bool)
-    for start in range(0, len(trajectories), step):
-        block = trajectories[start : start + step]
-        term = np.zeros((len(block), samples), dtype=np.complex128)
-        times = np.concatenate([t.times for t in block]).reshape(len(block), samples)
-        simpson[start : start + step] = _quadrature_rows(times, term.real)
-        del times
-        base = np.concatenate([t.points for t in block]).reshape(len(block), samples)
-        np.conj(base, out=base)
-        out = moments[start : start + step]
-        for n in range(count):
-            out[:, n] = term.sum(axis=1)
-            term *= base
+    rows, samples = len(trajectories), trajectories[0].points.size
+    moments = np.empty((rows, count), dtype=np.complex128)
+    term = np.zeros((rows, samples), dtype=np.complex128)
+    times = np.concatenate([t.times for t in trajectories]).reshape(rows, samples)
+    simpson = _quadrature_rows(times, term.real)
+    del times
+    base = np.concatenate([t.points for t in trajectories]).reshape(rows, samples)
+    np.conj(base, out=base)
+    for n in range(count):
+        moments[:, n] = term.sum(axis=1)
+        term *= base
     return moments, simpson
 
 

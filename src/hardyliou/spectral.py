@@ -160,7 +160,7 @@ def _triangular_eigenpairs(entries: np.ndarray):
 
     None when ``entries`` is not triangular, its diagonal repeats, or one
     substitution step grows a column past the range of doubles (see
-    :func:`_substitution_sweep`).
+    :func:`_band_eigenpairs`).
     """
     # nonzero on the boolean mask takes half the time it takes on complex
     rows, cols = np.nonzero(entries != 0)
@@ -222,32 +222,17 @@ def _band(diagonals: dict):
 def _band_eigenpairs(band, keep_vectors: bool = True):
     """``(values, vectors, residuals)`` of :func:`_band`'s matrix, or None.
 
-    ``vectors`` is None unless ``keep_vectors``.
-    """
-    values, taps, flip = band
-    size = values.size
-    vectors = np.zeros((size, size), dtype=np.complex128) if keep_vectors else None
-    residuals = _substitution_sweep(values, taps, vectors)
-    if residuals is None:
-        return None
-    if flip:
-        values, residuals = values[::-1], residuals[::-1]
-        vectors = None if vectors is None else vectors[::-1, ::-1]
-    return values, vectors, residuals
-
-
-def _substitution_sweep(values, taps, vectors=None):
-    """Residuals of the unit eigenpairs of an upper triangular matrix.
-
-    The matrix has diagonal ``values`` (pairwise distinct) and entry
-    ``(i, i + d)`` in ``taps[i, d - 1]``.  Eigenvector ``j`` lives on rows
-    ``0..j`` with ``v_j = 1``; row ``i`` solves
-    ``(a_ii - lambda_j) v_i + sum_{0 < d <= band} a_{i,i+d} v_{i+d} = 0``.
-    The sweep solves each block of :func:`_sweep_plan` on its rows at
-    ``O(N * band)`` per column, normalises it and takes its residuals before
-    it starts the next block.  With ``vectors`` (zeros) each block is solved
-    in its own columns; without, one buffer of the plan's largest block is
-    reused.
+    The upper triangular matrix has diagonal ``values`` (pairwise distinct)
+    and entry ``(i, i + d)`` in ``taps[i, d - 1]``.  Eigenvector ``j`` lives
+    on rows ``0..j`` with ``v_j = 1``; row ``i`` solves
+    ``(a_ii - lambda_j) v_i + sum_{0 < d <= width} a_{i,i+d} v_{i+d} = 0``,
+    ``width`` the number of columns of ``taps``.  The sweep solves each
+    block of :func:`_sweep_plan` on its rows at ``O(N * width)`` per
+    column, normalises it and takes its residuals before it starts the next
+    block.  With ``keep_vectors`` each block is solved in its own columns
+    of ``vectors``; without, ``vectors`` is None and one buffer of the
+    plan's largest block is reused.  A ``flip`` band gives the pairs of the
+    lower triangular matrix it came from.
 
     A block with an overflowing column is solved again with its columns
     rescaled, so no eigenvector overflows.  None only when one substitution
@@ -256,8 +241,10 @@ def _substitution_sweep(values, taps, vectors=None):
     a gap below about 2^-1024, whose reciprocal overflows in complex
     division whatever the scale.
     """
-    size, band = taps.shape
-    plan = _sweep_plan(size, band)
+    values, taps, flip = band
+    size, width = taps.shape
+    plan = _sweep_plan(size, width)
+    vectors = np.zeros((size, size), dtype=np.complex128) if keep_vectors else None
     if vectors is None:
         entries = max(rows * (stop - start) for start, stop, rows in plan)
         buffer = np.empty(entries, dtype=np.complex128)
@@ -272,7 +259,10 @@ def _substitution_sweep(values, taps, vectors=None):
             if not _solve_block(values, taps, start, block, rescale=True):
                 return None
         _block_residuals(values, taps, start, block, scratch, residuals)
-    return residuals
+    if flip:
+        values, residuals = values[::-1], residuals[::-1]
+        vectors = None if vectors is None else vectors[::-1, ::-1]
+    return values, vectors, residuals
 
 
 def _sweep_plan(size: int, band: int) -> list:

@@ -35,6 +35,7 @@ from .series import (
     DEFAULT_ORDER,
     _composed_points,
     _kernel_point,
+    _modulus,
     _require_order,
     compose,
     default_boundary_size,
@@ -217,7 +218,7 @@ def _growth_expression(
     f: TaylorPolynomial, phi: TaylorPolynomial, grid: np.ndarray
 ) -> np.ndarray:
     fv = np.abs(np.asarray(f(grid))) ** 2
-    r2 = np.abs(_composed_points(phi, grid)) ** 2
+    r2 = _modulus(_composed_points(phi, grid)) ** 2
     dv = np.asarray(derivative(phi)(grid))
     return (
         fv
@@ -371,7 +372,7 @@ def hs_norm(
         size = default_boundary_size(max(order, f.order + phi.order))
     z = unit_circle_points(size)
     with np.errstate(over="ignore"):  # |phi| past sqrt(max float) is inf, silently
-        r2 = np.abs(np.asarray(phi(z))) ** 2
+        r2 = _modulus(phi(z)) ** 2
     diverges = np.max(r2) >= 1.0
     quadrature_sq = math.inf
     with _naming_overflow("f (with phi)", f"the Hilbert-Schmidt norm at order {order}"):

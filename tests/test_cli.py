@@ -840,6 +840,28 @@ def test_dmd_command_holds_one_block_of_orbits_not_all(tmp_path):
     assert peak < count * samples * 12
 
 
+def test_dmd_command_ingests_each_path_once_in_config_order(tmp_path, monkeypatch):
+    f = TaylorPolynomial([0.1, 0.9])
+    paths = []
+    for k in range(6):
+        paths.append(str(tmp_path / f"orbit_{5 - k}.csv"))
+        z0 = 0.2 * np.exp(2j * np.pi * k / 6)
+        write_trajectory_csv(integrate_ode(f, z0, 1.0, 1e-2), paths[-1])
+    ingest, calls = cli.ingest_trajectories, []
+
+    def spy(arg):
+        calls.append(arg)
+        return ingest(arg)
+
+    monkeypatch.setattr(cli, "ingest_trajectories", spy)
+    code, _ = _run(tmp_path, "dmd", {"N": 8, "trajectories": paths})
+    assert code == 0
+    # one call per file, in config order, each reading that file alone
+    assert [[a] if isinstance(a, str) else list(a) for a in calls] == [
+        [path] for path in paths
+    ]
+
+
 def test_bounds_writes_profile_csv(tmp_path):
     config = {
         "f": [1.0],
@@ -879,6 +901,24 @@ def test_hs_norm_infinite_case_needs_declaration(tmp_path):
     assert code == 0
     report = _report(out, "hs_norm_report.json")
     assert report["quadrature_sq"] == "infinite"
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("hs-norm", {"N": 8}),
+        ("bounds", {}),
+        ("weighted", {"N": 8, "ode": {"z0": 0.2, "T": 0.1, "dt": 0.01}}),
+    ],
+)
+def test_constant_phi_just_inside_the_circle_passes_every_disk_rule(
+    tmp_path, capsys, command, config
+):
+    # |phi| = 0x1.fffffffffffffp-1 by hypot, while np.abs rounds it to 1.0
+    phi = [[-0.9626681429324231, -0.2706844040262379]]
+    code, _ = _run(tmp_path, command, {"f": [1.0], "phi": phi, **config})
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_smirnov_command(tmp_path):

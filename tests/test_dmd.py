@@ -368,7 +368,7 @@ def test_predict_warns_when_forecast_not_finite():
 def _gram_fit(trajectories, order, ridge):
     # oracle: the m x m Gram route, C = (G + ridge I)^{-1} S^H T
     # eigendecomposed in trajectory space, with its own factor-once predictor
-    basis, targets = dmd._snapshot_matrices(trajectories, order)
+    basis, targets, _, _ = dmd._snapshot_matrices(trajectories, order)
     gram = basis.conj().T @ basis
     if ridge is None:
         ridge = 1e-10 * float(np.trace(gram).real)
@@ -567,7 +567,7 @@ def test_batch_moments_keep_the_bytes_of_one_orbit():
     assert hashlib.sha256(model.to_json().encode()).hexdigest() == (
         "182c7ce3caf08d860920dffe6810c2ae114452fd610d9c18c06b35c847c52713"
     )
-    _, targets = dmd._snapshot_matrices(batch, order)
+    _, targets, _, _ = dmd._snapshot_matrices(batch, order)
     for j, traj in enumerate(batch):
         kernel = occupation_kernel(traj, order).series.coeffs
         assert model.basis[:, j].tobytes() == kernel.tobytes()
@@ -639,6 +639,23 @@ def test_fit_drops_each_orbit_once_its_block_is_done():
     assert model.n_trajectories == 2 * rows + 1
     # the first block is gone by the time the fit draws the second orbit after it
     assert held == [0] * rows
+
+
+def test_fit_hands_each_moment_call_one_block(monkeypatch):
+    conj_moments, blocks = dmd._conj_moments, []
+
+    def spy(trajectories, count):
+        blocks.append([t.times.size for t in trajectories])
+        return conj_moments(trajectories, count)
+
+    monkeypatch.setattr(dmd, "_conj_moments", spy)
+    batch = _mixed_batch()
+    dmd.fit(batch, order=16)
+    assert sum(map(len, blocks)) == len(batch)
+    for sizes in blocks:
+        # one sample count, and at most one block of rows of it
+        assert len(set(sizes)) == 1
+        assert len(sizes) <= occupation._moment_block_rows(sizes[0])
 
 
 def test_fit_rejects_an_overflowing_time_span():

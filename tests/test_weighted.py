@@ -286,6 +286,20 @@ def test_hs_norm_identity_composition_infinite():
     assert np.isfinite(result.frobenius_sq)
 
 
+def test_disk_rules_agree_on_a_constant_phi_just_inside_the_circle():
+    # abs(c) is 0x1.fffffffffffffp-1 but np.abs(c) rounds to 1.0; every disk
+    # rule measures with hypot, so with phi' = 0 the operator is zero
+    c = complex(-0.9626681429324231, -0.2706844040262379)
+    assert abs(c) < 1.0 == np.abs(np.array([c]))[0]
+    phi = TaylorPolynomial([c])
+    result = hs_norm(monomial(0), phi, 8)
+    assert result.finite
+    assert result.frobenius_sq == result.quadrature_sq == 0.0
+    assert boundedness_bound(monomial(0), phi).supremum == 0.0
+    orbit = integrate_ode(monomial(0), 0.2, 0.1, 0.01)
+    assert weighted_occupation_residual(monomial(0), phi, orbit, 8) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # occupation form of the self-adjoint identity
 # ---------------------------------------------------------------------------
