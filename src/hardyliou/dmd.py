@@ -61,6 +61,8 @@ from .occupation import (
 from .series import (
     DEFAULT_ORDER,
     TaylorPolynomial,
+    _finite,
+    _read_only,
     _require_order,
     _szego_columns,
     complex_pairs,
@@ -92,7 +94,9 @@ class DmdModel:
     ``trajectory_digests`` is each fitted orbit's
     :meth:`~hardyliou.occupation.Trajectory.content_digest`, resolved when
     first read; until then the model holds only the orbits whose digest is
-    still unknown.
+    still unknown.  Every array is a view of a read-only owner
+    (:func:`~hardyliou.series._read_only`), so none can be made writable
+    again.
     """
 
     basis: np.ndarray
@@ -107,7 +111,8 @@ class DmdModel:
     identity_residual: float
     order: int
     trajectories: InitVar[list]
-    # derived in __post_init__ so they always match the fields above
+    # derived in __post_init__; no array field can be made writable again
+    # (series._read_only), so they always match the fields above
     _forecast_map: np.ndarray = field(init=False, repr=False, compare=False)
     _readout: np.ndarray = field(init=False, repr=False, compare=False)
     # a list holding each orbit's digest, or the orbit itself while its
@@ -126,10 +131,8 @@ class DmdModel:
         readout = (
             self.left_singular_vectors[1] * self.singular_values
         ) @ self.eigenvectors
-        forecast_map.setflags(write=False)
-        readout.setflags(write=False)
-        object.__setattr__(self, "_forecast_map", forecast_map)
-        object.__setattr__(self, "_readout", readout)
+        object.__setattr__(self, "_forecast_map", _read_only(forecast_map))
+        object.__setattr__(self, "_readout", _read_only(readout))
         object.__setattr__(self, "_digests", list(trajectories))
 
     @property
@@ -157,10 +160,8 @@ class DmdModel:
 
     @property
     def gram(self) -> np.ndarray:
-        """The m x m Gram matrix ``S^H S``, computed on each access."""
-        gram = self.basis.conj().T @ self.basis
-        gram.setflags(write=False)
-        return gram
+        """The m x m Gram matrix ``S^H S``, computed on each access, read-only."""
+        return _read_only(self.basis.conj().T @ self.basis)
 
     def to_json(self) -> str:
         """The model as strict JSON, written like the CLI reports."""
@@ -231,10 +232,9 @@ def _snapshot_matrices(trajectories, order):
     basis = np.empty((n, len(starts)), dtype=np.complex128)
     for columns, moments in blocks:
         basis[:, columns] = moments.T
-    if not np.isfinite(basis).all():
-        # the rule of the TaylorPolynomial each column is; the weights of a
-        # time span near the largest double can sum past it
-        raise ValueError("coefficients must be finite")
+    # the rule of the TaylorPolynomial each column is; the weights of a time
+    # span near the largest double can sum past it
+    _finite(basis, "coefficients")
     targets = _szego_columns(np.array(ends), order) - _szego_columns(
         np.array(starts), order
     )
@@ -320,17 +320,15 @@ def fit(
     else:
         identity_residual = float(np.linalg.norm(basis @ solution - id_coeffs))
 
-    for array in (basis, left, sigma, operator, eigenvalues, eigenvectors, residuals):
-        array.setflags(write=False)
     return DmdModel(
-        basis=basis,
-        left_singular_vectors=left,
-        singular_values=sigma,
-        operator=operator,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
+        basis=_read_only(basis),
+        left_singular_vectors=_read_only(left),
+        singular_values=_read_only(sigma),
+        operator=_read_only(operator),
+        eigenvalues=_read_only(eigenvalues),
+        eigenvectors=_read_only(eigenvectors),
         modes=tuple(TaylorPolynomial(column) for column in modes.T),
-        mode_residuals=residuals,
+        mode_residuals=_read_only(residuals),
         regularization=float(ridge),
         identity_residual=identity_residual,
         order=order,
@@ -342,9 +340,7 @@ def fit(
 def _exponents(order: int) -> np.ndarray:
     # n = 0..N, the powers of z0 that predict conjugates into c; complex,
     # as power casts integer exponents to complex anyway
-    exponents = np.arange(order + 1, dtype=np.complex128)
-    exponents.setflags(write=False)
-    return exponents
+    return _read_only(np.arange(order + 1, dtype=np.complex128))
 
 
 def predict(model: DmdModel, z0: complex, t: float | np.ndarray):

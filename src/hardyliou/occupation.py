@@ -32,6 +32,7 @@ from .series import (
     TaylorPolynomial,
     _composed_points,
     _modulus,
+    _read_only,
     _require_order,
     szego_kernel,
 )
@@ -101,13 +102,10 @@ class Trajectory:
     _digest: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=np.float64, copy=True)
-        points = np.array(self.points, dtype=np.complex128, copy=True)
-        # a view of a read-only array cannot be made writable again, so the
+        # _read_only: the arrays can never be made writable again, so the
         # stored digest of the samples never goes stale
-        times.setflags(write=False)
-        points.setflags(write=False)
-        times, points = times.reshape(-1), points.reshape(-1)
+        times = _read_only(np.array(self.times, dtype=np.float64, copy=True).reshape(-1))
+        points = _read_only(np.array(self.points, dtype=np.complex128, copy=True).reshape(-1))
         if times.size != points.size or times.size == 0:
             raise ValueError("times and points must be nonempty and aligned")
         invalid = _first_invalid_sample(times, points)

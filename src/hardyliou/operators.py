@@ -38,7 +38,9 @@ from .series import (
     BoundaryGrid,
     TaylorPolynomial,
     DEFAULT_ORDER,
+    _finite,
     _kernel_point,
+    _read_only,
     _require_order,
     default_boundary_size,
     derivative,
@@ -67,10 +69,7 @@ class OperatorMatrix:
         arr = np.array(self.entries, dtype=np.complex128, copy=True)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ValueError("entries must form a nonempty square matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _read_only(_finite(arr, "entries")))
 
     @property
     def order(self) -> int:
@@ -95,13 +94,6 @@ def _naming_overflow(symbols: str, what: str):
         raise SymbolOverflowError(
             f"symbol {symbols} overflows {what}; its values must be finite"
         ) from exc
-
-
-def _finite(values):
-    """``values`` itself; raises ValueError when one of them is not finite."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite")
-    return values
 
 
 def _rescue_norms(norms: np.ndarray, image: np.ndarray) -> None:
@@ -332,9 +324,10 @@ def adjoint_apply_boundary(
         size = default_boundary_size(order)
         while size < _boundary_floor(order, f.order):
             size *= 2
+    _require_boundary_grid(size, order, f.order)
     z = unit_circle_points(size)
     rows = h.truncated(order).coeffs[None]
-    modes = _boundary_rows(rows, *_symbol_on_circle(f, z), z, f.order)
+    modes = _boundary_rows(rows, *_symbol_on_circle(f, z), z)
     with _naming_overflow("f", f"the boundary adjoint route at order {order}"):
         return TaylorPolynomial(modes[0])
 
@@ -355,17 +348,21 @@ def _boundary_floor(order: int, degree: int) -> int:
     return max(4 * (order + 1), order + degree)
 
 
-def _boundary_rows(rows: np.ndarray, fz, dfz, z: np.ndarray, degree: int) -> np.ndarray:
-    """The boundary route's modes for each row, with the factors of
-    :func:`_symbol_on_circle` (of symbols up to ``degree``) in one row for
-    all or one row each.  NumPy transforms a 2-D array row by row, so each
-    row keeps its bytes."""
-    size, order = z.size, rows.shape[1] - 1
+def _require_boundary_grid(size: int, order: int, degree: int) -> None:
+    """Raise :class:`AliasingError` when ``size`` is below :func:`_boundary_floor`."""
     require_grid(
         size,
         _boundary_floor(order, degree),
         f"the adjoint route at order {order} with a symbol of degree {degree}",
     )
+
+
+def _boundary_rows(rows: np.ndarray, fz, dfz, z: np.ndarray) -> np.ndarray:
+    """The boundary route's modes for each row, with the factors of
+    :func:`_symbol_on_circle` in one row for all or one row each, on a grid
+    that :func:`_require_boundary_grid` passed.  NumPy transforms a 2-D
+    array row by row, so each row keeps its bytes."""
+    size, order = z.size, rows.shape[1] - 1
     with np.errstate(over="ignore", invalid="ignore"):
         hv = np.fft.ifft(rows, size) * size  # h and h' zero padded to the grid
         combo = np.fft.ifft(rows[:, 1:] * np.arange(1, order + 1), size) * size
@@ -390,14 +387,16 @@ def adjoint_battery(
     decay geometrically with a ratio drawn from ``[0.2, 0.8]``.  Without a
     fixed ``f`` every case also draws a symbol of random degree 1..8 with
     standard normal complex coefficients, and the grid must suit degree 8
-    (:func:`_boundary_floor`).  Each route runs once per chunk of cases,
-    with the bytes it gives each case alone; the first case where a route
-    is not finite names it, the transpose first.  A gap whose squares
-    overflow keeps a finite norm (:func:`_row_norms`).
+    (:func:`_boundary_floor`); the grid is checked before any case is
+    drawn.  Each route runs once per chunk of cases, with the bytes it gives
+    each case alone; the first case where a route is not finite names it,
+    the transpose first.  A gap whose squares overflow keeps a finite norm
+    (:func:`_row_norms`).
     """
     _require_order(order)
     if cases < 1:
         raise InvalidIndexError(f"cases must be at least 1, got {cases}")
+    _require_boundary_grid(size, order, _RANDOM_SYMBOL_DEGREE if f is None else f.order)
     rng, z = np.random.default_rng(seed), unit_circle_points(size)
     if f is not None:
         coeffs, (fz, dfz) = f.coeffs[None], _symbol_on_circle(f, z)
@@ -416,7 +415,7 @@ def adjoint_battery(
             r = float(rng.uniform(0.2, 0.8))
             row[:] = r ** np.arange(order + 1) * np.exp(2j * np.pi * rng.uniform(size=order + 1))
         transpose = _stencil_rows(coeffs, rows, order)
-        boundary = _boundary_rows(rows, fz, dfz, z, coeffs.shape[1] - 1)
+        boundary = _boundary_rows(rows, fz, dfz, z)
         finite = np.isfinite(transpose).all(axis=1), np.isfinite(boundary).all(axis=1)
         for case in np.flatnonzero(~(finite[0] & finite[1]))[:1]:  # the first failing case
             route = "boundary adjoint route" if finite[0][case] else "liouville matrix"
@@ -506,6 +505,7 @@ def modulus_identity_defect(
     a: TaylorPolynomial, b: TaylorPolynomial, size: int
 ) -> float:
     """Max boundary deviation ``| |a|^2 + |b|^2 - 1 |`` on the ``size``-grid."""
+    require_grid(size, 1, "the modulus identity")
     z = unit_circle_points(size)
     return _modulus_defect(np.asarray(a(z)), np.asarray(b(z)))
 

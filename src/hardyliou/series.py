@@ -14,7 +14,10 @@ Conventions used throughout the package:
   ``M >= 2N + 2`` so that projection back onto the first ``N + 1``
   nonnegative Fourier modes is alias-free;
 * every truncation order passes one rule, :func:`_require_order`, before
-  anything is allocated; a bad order raises :class:`InvalidIndexError`.
+  anything is allocated; a bad order raises :class:`InvalidIndexError`;
+* every value and result type holds its arrays through :func:`_read_only`,
+  so none can be made writable again, and every "must be finite" check of
+  an array is :func:`_finite`.
 
 The tail bounds :func:`geometric_tail` and :func:`kernel_tail` are exported
 but have no caller yet: no tolerance in the package is derived from them
@@ -68,6 +71,28 @@ def require_grid(size: int, minimum: int, what: str) -> None:
         raise AliasingError(
             f"grid of {size} points cannot resolve {what}; need at least {minimum}"
         )
+
+
+def _finite(values, what: str = "values"):
+    """``values`` itself; raises ValueError ("``what`` must be finite")
+    when one of them is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+    return values
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that can never be written; nothing is copied.
+
+    NumPy lets an array that owns its memory be made writable again, but not
+    a view of a read-only owner, so the owner and ``array`` are both frozen.
+    """
+    owner = array
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    owner.setflags(write=False)
+    array.setflags(write=False)
+    return array.view()
 
 
 def complex_pairs(values) -> list:
@@ -165,10 +190,7 @@ class TaylorPolynomial:
         arr = np.array(self.coeffs, dtype=np.complex128, copy=True).reshape(-1)
         if arr.size == 0:
             raise ValueError("a TaylorPolynomial needs at least one coefficient")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _read_only(_finite(arr, "coefficients")))
 
     @property
     def order(self) -> int:
@@ -212,10 +234,7 @@ class BoundaryGrid:
         arr = np.array(self.values, dtype=np.complex128, copy=True).reshape(-1)
         if arr.size == 0:
             raise ValueError("a BoundaryGrid needs at least one sample")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _read_only(_finite(arr, "samples")))
 
     @property
     def size(self) -> int:

@@ -34,7 +34,6 @@ from .occupation import Trajectory, _warn_on_mismatch
 from .operators import (
     OperatorMatrix,
     _diagonals,
-    _finite,
     _naming_overflow,
     _rescue_norms,
     liouville_matrix,
@@ -42,7 +41,9 @@ from .operators import (
 from .series import (
     TaylorPolynomial,
     DEFAULT_ORDER,
+    _finite,
     _kernel_point,
+    _read_only,
     _require_order,
     antiderivative,
     exp_series,
@@ -73,7 +74,9 @@ class Eigendecomposition:
 
     ``values[k]`` is an eigenvalue, ``vectors[:, k]`` its unit-norm
     eigenvector (coefficients in the monomial basis) and ``residuals[k]``
-    the certified ``||A v_k - values[k] v_k||``.
+    the certified ``||A v_k - values[k] v_k||``.  Each array is a view of a
+    read-only owner (:func:`~hardyliou.series._read_only`), so none can be
+    made writable again.
     """
 
     values: np.ndarray
@@ -94,9 +97,7 @@ def eigendecompose(matrix: OperatorMatrix) -> Eigendecomposition:
     found = _triangular_eigenpairs(entries)
     values, vectors, residuals = _dense_eigenpairs(entries) if found is None else found
     values, residuals, vectors = _sorted(values, residuals, vectors)
-    for array in (values, vectors, residuals):
-        array.setflags(write=False)
-    return Eigendecomposition(values, vectors, residuals)
+    return Eigendecomposition(*map(_read_only, (values, vectors, residuals)))
 
 
 def _liouville_spectrum(f: TaylorPolynomial, order: int):

@@ -29,24 +29,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidIndexError
 from .occupation import Trajectory, _defect_norm, endpoint_kernel_difference, occupation_kernel
 from .series import (
     TaylorPolynomial,
     DEFAULT_ORDER,
     _composed_points,
+    _finite,
     _kernel_point,
     _modulus,
+    _read_only,
     _require_order,
     compose,
     default_boundary_size,
     derivative,
     kernel,
     multiply,
+    require_grid,
     szego_kernel,
     unit_circle_points,
 )
 from .operators import (
-    _finite,
     _naming_overflow,
     _weighted_columns,
     weighted_liouville_matrix,
@@ -66,6 +69,9 @@ def polar_grid(
     """Polar sampling of the disk, shape ``(n_radii, n_angles)``, radii increasing."""
     if not 0.0 < r_max < 1.0:
         raise ValueError("r_max must lie in (0, 1)")
+    for name, count in (("n_radii", n_radii), ("n_angles", n_angles)):
+        if count < 1:
+            raise InvalidIndexError(f"{name} must be at least 1, got {count}")
     radii = np.linspace(r_max / n_radii, r_max, n_radii)
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     return radii[:, None] * np.exp(1j * angles)[None, :]
@@ -85,10 +91,8 @@ class RadialProfile:
             raise ValueError("radii and values must be nonempty and aligned")
         if radii.size > 1 and np.min(np.diff(radii)) <= 0:
             raise ValueError("radii must be strictly increasing")
-        radii.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "radii", _read_only(radii))
+        object.__setattr__(self, "values", _read_only(values))
 
 
 @dataclass(frozen=True)
@@ -245,6 +249,7 @@ def boundedness_bound(
         grid = polar_grid()
     if grid.ndim != 2:
         raise ValueError("grid must be a 2-d polar grid (radii x angles)")
+    require_grid(grid.size, 1, "the growth expression")
     with _naming_overflow("f (with phi)", "the growth expression"):
         values = _finite(_growth_expression(f, phi, grid))
     per_radius = np.max(values, axis=1)
@@ -362,14 +367,16 @@ def hs_norm(
     matrix; each column's square is its own ``vdot``, since a batched norm
     rounds differently.  At N = 1024 the columns take about 80% of the call
     (about 9.7 us each at deg phi = 2) and their ``vdot`` about 2 us each.
-    ``order`` must be at least 0.
+    ``order`` must be at least 0, and a ``size`` below 1 raises
+    :class:`AliasingError`.
     """
     _require_order(order)
+    if size is None:
+        size = default_boundary_size(max(order, f.order + phi.order))
+    require_grid(size, 1, "the Hilbert-Schmidt quadrature")
     column_sq = np.zeros(order + 1)
     for n, column in _weighted_columns(f, phi, order):
         column_sq[n] = np.vdot(column, column).real
-    if size is None:
-        size = default_boundary_size(max(order, f.order + phi.order))
     z = unit_circle_points(size)
     with np.errstate(over="ignore"):  # |phi| past sqrt(max float) is inf, silently
         r2 = _modulus(phi(z)) ** 2

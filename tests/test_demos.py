@@ -3,7 +3,8 @@
 Each demo script runs to completion, and every function the benchmark's
 tracer wraps by name still exists, so a rename cannot silently drop a span.
 Every Python file also parses with the grammar of the oldest supported
-Python, 3.10.
+Python, 3.10, and only ``series`` sets array flags, so the read-only rule
+keeps one home (``series._read_only``).
 """
 
 import ast
@@ -50,3 +51,10 @@ def test_sources_parse_as_python_3_10():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_only_series_sets_array_flags():
+    modules = sorted((ROOT / "src" / "hardyliou").glob("*.py"))
+    assert len(modules) > 5
+    setters = [path.name for path in modules if ".setflags(" in path.read_text()]
+    assert setters == ["series.py"]

@@ -608,6 +608,19 @@ def test_adjoint_battery_rejects_an_empty_battery():
             adjoint_battery(16, 68, cases, 0)
 
 
+def test_adjoint_battery_checks_its_grid_before_sizing_chunks():
+    # the chunk size divides by the grid size
+    for f in (None, TaylorPolynomial([0.1, 0.9])):
+        with pytest.raises(AliasingError, match="grid of 0 points"):
+            adjoint_battery(16, 0, 3, 0, f)
+
+
+def test_modulus_identity_defect_refuses_an_empty_grid():
+    a, b = TaylorPolynomial([0.6]), TaylorPolynomial([0.8])
+    with pytest.raises(AliasingError, match="modulus identity; need at least 1"):
+        modulus_identity_defect(a, b, 0)
+
+
 @pytest.mark.parametrize(
     "order, size, cases, seed, coeffs, route",
     [

@@ -29,6 +29,11 @@ from hardyliou import (
     multiply,
     norm,
     OperatorMatrix,
+    RadialProfile,
+    dmd,
+    eigendecompose,
+    integrate_ode,
+    liouville_matrix,
     outer_from_modulus,
     project_h2,
     reciprocal,
@@ -99,6 +104,45 @@ def test_array_value_types_compare_and_hash_by_identity(make):
     assert a != twin
     assert hash(a) == hash(a)
     assert len({a, twin}) == 2
+
+
+def _held_arrays():
+    # every array field of each value and result type, by Type.field
+    f = TaylorPolynomial([0.1, 0.9])
+    orbits = [integrate_ode(f, z0, 0.5, 0.05) for z0 in (0.2, 0.3j, -0.4)]
+    model = dmd.fit(orbits, order=4)
+    holders = [
+        f,
+        BoundaryGrid([1.0, 1j, -1.0]),
+        liouville_matrix(f, 4),
+        orbits[0],
+        RadialProfile([0.1, 0.2], [1.0, 2.0]),
+        eigendecompose(liouville_matrix(f, 4)),
+        model,
+    ]
+    arrays = {
+        f"{type(holder).__name__}.{name}": value
+        for holder in holders
+        for name, value in vars(holder).items()
+        if isinstance(value, np.ndarray)
+    }
+    arrays["DmdModel.gram"] = model.gram
+    arrays["dmd._exponents"] = dmd._exponents(4)
+    return arrays
+
+
+_HELD_ARRAYS = _held_arrays()
+
+
+@pytest.mark.parametrize("name", sorted(_HELD_ARRAYS))
+def test_held_arrays_can_never_be_written(name):
+    # NumPy lets an array that owns its memory be made writable again; a
+    # stale DmdModel._forecast_map, say, would then forecast from old fields
+    array = _HELD_ARRAYS[name]
+    with pytest.raises(ValueError, match="read-only"):
+        array[(0,) * array.ndim] = 0
+    with pytest.raises(ValueError):
+        array.setflags(write=True)
 
 
 # ---------------------------------------------------------------------------

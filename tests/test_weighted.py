@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardyliou import (
+    AliasingError,
     BlaschkeProduct,
     CompositionOutOfDiskError,
     DiskDomainError,
@@ -41,6 +42,29 @@ def test_polar_grid_shape_and_range():
     assert np.all(np.diff(radii) > 0)
     assert radii[-1] == pytest.approx(0.9)
     assert np.max(np.abs(grid)) < 1.0
+
+
+@pytest.mark.parametrize(
+    "counts", [(0, 4), (4, 0), (-2, 4)], ids=["no_radii", "no_angles", "negative_radii"]
+)
+def test_polar_grid_refuses_fewer_than_one_radius_or_angle(counts):
+    # zero radii would divide by zero, and an empty grid would reach
+    # boundedness_bound, which would blame the symbol for its empty maximum
+    with pytest.raises(InvalidIndexError, match="must be at least 1"):
+        polar_grid(*counts)
+
+
+def test_boundedness_bound_names_an_empty_grid_not_the_symbol():
+    f, phi = TaylorPolynomial([1.0]), TaylorPolynomial([0.0, 0.5])
+    for grid in (np.zeros((4, 0), complex), np.zeros((0, 4), complex)):
+        with pytest.raises(AliasingError, match="growth expression; need at least 1"):
+            boundedness_bound(f, phi, grid)
+
+
+def test_hs_norm_refuses_an_empty_quadrature_grid():
+    f, phi = TaylorPolynomial([1.0]), TaylorPolynomial([0.0, 0.5])
+    with pytest.raises(AliasingError, match="Hilbert-Schmidt quadrature; need at least 1"):
+        hs_norm(f, phi, 8, size=0)
 
 
 def test_radial_profile_validation():
