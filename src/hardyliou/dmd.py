@@ -9,6 +9,10 @@ Tikhonov-regularized compression is
 
     C = (S^H S + ridge I)^{-1} S^H T.
 
+:func:`fit` is two stages: :func:`_snapshot_matrices` reads the orbits into
+``S``, ``T`` and their digests, and :func:`_compress` is the rank-space
+solver below, which knows only those matrices.
+
 ``S`` has rank at most ``k = min(m, N+1)``, so the fit works in rank
 coordinates (exact DMD on a thin SVD, Tu et al. 2014).  With
 ``S = U diag(sigma) V^H`` thin, ``(S^H S + ridge I)^{-1} S^H = V diag(F) U^H``
@@ -184,17 +188,17 @@ class DmdModel:
 
 
 def _snapshot_matrices(trajectories, order):
-    """``(basis, targets, sources, span)`` of a batch, read in one pass.
+    """``(basis, targets, sources)`` of a batch, read in one pass.
 
     ``trajectories`` is any iterable of trajectories; this is the one loop
     that reads it, once, and it checks each item as it reads it, with the
     errors that :func:`fit` names.  ``sources`` holds each orbit's digest,
-    or the orbit itself while its digest is unknown, and ``span`` is the
-    longest time span.  Orbits that share a sample count wait in one
-    pending block of :func:`~hardyliou.occupation._conj_moments`, computed
-    as soon as it holds exactly :func:`~hardyliou.occupation._moment_block_rows`
-    rows (a last, partial block after the pass), so past its block an orbit
-    is held only as its start and end point.  The targets
+    or the orbit itself while its digest is unknown.  Orbits that share a
+    sample count wait in one pending block of
+    :func:`~hardyliou.occupation._conj_moments`, computed as soon as it holds
+    exactly :func:`~hardyliou.occupation._moment_block_rows` rows (a last,
+    partial block after the pass), so past its block an orbit is held only
+    as its start and end point.  The targets
     ``K_end - K_start`` are two power matrices over the end and start
     points of all orbits (:func:`~hardyliou.series._szego_columns`).  Every
     column has the bytes of the one-orbit call, whatever the other rows of
@@ -204,7 +208,6 @@ def _snapshot_matrices(trajectories, order):
     pending = defaultdict(list)  # sample count -> [(column, orbit)], one block
     blocks = []  # (columns, moments) of each block done
     sources, starts, ends = [], [], []
-    span = 0.0
 
     def flush(group):
         moments = _conj_moments([traj for _, traj in group], n)[0]
@@ -217,7 +220,6 @@ def _snapshot_matrices(trajectories, order):
         samples = traj.times.size
         _require_quadrature(samples)
         sources.append(traj if traj._digest is None else traj._digest)
-        span = max(span, traj.duration)
         starts.append(traj.points[0])
         ends.append(traj.points[-1])
         group = pending[samples]
@@ -238,7 +240,7 @@ def _snapshot_matrices(trajectories, order):
     targets = _szego_columns(np.array(ends), order) - _szego_columns(
         np.array(starts), order
     )
-    return basis, targets, sources, span
+    return basis, targets, sources
 
 
 def fit(
@@ -248,15 +250,18 @@ def fit(
 ) -> DmdModel:
     """Compress the adjoint generator onto the span of occupation kernels.
 
+    Two stages: :func:`_snapshot_matrices` reads the orbits into the basis
+    ``S``, the targets ``T`` and the orbits' digests, and :func:`_compress`
+    solves for the model in rank coordinates from those alone.
+
     ``trajectories`` is any iterable of :class:`Trajectory` (a list, or a
     generator that reads them lazily), read once by
     :func:`_snapshot_matrices`.  Each orbit is dropped as soon as its block
     of moments is done; the fit keeps per orbit only its moments, its end
-    points and its digest (the orbit itself while the digest is unknown),
-    and of the batch only the longest time span.  An item that is not a
-    ``Trajectory`` raises ``TypeError`` and an orbit of fewer than 3
-    samples ``InsufficientDataError``, both when read; no item at all
-    raises ``InsufficientDataError``.
+    points and its digest (the orbit itself while the digest is unknown).
+    An item that is not a ``Trajectory`` raises ``TypeError`` and an orbit
+    of fewer than 3 samples ``InsufficientDataError``, both when read; no
+    item at all raises ``InsufficientDataError``.
 
     ``ridge`` regularizes the Gram system ``S^H S + ridge I``, applied as the
     filter factors ``sigma / (sigma^2 + ridge)`` on the thin SVD of ``S``;
@@ -264,14 +269,32 @@ def fit(
     trajectories.  Passing ``ridge=0`` demands a well-conditioned Gram
     matrix (``(sigma_1 / sigma_m)^2 <= 1e14``, so at most N+1 trajectories)
     and raises otherwise; a negative or non-finite ``ridge`` raises
-    ``ValueError``.  ``order`` must be at least 1, since the identity
-    observable is the coefficient of ``z``.  The model has
+    ``ValueError``.  ``order`` must be an integer of at least 1, since the
+    identity observable is the coefficient of ``z``.  The model has
     ``k = min(m, N+1)`` eigenvalues.
     """
     _require_order(order, 1)
     if ridge is not None and not (math.isfinite(ridge) and ridge >= 0.0):
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
-    basis, targets, sources, span = _snapshot_matrices(trajectories, order)
+    return _compress(*_snapshot_matrices(trajectories, order), ridge)
+
+
+def _compress(basis, targets, sources, ridge) -> DmdModel:
+    """The model of ``C = (S^H S + ridge I)^{-1} S^H T``, solved in rank coordinates.
+
+    ``basis`` is ``S`` ((N+1) x m), ``targets`` is ``T`` and ``sources``
+    the m orbits' digests (or orbits), as :func:`_snapshot_matrices`
+    returns them; ``ridge`` is checked by :func:`fit`, or None for the
+    default.  The truncation order is ``N = basis.shape[0] - 1`` and the
+    identity observable is row 1 of ``S``.  The overflow error names the
+    longest time span as ``max|S[0, :]|``: row 0 of an occupation kernel is
+    the integral of 1, the orbit's duration.
+
+    On C-contiguous column slices of a batch's ``S``, ``T`` and sources
+    (``np.ascontiguousarray(S[:, cols])``), the model has the bytes of
+    :func:`fit` on that sub-batch of orbits.  A non-contiguous slice can
+    take another matmul path in ``T V`` and change the last bits.
+    """
     left, sigma, right_h = np.linalg.svd(basis, full_matrices=False)
     with np.errstate(over="ignore"):
         gram_trace = float(np.sum(sigma**2))
@@ -279,8 +302,8 @@ def fit(
         # finite moments of a huge time span can still square past the
         # largest double, and the filter factors and G with them
         raise IllConditionedError(
-            "the Gram matrix of the occupation kernels overflows: the "
-            f"trajectories span up to {span:.6g} time units; rescale time"
+            "the Gram matrix of the occupation kernels overflows: the trajectories "
+            f"span up to {np.abs(basis[0]).max():.6g} time units; rescale time"
         )
     if ridge is None:
         ridge = 1e-10 * gram_trace
@@ -299,8 +322,7 @@ def fit(
 
     eigenvalues, eigenvectors = np.linalg.eig(operator)
     perm = np.lexsort((eigenvalues.imag, eigenvalues.real))
-    eigenvalues = eigenvalues[perm]
-    eigenvectors = eigenvectors[:, perm]
+    eigenvalues, eigenvectors = eigenvalues[perm], eigenvectors[:, perm]
 
     # v = V w: S v = U diag(sigma) w and T v = (T V) w; scale to ||S v|| = 1
     modes = left @ (sigma[:, None] * eigenvectors)
@@ -308,11 +330,9 @@ def fit(
     scale[scale == 0.0] = 1.0  # a zero mode stays unnormalized
     eigenvectors /= scale
     modes /= scale
-    residuals = np.linalg.norm(
-        targets_v @ eigenvectors - modes * eigenvalues, axis=0
-    )
+    residuals = np.linalg.norm(targets_v @ eigenvectors - modes * eigenvalues, axis=0)
 
-    id_coeffs = np.zeros(order + 1, dtype=np.complex128)
+    id_coeffs = np.zeros(basis.shape[0], dtype=np.complex128)
     id_coeffs[1] = 1.0
     solution, lstsq_residual, *_ = np.linalg.lstsq(basis, id_coeffs, rcond=None)
     if lstsq_residual.size:
@@ -331,7 +351,7 @@ def fit(
         mode_residuals=_read_only(residuals),
         regularization=float(ridge),
         identity_residual=identity_residual,
-        order=order,
+        order=basis.shape[0] - 1,
         trajectories=sources,
     )
 

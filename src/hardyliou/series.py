@@ -14,7 +14,8 @@ Conventions used throughout the package:
   ``M >= 2N + 2`` so that projection back onto the first ``N + 1``
   nonnegative Fourier modes is alias-free;
 * every truncation order passes one rule, :func:`_require_order`, before
-  anything is allocated; a bad order raises :class:`InvalidIndexError`;
+  anything is allocated; an order that is not an integer or too small
+  raises :class:`InvalidIndexError`;
 * every value and result type holds its arrays through :func:`_read_only`,
   so none can be made writable again, and every "must be finite" check of
   an array is :func:`_finite`.
@@ -59,9 +60,20 @@ def unit_circle_points(size: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(size) / size)
 
 
+def _integer_order(order, error=InvalidIndexError) -> int:
+    """``order`` itself; raises ``error`` unless it is an int or a NumPy integer.
+
+    A ``bool`` is refused, and so is an integral float such as ``2.0``.
+    """
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+        raise error(f"order must be an integer, got {order!r}")
+    return order
+
+
 def _require_order(order: int, least: int = 0) -> None:
-    """Raise :class:`InvalidIndexError` unless the truncation ``order`` is at least ``least``."""
-    if not order >= least:
+    """Raise :class:`InvalidIndexError` unless the truncation ``order`` is an
+    integer (:func:`_integer_order`) of at least ``least``."""
+    if not _integer_order(order) >= least:
         raise InvalidIndexError(f"order must be at least {least}, got {order!r}")
 
 
@@ -305,13 +317,15 @@ def kernel(w: complex, j: int, order: int = DEFAULT_ORDER) -> TaylorPolynomial:
 
     The ``j``-th derivative kernel has coefficients
     ``n!/(n-j)! * conj(w)^(n-j)`` for ``n >= j``; ``j = 0`` is the geometric
-    kernel ``1/(1 - conj(w) z)``.  ``w`` is checked by :func:`_kernel_point`.
+    kernel ``1/(1 - conj(w) z)``.  ``w`` is checked by :func:`_kernel_point`;
+    an ``order`` that is not an integer (:func:`_integer_order`) or below
+    ``j`` raises :class:`InvalidKernelSpecError`.
     """
     w = _kernel_point(w)
     j = int(j)
     if j < 0:
         raise InvalidKernelSpecError("derivative order must be nonnegative")
-    if j > order:
+    if j > _integer_order(order, InvalidKernelSpecError):
         raise InvalidKernelSpecError(
             f"derivative order {j} exceeds truncation order {order}"
         )

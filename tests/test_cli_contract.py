@@ -11,14 +11,23 @@ code is 0, 1 or 2, and no exception escapes.
 
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hardyliou import TaylorPolynomial, integrate_ode, write_trajectory_csv
+from hardyliou import (
+    CompositionWarning,
+    LowConfidenceWarning,
+    TaylorPolynomial,
+    TrajectoryMismatchWarning,
+    integrate_ode,
+    write_trajectory_csv,
+)
 from hardyliou.cli import console_main
 
+_LIBRARY_WARNINGS = (CompositionWarning, TrajectoryMismatchWarning, LowConfidenceWarning)
 _ACCEPTANCE = "fixed acceptance tolerance; see tests/test_acceptance.py"
 _ODE = {"z0": 0.2, "T": 0.2, "dt": 0.01}
 
@@ -332,9 +341,14 @@ def test_any_config_exits_zero_one_or_two(
         write_trajectory_csv(orbit, tmp_path / "orbit.csv")
     config = dict(CONTRACT[command][0], **dict(changes))
     (tmp_path / "config.json").write_text(json.dumps(config))
-    code = console_main([command, "--config", "config.json", "--out", "out"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = console_main([command, "--config", "config.json", "--out", "out"])
     printed = capsys.readouterr()  # one example's output at a time
     assert code in (0, 1, 2)
+    # a drawn config may trip the library's own warnings, and nothing else
+    for caught_warning in caught:
+        assert issubclass(caught_warning.category, _LIBRARY_WARNINGS), caught_warning
     # exit 1 means a certificate failed and was printed; exit 2 computed none
     if code == 1:
         assert any(line.startswith("FAIL ") for line in printed.out.splitlines())

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import inspect
 import json
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -117,12 +118,15 @@ def test_fit_rejects_negative_or_nonfinite_ridge(ridge):
         dmd.fit([traj], order=16, ridge=ridge)
 
 
-@pytest.mark.parametrize("order", [0, -1, -2])
+@pytest.mark.parametrize("order", [0, -1, -2, True, 2.0, 16.0, "16"])
 def test_fit_rejects_order_below_one(order):
-    # the identity observable is the coefficient of z, so N >= 1
+    # the identity observable is the coefficient of z, so N >= 1; an order
+    # that is not an integer (a bool, an integral float) is refused too
     traj = integrate_ode(monomial(1), 0.2, 1.0, 1e-2)
     with pytest.raises(InvalidIndexError, match="order"):
         dmd.fit([traj], order=order)
+    # a NumPy integer is an order
+    assert dmd.fit([traj], order=np.int64(16)).to_json() == dmd.fit([traj], order=16).to_json()
 
 
 def test_fit_records_digests(affine_model):
@@ -368,7 +372,7 @@ def test_predict_warns_when_forecast_not_finite():
 def _gram_fit(trajectories, order, ridge):
     # oracle: the m x m Gram route, C = (G + ridge I)^{-1} S^H T
     # eigendecomposed in trajectory space, with its own factor-once predictor
-    basis, targets, _, _ = dmd._snapshot_matrices(trajectories, order)
+    basis, targets, _ = dmd._snapshot_matrices(trajectories, order)
     gram = basis.conj().T @ basis
     if ridge is None:
         ridge = 1e-10 * float(np.trace(gram).real)
@@ -567,7 +571,7 @@ def test_batch_moments_keep_the_bytes_of_one_orbit():
     assert hashlib.sha256(model.to_json().encode()).hexdigest() == (
         "182c7ce3caf08d860920dffe6810c2ae114452fd610d9c18c06b35c847c52713"
     )
-    _, targets, _, _ = dmd._snapshot_matrices(batch, order)
+    _, targets, _ = dmd._snapshot_matrices(batch, order)
     for j, traj in enumerate(batch):
         kernel = occupation_kernel(traj, order).series.coeffs
         assert model.basis[:, j].tobytes() == kernel.tobytes()
@@ -667,6 +671,36 @@ def test_fit_rejects_an_overflowing_time_span():
             [good, Trajectory(np.array([-1e308, 0.0, 1e308]), np.array([0.1, 0.2, 0.3]))],
             order=8,
         )
+
+
+def _slice_batch(count):
+    # sample counts 3, 4, 51 and 201 in turn, uniform (Simpson) and jittered
+    # (trapezoid) times alternating
+    rng = np.random.default_rng(36)
+    sizes = (3, 4, 51, 201)
+    return [_random_orbit(rng, sizes[k % 4], k % 3 != 0) for k in range(count)]
+
+
+@pytest.mark.parametrize("order", [16, 64])
+def test_compress_on_a_column_slice_matches_fit_on_the_sub_batch(order):
+    # the rank-space solver knows only S, T and the digests: a C-contiguous
+    # column slice of one batch's matrices is the fit of those orbits
+    batch = _slice_batch(120)
+    basis, targets, sources = dmd._snapshot_matrices(batch, order)
+    hold_one_out = [j for j in range(len(batch)) if j != 57]
+    for cols in (hold_one_out, list(range(0, len(batch), 2)), [83]):
+        sub_basis = np.ascontiguousarray(basis[:, cols])
+        sub_targets = np.ascontiguousarray(targets[:, cols])
+        sub_sources = [sources[j] for j in cols]
+        for ridge in (None, 1e-8, 0.0):
+            try:
+                expected = dmd.fit([batch[j] for j in cols], order, ridge).to_json()
+            except IllConditionedError as exc:
+                with pytest.raises(IllConditionedError, match=f"^{re.escape(str(exc))}$"):
+                    dmd._compress(sub_basis, sub_targets, sub_sources, ridge)
+                continue
+            got = dmd._compress(sub_basis, sub_targets, sub_sources, ridge)
+            assert got.to_json() == expected
 
 
 def test_wide_batch_fit_stacks_one_block_of_moments():

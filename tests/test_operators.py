@@ -287,16 +287,19 @@ _BUILDERS = {
 }
 
 
-@pytest.mark.parametrize("order", [-1, -2])
+@pytest.mark.parametrize("order", [-1, -2, True, False, 2.0, 0.0, "2"])
 @pytest.mark.parametrize("build", list(_BUILDERS.values()), ids=list(_BUILDERS))
 def test_builders_reject_a_negative_order(build, order):
     # the one order rule names the order before anything is allocated; order 0
-    # still builds.  The kernels keep their own rule (InvalidKernelSpecError),
-    # and dmd.fit needs order 1
+    # still builds, as a NumPy integer too.  An order that is not an integer
+    # (a bool, an integral float) is refused.  The kernels keep their own
+    # rule (InvalidKernelSpecError), and dmd.fit needs order 1
     f = TaylorPolynomial([0.1, 0.9])
-    with pytest.raises(InvalidIndexError, match=f"order must be at least 0, got {order}$"):
+    rule = "at least 0" if type(order) is int else "an integer"
+    with pytest.raises(InvalidIndexError, match=f"order must be {rule}, got {order!r}$"):
         build(f, order)
     build(f, 0)
+    build(f, np.int64(0))
 
 
 def test_liouville_builders_match_column_loop():

@@ -207,6 +207,15 @@ def test_kernel_validation():
         kernel(0.5, 20, 16)
 
 
+@pytest.mark.parametrize("order", [True, 2.0, 16.0, "16"])
+@pytest.mark.parametrize("j", [0, 1])
+def test_kernel_refuses_an_order_that_is_not_an_integer(j, order):
+    # the kernels' own rule: an order that is not an integer is a bad kernel spec
+    with pytest.raises(InvalidKernelSpecError, match=f"^order must be an integer, got {order!r}$"):
+        kernel(0.1, j, order)
+    assert np.array_equal(kernel(0.1, j, np.int64(16)).coeffs, kernel(0.1, j, 16).coeffs)
+
+
 def test_kernel_point_modulus_past_the_largest_double():
     # finite parts whose modulus overflows: complex abs raises OverflowError
     with pytest.raises(DiskDomainError, match="got [|]w[|] = inf$"):
