@@ -35,6 +35,7 @@ from .errors import (
 from .occupation import (
     Trajectory,
     _invalid_start,
+    _reproduction_gap,
     integrate_ode,
     liouville_occupation_residual,
     read_trajectory_csv,
@@ -221,6 +222,14 @@ def _trajectories_from_config(cfg: dict) -> Iterable[Trajectory]:
     _fail("trajectories", "either 'trajectories' or 'ode' must be given")
 
 
+def _keeping_first(trajectories: Iterable[Trajectory], kept: list):
+    """``trajectories`` as they come, read once; the first also goes into ``kept``."""
+    for traj in trajectories:
+        if not kept:
+            kept.append(traj)
+        yield traj
+
+
 def _certificate(name, residual, tolerance, formula, passed=None):
     return {
         "name": name,
@@ -329,18 +338,20 @@ def _cmd_dmd(cfg: dict, got: dict, out_dir: Path) -> dict:
         if not isinstance(times, list) or not times:
             _fail("predict.times", "must be a nonempty list of reals")
         times = [_number(t, f"predict.times[{k}]") for k, t in enumerate(times)]
-    # one pass: dmd.fit drops each orbit once its block of moments is done
-    model = dmd.fit(_trajectories_from_config(cfg), order=got["N"], ridge=ridge)
-    gram = model.gram
-    psd_defect = float(max(0.0, -np.min(np.linalg.eigvalsh(gram))))
-    psd_floor = 1e-12 * float(np.trace(gram).real)
-    del gram  # 16 m^2 bytes, the largest array: not held through the model write
+    # one pass: dmd.fit drops each orbit once its block of moments is done,
+    # except the first, which the reproduction check reads again
+    first = []
+    trajectories = _keeping_first(_trajectories_from_config(cfg), first)
+    model = dmd.fit(trajectories, order=got["N"], ridge=ridge)
+    residual, tolerance = _reproduction_gap(first[0], model.basis)
     certs = [
         _certificate(
-            "gram_positive_semidefinite",
-            psd_defect,
-            psd_floor,
-            "max(0, -min eig(G)) <= 1e-12 * trace(G)",
+            "occupation_kernel_reproduction",
+            residual,
+            tolerance,
+            "max_j |(S^H S)_0j - sum_t w_t Gamma_j(gamma_0(t))|, j in "
+            "{0, m // 2, m - 1}, <= 1e-12 * ||S_0|| * max_j ||S_j||",
+            passed=residual <= tolerance < math.inf,
         ),
         _certificate(
             "identity_observable_capture",

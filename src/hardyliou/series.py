@@ -60,13 +60,14 @@ def unit_circle_points(size: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(size) / size)
 
 
-def _integer_order(order, error=InvalidIndexError) -> int:
-    """``order`` itself; raises ``error`` unless it is an int or a NumPy integer.
+def _integer_order(order, error=InvalidIndexError, what="order") -> int:
+    """``order`` itself; raises ``error`` ("``what`` must be an integer")
+    unless it is an int or a NumPy integer.
 
     A ``bool`` is refused, and so is an integral float such as ``2.0``.
     """
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
-        raise error(f"order must be an integer, got {order!r}")
+        raise error(f"{what} must be an integer, got {order!r}")
     return order
 
 
@@ -226,8 +227,11 @@ class TaylorPolynomial:
 
 
 def monomial(degree: int, order: int | None = None) -> TaylorPolynomial:
-    """The monomial ``z**degree``, optionally padded to ``order >= degree >= 0``."""
-    if not degree >= 0:
+    """The monomial ``z**degree``, optionally padded to ``order >= degree >= 0``.
+
+    ``degree`` and ``order`` must be integers (:func:`_integer_order`).
+    """
+    if not _integer_order(degree, what="degree") >= 0:
         raise InvalidIndexError(f"degree must be at least 0, got {degree!r}")
     order = degree if order is None else order
     _require_order(order, degree)
@@ -318,12 +322,12 @@ def kernel(w: complex, j: int, order: int = DEFAULT_ORDER) -> TaylorPolynomial:
     The ``j``-th derivative kernel has coefficients
     ``n!/(n-j)! * conj(w)^(n-j)`` for ``n >= j``; ``j = 0`` is the geometric
     kernel ``1/(1 - conj(w) z)``.  ``w`` is checked by :func:`_kernel_point`;
-    an ``order`` that is not an integer (:func:`_integer_order`) or below
-    ``j`` raises :class:`InvalidKernelSpecError`.
+    a ``j`` or an ``order`` that is not an integer (:func:`_integer_order`),
+    a negative ``j`` or an ``order`` below ``j`` raises
+    :class:`InvalidKernelSpecError`.
     """
     w = _kernel_point(w)
-    j = int(j)
-    if j < 0:
+    if _integer_order(j, InvalidKernelSpecError, "derivative order") < 0:
         raise InvalidKernelSpecError("derivative order must be nonnegative")
     if j > _integer_order(order, InvalidKernelSpecError):
         raise InvalidKernelSpecError(

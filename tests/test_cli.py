@@ -4,6 +4,7 @@ Each test drives ``console_main`` with a config file in a temp directory and
 inspects the exit code, the printed certificate lines, and the JSON report.
 """
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -16,6 +17,7 @@ import pytest
 
 from hardyliou import (
     TaylorPolynomial,
+    Trajectory,
     acceptance,
     cli,
     adjoint_apply_boundary,
@@ -860,6 +862,109 @@ def test_dmd_command_ingests_each_path_once_in_config_order(tmp_path, monkeypatc
     assert [[a] if isinstance(a, str) else list(a) for a in calls] == [
         [path] for path in paths
     ]
+
+
+def test_dmd_command_holds_no_m_by_m_array(tmp_path):
+    # m = 1000 orbits of 11 samples at N = 2: one m x m complex array takes
+    # 16 m^2 bytes (the Gram of the old positive-semidefinite certificate);
+    # the reproduction check reads three columns of S and the first orbit
+    count = 1000
+    rng = np.random.default_rng(37)
+    times = np.linspace(0.0, 1.0, 11)
+    paths = []
+    for k in range(count):
+        points = 0.5 * rng.uniform(size=11) * np.exp(2j * np.pi * rng.uniform(size=11))
+        paths.append(str(tmp_path / f"orbit_{k:04d}.csv"))
+        write_trajectory_csv(Trajectory(times, points), paths[-1])
+    config = {"N": 2, "trajectories": paths, "tolerance": 1.0}
+    run("dmd", dict(config, trajectories=paths[:2]), tmp_path / "warm")
+    tracemalloc.start()
+    try:
+        code = run("dmd", config, tmp_path / "out")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * count**2
+
+
+def _non_real_batch_config(tmp_path):
+    # 12 orbits of zdot = 0.1 + 0.9z, none of them real: on a real first
+    # orbit a dropped conjugate leaves the reproducing property intact
+    f = TaylorPolynomial([0.1, 0.9])
+    paths = []
+    for k, r in enumerate((0.1, 0.2, 0.3)):
+        for j in range(4):
+            z0 = r * np.exp(2j * np.pi * (j + 0.5) / 4)
+            paths.append(str(tmp_path / f"orbit_{k}_{j}.csv"))
+            write_trajectory_csv(integrate_ode(f, z0, 1.0, 5e-3), paths[-1])
+    return {"N": 48, "trajectories": paths}
+
+
+def _dropped_conjugate(moments):
+    def plant(trajectories, count):
+        conjugated = [Trajectory(t.times, np.conj(t.points)) for t in trajectories]
+        return moments(conjugated, count)
+
+    return plant
+
+
+def _shifted_power(moments):
+    def plant(trajectories, count):
+        shifted, simpson = moments(trajectories, count + 1)
+        return shifted[:, 1:], simpson
+
+    return plant
+
+
+@pytest.mark.parametrize("plant", [None, _dropped_conjugate, _shifted_power])
+def test_reproduction_certificate_catches_planted_moment_errors(
+    tmp_path, capsys, monkeypatch, plant
+):
+    # a planted error in the moments that the identity capture misses
+    config = _non_real_batch_config(tmp_path)
+    if plant is not None:
+        monkeypatch.setattr(cli.dmd, "_conj_moments", plant(cli.dmd._conj_moments))
+    code, out = _run(tmp_path, "dmd", config)
+    reproduction, capture = _report(out, "dmd_report.json")["certificates"]
+    assert reproduction["name"] == "occupation_kernel_reproduction"
+    assert capture["passed"]
+    assert reproduction["passed"] is (plant is None)
+    assert code == (0 if plant is None else 1)
+    if plant is not None:
+        assert reproduction["residual"] > 0.1
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [(0, np.inf), (11, np.inf), (6, np.nan), (0, 1e300)],
+    ids=["inf_first", "inf_last", "nan_middle", "huge_first"],
+)
+def test_reproduction_certificate_fails_on_a_non_finite_basis_entry(
+    tmp_path, capsys, monkeypatch, column, value
+):
+    # fit refuses a basis that is not finite; planted after it, such an
+    # entry, or a finite one whose square overflows (residual and tolerance
+    # both inf), must fail the certificate, and the report stays strict JSON
+    fit = cli.dmd.fit
+
+    def planted(*args, **kwargs):
+        model = fit(*args, **kwargs)
+        basis = np.array(model.basis)
+        basis[5, column] = value
+        digests = list(model.trajectory_digests)
+        return dataclasses.replace(model, basis=basis, trajectories=digests)
+
+    monkeypatch.setattr(cli.dmd, "fit", planted)
+    code, out = _run(tmp_path, "dmd", _non_real_batch_config(tmp_path))
+    assert code == 1
+    text = (out / "dmd_report.json").read_text()
+    reproduction = json.loads(text, parse_constant=pytest.fail)["certificates"][0]
+    assert reproduction["name"] == "occupation_kernel_reproduction"
+    assert not reproduction["passed"]
+    assert reproduction["tolerance"] in ("infinite", "nan")
+    if value == 1e300:
+        assert reproduction["residual"] == reproduction["tolerance"] == "infinite"
 
 
 def test_bounds_writes_profile_csv(tmp_path):

@@ -112,9 +112,10 @@ CONTRACT = {
         {"N": 8, "ridge_requested": None},
         [
             (
-                "gram_positive_semidefinite",
+                "occupation_kernel_reproduction",
                 None,
-                "max(0, -min eig(G)) <= 1e-12 * trace(G)",
+                "max_j |(S^H S)_0j - sum_t w_t Gamma_j(gamma_0(t))|, j in "
+                "{0, m // 2, m - 1}, <= 1e-12 * ||S_0|| * max_j ||S_j||",
             ),
             (
                 "identity_observable_capture",

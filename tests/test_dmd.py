@@ -5,6 +5,7 @@ import gc
 import hashlib
 import inspect
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -701,6 +702,35 @@ def test_compress_on_a_column_slice_matches_fit_on_the_sub_batch(order):
                 continue
             got = dmd._compress(sub_basis, sub_targets, sub_sources, ridge)
             assert got.to_json() == expected
+
+
+def _circle_batch(count, radius, simpson, samples=101):
+    # orbits on |z| = radius turning at rates 1, 2, ...: uniform times with an
+    # even interval count take Simpson, jittered times the trapezoid rule
+    rng = np.random.default_rng(37)
+    batch = []
+    for k in range(count):
+        if simpson:
+            times = np.linspace(0.0, 1.0 + 0.1 * k, samples)
+        else:
+            times = np.cumsum(rng.uniform(0.5, 1.5, samples)) / samples
+        angles = rng.uniform(0.0, 2.0 * np.pi) + (1.0 + k) * times
+        batch.append(Trajectory(times, radius * np.exp(1j * angles)))
+    return batch
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 40])
+@pytest.mark.parametrize("rule", ["simpson", "trapezoid"])
+@pytest.mark.parametrize("radius", [0.99, 0.998])
+@pytest.mark.parametrize("order", [16, 1024, 4096])
+def test_reproduction_check_passes_near_the_circle(order, radius, rule, count):
+    # no false failure where Horner's rule and the moments round the most:
+    # high orders on orbits close to |z| = 1
+    batch = _circle_batch(count, radius, rule == "simpson")
+    assert occupation.occupation_kernel(batch[0], 0).quadrature == rule
+    basis, _, _ = dmd._snapshot_matrices(batch, order)
+    residual, tolerance = occupation._reproduction_gap(batch[0], basis)
+    assert residual <= tolerance < math.inf
 
 
 def test_wide_batch_fit_stacks_one_block_of_moments():

@@ -87,6 +87,19 @@ def test_monomial():
             monomial(*args)
 
 
+@pytest.mark.parametrize("order", [None, 5])
+@pytest.mark.parametrize(
+    "degree", [2.0, 2.5, True, "2"], ids=["integral_float", "half", "true", "str"]
+)
+def test_monomial_refuses_a_degree_that_is_not_an_integer(degree, order):
+    # the degree's own rule, checked before the order it defaults
+    message = f"^degree must be an integer, got {re.escape(repr(degree))}$"
+    with pytest.raises(InvalidIndexError, match=message):
+        monomial(degree, order)
+    expected = monomial(2, order).coeffs
+    assert np.array_equal(monomial(np.int64(2), order).coeffs, expected)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -214,6 +227,19 @@ def test_kernel_refuses_an_order_that_is_not_an_integer(j, order):
     with pytest.raises(InvalidKernelSpecError, match=f"^order must be an integer, got {order!r}$"):
         kernel(0.1, j, order)
     assert np.array_equal(kernel(0.1, j, np.int64(16)).coeffs, kernel(0.1, j, 16).coeffs)
+
+
+@pytest.mark.parametrize(
+    "j",
+    [1.5, 1.0, True, False, "1", np.float64(1.0)],
+    ids=["half", "integral_float", "true", "false", "str", "np_float"],
+)
+def test_kernel_refuses_a_derivative_order_that_is_not_an_integer(j):
+    # int(j) once read 1.5 and True as the j = 1 kernel
+    message = f"^derivative order must be an integer, got {re.escape(repr(j))}$"
+    with pytest.raises(InvalidKernelSpecError, match=message):
+        kernel(0.1, j, 4)
+    assert np.array_equal(kernel(0.1, np.int64(1), 4).coeffs, kernel(0.1, 1, 4).coeffs)
 
 
 def test_kernel_point_modulus_past_the_largest_double():
