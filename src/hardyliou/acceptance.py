@@ -112,19 +112,25 @@ def _standard_model() -> dmd.DmdModel:
     return model
 
 
+def _result(index, name, residual, tolerance, detail, holds=True) -> CriterionResult:
+    """The pass rule of every criterion: ``residual`` is within ``tolerance``
+    and ``holds``, every other bound the criterion reports in ``detail``."""
+    return CriterionResult(
+        index=index,
+        name=name,
+        passed=bool(residual <= tolerance and holds),
+        residual=float(residual),
+        tolerance=float(tolerance),
+        detail=detail,
+    )
+
+
 def criterion_1() -> CriterionResult:
     """Spectrum of differentiation scaled by z equals 0..N exactly."""
     order = 64
     values = eigendecompose(liouville_matrix(monomial(1), order)).values
-    residual = float(np.max(np.abs(values - np.arange(order + 1))))
-    return CriterionResult(
-        index=1,
-        name="monomial spectrum",
-        passed=residual <= 1e-12,
-        residual=residual,
-        tolerance=1e-12,
-        detail={"order": order},
-    )
+    residual = np.max(np.abs(values - np.arange(order + 1)))
+    return _result(1, "monomial spectrum", residual, 1e-12, {"order": order})
 
 
 def criterion_2() -> CriterionResult:
@@ -143,74 +149,43 @@ def criterion_2() -> CriterionResult:
     # direct beta-independence: the first case's alpha at another constant
     spec_b = eigendecompose(liouville_matrix(TaylorPolynomial([0.1, 1.0]), order)).values
     worst = max(worst, float(np.max(np.abs(spectra[0] - spec_b))))
-    return CriterionResult(
-        index=2,
-        name="affine spectrum",
-        passed=worst <= 1e-10,
-        residual=worst,
-        tolerance=1e-10,
-        detail={"cases": len(cases), "order": order},
-    )
+    detail = {"cases": len(cases), "order": order}
+    return _result(2, "affine spectrum", worst, 1e-10, detail)
 
 
 def criterion_3() -> CriterionResult:
     """Boundary adjoint route equals the conjugate-transpose oracle."""
     order, size, n_cases = 64, 512, 100
     worst = adjoint_battery(order, size, n_cases, seed=0)
-    return CriterionResult(
-        index=3,
-        name="adjoint dual route",
-        passed=worst <= 1e-8,
-        residual=worst,
-        tolerance=1e-8,
-        detail={"cases": n_cases, "order": order, "boundary_size": size},
-    )
+    detail = {"cases": n_cases, "order": order, "boundary_size": size}
+    return _result(3, "adjoint dual route", worst, 1e-8, detail)
 
 
 def criterion_4() -> CriterionResult:
     """Occupation-kernel adjoint identity plus quadrature convergence order."""
-    f = monomial(1)
-    residual = liouville_occupation_residual(
-        f, integrate_ode(f, 0.2, 1.0, 1e-3), 80
+    f, order_requirement = monomial(1), 3.5
+    # the fine step is judged; the two coarse steps give the observed order
+    residual, *errs = (
+        liouville_occupation_residual(f, integrate_ode(f, 0.2, 1.0, dt), 80)
+        for dt in (1e-3, 0.02, 0.01)
     )
-    errs = []
-    for dt in (0.02, 0.01):
-        errs.append(
-            liouville_occupation_residual(
-                f, integrate_ode(f, 0.2, 1.0, dt), 80
-            )
-        )
     observed_order = float(np.log2(errs[0] / errs[1]))
-    passed = residual <= 1e-6 and observed_order >= 3.5
-    return CriterionResult(
-        index=4,
-        name="occupation identity",
-        passed=passed,
-        residual=float(residual),
-        tolerance=1e-6,
-        detail={
-            "observed_order": observed_order,
-            "order_requirement": 3.5,
-            "coarse_residuals": errs,
-        },
-    )
+    detail = {
+        "observed_order": observed_order,
+        "order_requirement": order_requirement,
+        "coarse_residuals": errs,
+    }
+    holds = observed_order >= order_requirement
+    return _result(4, "occupation identity", residual, 1e-6, detail, holds)
 
 
 def criterion_5() -> CriterionResult:
     """Weighted occupation-kernel adjoint identity."""
-    f = monomial(1)
-    phi = monomial(2)
+    f, order = monomial(1), 80
     residual = weighted_occupation_residual(
-        f, phi, integrate_ode(f, 0.2, 1.0, 1e-3), 80
+        f, monomial(2), integrate_ode(f, 0.2, 1.0, 1e-3), order
     )
-    return CriterionResult(
-        index=5,
-        name="weighted occupation identity",
-        passed=residual <= 1e-6,
-        residual=float(residual),
-        tolerance=1e-6,
-        detail={"order": 80},
-    )
+    return _result(5, "weighted occupation identity", residual, 1e-6, {"order": order})
 
 
 def criterion_6() -> CriterionResult:
@@ -234,14 +209,8 @@ def criterion_6() -> CriterionResult:
                     worst,
                     float(np.linalg.norm(image.coeffs - lam * hk.coeffs)),
                 )
-    return CriterionResult(
-        index=6,
-        name="monomial eigenfunctions",
-        passed=worst <= 1e-8,
-        residual=worst,
-        tolerance=1e-8,
-        detail={"anchor_gap": anchor, "order": order},
-    )
+    detail = {"anchor_gap": anchor, "order": order}
+    return _result(6, "monomial eigenfunctions", worst, 1e-8, detail)
 
 
 def criterion_7() -> CriterionResult:
@@ -254,19 +223,13 @@ def criterion_7() -> CriterionResult:
     for member in basis:
         image = Astar.apply(member)
         worst = max(worst, float(norm(image) / norm(member)))
-    return CriterionResult(
-        index=7,
-        name="zero eigenspace",
-        passed=worst <= 1e-8,
-        residual=worst,
-        tolerance=1e-8,
-        detail={"order": order, "dimension": len(basis)},
-    )
+    detail = {"order": order, "dimension": len(basis)}
+    return _result(7, "zero eigenspace", worst, 1e-8, detail)
 
 
 def criterion_8() -> CriterionResult:
     """Hermitian defect vanishes exactly for real multiples of z only."""
-    order = 64
+    order, floor = 64, 1e-3
     clean = 0.0
     for c in (1.0, 2.0, -0.7):
         clean = max(
@@ -288,22 +251,17 @@ def criterion_8() -> CriterionResult:
         )
     )
     min_perturbed = float(np.min(perturbed))
-    passed = clean <= 1e-14 and min_perturbed > 1e-3
-    return CriterionResult(
-        index=8,
-        name="self-adjointness classification",
-        passed=passed,
-        residual=clean,
-        tolerance=1e-14,
-        detail={"min_perturbed_defect": min_perturbed, "floor": 1e-3},
-    )
+    detail = {"min_perturbed_defect": min_perturbed, "floor": floor}
+    holds = min_perturbed > floor
+    return _result(8, "self-adjointness classification", clean, 1e-14, detail, holds)
 
 
 def criterion_9() -> CriterionResult:
     """Hilbert-Schmidt norm: Frobenius route equals boundary quadrature."""
-    order = 64
-    anchor = hs_norm(monomial(0), TaylorPolynomial([0, 0.5]), order)
-    anchor_gap = abs(anchor.frobenius_sq - 20.0 / 27.0)
+    order, anchor, battery_tolerance = 64, 20.0 / 27.0, 1e-8
+    anchor_gap = abs(
+        hs_norm(monomial(0), TaylorPolynomial([0, 0.5]), order).frobenius_sq - anchor
+    )
     battery = [
         (TaylorPolynomial([0, 1.0]), TaylorPolynomial([0, 0.8])),
         (TaylorPolynomial([0.5, 0.1]), TaylorPolynomial([0, 0.3, 0.3])),
@@ -316,24 +274,18 @@ def criterion_9() -> CriterionResult:
         worst_gap = max(
             worst_gap, abs(result.frobenius_sq - result.quadrature_sq)
         )
-    passed = anchor_gap <= 1e-10 and worst_gap <= 1e-8
-    return CriterionResult(
-        index=9,
-        name="Hilbert-Schmidt dual route",
-        passed=passed,
-        residual=float(anchor_gap),
-        tolerance=1e-10,
-        detail={
-            "battery_gap": worst_gap,
-            "battery_tolerance": 1e-8,
-            "anchor": 20.0 / 27.0,
-        },
-    )
+    detail = {
+        "battery_gap": worst_gap,
+        "battery_tolerance": battery_tolerance,
+        "anchor": anchor,
+    }
+    holds = worst_gap <= battery_tolerance
+    return _result(9, "Hilbert-Schmidt dual route", anchor_gap, 1e-10, detail, holds)
 
 
 def criterion_10() -> CriterionResult:
     """Smirnov modulus identity and outer-function roundtrip."""
-    size, order = 1024, 256
+    size, order, roundtrip_tolerance = 1024, 256, 1e-8
     z = unit_circle_points(size)
     # outer roundtrip on two analytic moduli
     roundtrip = 0.0
@@ -351,37 +303,25 @@ def criterion_10() -> CriterionResult:
         f = TaylorPolynomial(coeffs)
         pair = smirnov_decompose(to_boundary(f, size), order)
         defect = max(defect, pair.defect)
-    passed = defect <= 1e-10 and roundtrip <= 1e-8
-    return CriterionResult(
-        index=10,
-        name="Smirnov decomposition",
-        passed=passed,
-        residual=float(defect),
-        tolerance=1e-10,
-        detail={"roundtrip_error": roundtrip, "roundtrip_tolerance": 1e-8},
-    )
+    detail = {"roundtrip_error": roundtrip, "roundtrip_tolerance": roundtrip_tolerance}
+    holds = roundtrip <= roundtrip_tolerance
+    return _result(10, "Smirnov decomposition", defect, 1e-10, detail, holds)
 
 
 def criterion_11() -> CriterionResult:
     """Eigenfunction flow relation along integrated trajectories."""
-    f = monomial(1)
-    traj = integrate_ode(f, 0.2, 1.0, 1e-4)
+    f, dt, powers = monomial(1), 1e-4, [1, 2, 3, 4, 5]
+    traj = integrate_ode(f, 0.2, 1.0, dt)
     worst = 0.0
-    for n in range(1, 6):
+    for n in powers:
         worst = max(worst, flow_check(f, monomial(n), float(n), traj))
-    return CriterionResult(
-        index=11,
-        name="flow relation",
-        passed=worst <= 1e-8,
-        residual=worst,
-        tolerance=1e-8,
-        detail={"dt": 1e-4, "powers": [1, 2, 3, 4, 5]},
-    )
+    return _result(11, "flow relation", worst, 1e-8, {"dt": dt, "powers": powers})
 
 
 def criterion_12() -> CriterionResult:
     """Trajectory-driven compression recovers the spectrum and forecasts."""
     start = time.monotonic()
+    predict_tolerance, runtime_limit = 1e-3, 60.0
     model = _standard_model()
     ranked = np.argsort(model.mode_residuals)
     leading = model.eigenvalues[ranked[:3]]
@@ -402,44 +342,34 @@ def criterion_12() -> CriterionResult:
             abs(dmd.predict(model, z0, t) - complex(reference.points[k])),
         )
     elapsed = time.monotonic() - start
-    passed = spectrum_gap <= 1e-2 and predict_gap <= 1e-3 and elapsed <= 60.0
-    return CriterionResult(
-        index=12,
-        name="data-driven spectrum and forecast",
-        passed=passed,
-        residual=float(spectrum_gap),
-        tolerance=1e-2,
-        detail={
-            "predict_gap": float(predict_gap),
-            "predict_tolerance": 1e-3,
-            "runtime_limit": 60.0,
-            "n_trajectories": model.n_trajectories,
-        },
-    )
+    detail = {
+        "predict_gap": float(predict_gap),
+        "predict_tolerance": predict_tolerance,
+        "runtime_limit": runtime_limit,
+        "n_trajectories": model.n_trajectories,
+    }
+    holds = predict_gap <= predict_tolerance and elapsed <= runtime_limit
+    name = "data-driven spectrum and forecast"
+    return _result(12, name, spectrum_gap, 1e-2, detail, holds)
 
 
 def criterion_13() -> CriterionResult:
     """Boundedness probe flags: contraction bounded, identity unbounded."""
     bounded = boundedness_bound(monomial(0), TaylorPolynomial([0, 0.5]))
     unbounded = boundedness_bound(monomial(0), monomial(1))
-    passed = (
+    detail = {
+        "bounded_supremum": float(bounded.supremum),
+        "unbounded_supremum": float(unbounded.supremum),
+        "bounded_diverges": bounded.diverges,
+        "unbounded_diverges": unbounded.diverges,
+    }
+    # the residual passes any finite supremum; its flags decide the criterion
+    holds = (
         not bounded.diverges
-        and np.isfinite(bounded.supremum)
+        and math.isfinite(bounded.supremum)
         and unbounded.diverges
     )
-    return CriterionResult(
-        index=13,
-        name="boundedness probes",
-        passed=passed,
-        residual=float(bounded.supremum),
-        tolerance=float("inf"),
-        detail={
-            "bounded_supremum": float(bounded.supremum),
-            "unbounded_supremum": float(unbounded.supremum),
-            "bounded_diverges": bounded.diverges,
-            "unbounded_diverges": unbounded.diverges,
-        },
-    )
+    return _result(13, "boundedness probes", bounded.supremum, math.inf, detail, holds)
 
 
 _CRITERIA = (

@@ -223,10 +223,15 @@ def _trajectories_from_config(cfg: dict) -> Iterable[Trajectory]:
 
 
 def _keeping_first(trajectories: Iterable[Trajectory], kept: list):
-    """``trajectories`` as they come, read once; the first also goes into ``kept``."""
-    for traj in trajectories:
-        if not kept:
-            kept.append(traj)
+    """``trajectories`` as they come, read once; ``kept`` holds ``[column,
+    orbit]`` of the first orbit with a non-real sample, or of the first orbit
+    if every orbit is real.  Once it holds a non-real orbit it tests no more."""
+    real = True  # every orbit so far is real
+    for column, traj in enumerate(trajectories):
+        if real:
+            real = not traj.points.imag.any()
+            if not real or not kept:
+                kept[:] = [column, traj]
         yield traj
 
 
@@ -339,18 +344,20 @@ def _cmd_dmd(cfg: dict, got: dict, out_dir: Path) -> dict:
             _fail("predict.times", "must be a nonempty list of reals")
         times = [_number(t, f"predict.times[{k}]") for k, t in enumerate(times)]
     # one pass: dmd.fit drops each orbit once its block of moments is done,
-    # except the first, which the reproduction check reads again
-    first = []
-    trajectories = _keeping_first(_trajectories_from_config(cfg), first)
+    # except the reference orbit, which the reproduction check reads again
+    kept = []
+    trajectories = _keeping_first(_trajectories_from_config(cfg), kept)
     model = dmd.fit(trajectories, order=got["N"], ridge=ridge)
-    residual, tolerance = _reproduction_gap(first[0], model.basis)
+    column, reference = kept
+    residual, tolerance = _reproduction_gap(reference, model.basis, column)
     certs = [
         _certificate(
             "occupation_kernel_reproduction",
             residual,
             tolerance,
-            "max_j |(S^H S)_0j - sum_t w_t Gamma_j(gamma_0(t))|, j in "
-            "{0, m // 2, m - 1}, <= 1e-12 * ||S_0|| * max_j ||S_j||",
+            "max_j |(S^H S)_rj - sum_t w_t Gamma_j(gamma_r(t))|, j in "
+            "{r, m // 2, m - 1}, r the first orbit with a non-real sample "
+            "(0 if none), <= 1e-12 * ||S_r|| * max_j ||S_j||",
             passed=residual <= tolerance < math.inf,
         ),
         _certificate(

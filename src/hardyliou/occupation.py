@@ -532,30 +532,32 @@ def _conj_moments(trajectories, count: int) -> tuple[np.ndarray, np.ndarray]:
     return moments, simpson
 
 
-# relative to the Cauchy-Schwarz bound ||S_0|| ||S_j|| on <Gamma_j, Gamma_0>;
+# relative to the Cauchy-Schwarz bound ||S_r|| ||S_j|| on <Gamma_j, Gamma_r>;
 # the two routes agreed to 1e-14 of that bound up to N = 4096 on orbits out
 # to |z| = 0.998 (tests/test_dmd.py)
 _REPRODUCTION_RTOL = 1e-12
 
 
-def _reproduction_gap(trajectory: Trajectory, basis) -> tuple[float, float]:
+def _reproduction_gap(
+    trajectory: Trajectory, basis, column: int = 0
+) -> tuple[float, float]:
     """``(residual, tolerance)`` of the reproducing property of occupation
-    kernels, ``<g, Gamma_0> = sum_t w_t g(gamma_0(t))``, on a batch's basis.
+    kernels, ``<g, Gamma_r> = sum_t w_t g(gamma_r(t))``, on a batch's basis.
 
     ``basis`` is ``S`` ((N+1) x m): column j holds the moments
-    (:func:`_conj_moments`) of orbit j, and column 0 those of
-    ``trajectory``, gamma_0.  For j in {0, m // 2, m - 1} two routes give
-    ``<Gamma_j, Gamma_0>``: the Gram entry ``(S^H S)_0j``, a sum over the
-    N + 1 coefficients, and the quadrature ``sum_t w_t Gamma_j(gamma_0(t))``
-    with gamma_0's weights ``w`` (:func:`_quadrature_rows`), each
-    ``Gamma_j`` evaluated on gamma_0's samples by Horner's rule.  The
+    (:func:`_conj_moments`) of orbit j, and column r = ``column`` those of
+    ``trajectory``, gamma_r.  For j in {r, m // 2, m - 1} two routes give
+    ``<Gamma_j, Gamma_r>``: the Gram entry ``(S^H S)_rj``, a sum over the
+    N + 1 coefficients, and the quadrature ``sum_t w_t Gamma_j(gamma_r(t))``
+    with gamma_r's weights ``w`` (:func:`_quadrature_rows`), each
+    ``Gamma_j`` evaluated on gamma_r's samples by Horner's rule.  The
     residual is the largest gap; the tolerance is
-    ``1e-12 ||S_0|| max_j ||S_j||``.  A shifted power in the moments breaks
-    the identity, and so does a dropped conjugate unless gamma_0 is real.
-    The cost is O(N T) for the T samples of gamma_0.  A basis entry that is
+    ``1e-12 ||S_r|| max_j ||S_j||``.  A shifted power in the moments breaks
+    the identity, and so does a dropped conjugate unless gamma_r is real.
+    The cost is O(N T) for the T samples of gamma_r.  A basis entry that is
     not finite makes the residual or the tolerance not finite.
     """
-    columns = sorted({0, basis.shape[1] // 2, basis.shape[1] - 1})
+    columns = sorted({column, basis.shape[1] // 2, basis.shape[1] - 1})
     picked = basis[:, columns]
     weights = np.zeros((1, trajectory.times.size))
     _quadrature_rows(trajectory.times[None, :], weights)
@@ -564,9 +566,9 @@ def _reproduction_gap(trajectory: Trajectory, basis) -> tuple[float, float]:
         for row in picked[::-1, :, None]:  # Horner, every picked column at once
             values *= trajectory.points
             values += row
-        gaps = np.abs(basis[:, 0].conj() @ picked - values @ weights[0])
+        gaps = np.abs(basis[:, column].conj() @ picked - values @ weights[0])
         norms = np.linalg.norm(picked, axis=0)
-        tolerance = _REPRODUCTION_RTOL * norms[0] * np.max(norms)
+        tolerance = _REPRODUCTION_RTOL * norms[columns.index(column)] * np.max(norms)
     return float(np.max(gaps)), float(tolerance)
 
 

@@ -888,14 +888,17 @@ def test_dmd_command_holds_no_m_by_m_array(tmp_path):
     assert peak < 4 * count**2
 
 
-def _non_real_batch_config(tmp_path):
-    # 12 orbits of zdot = 0.1 + 0.9z, none of them real: on a real first
-    # orbit a dropped conjugate leaves the reproducing property intact
+def _non_real_batch_config(tmp_path, first_start=None):
+    # 12 orbits of zdot = 0.1 + 0.9z, none of them real unless the first
+    # starts at a real ``first_start``: on a real orbit a dropped conjugate
+    # leaves the reproducing property intact
     f = TaylorPolynomial([0.1, 0.9])
     paths = []
     for k, r in enumerate((0.1, 0.2, 0.3)):
         for j in range(4):
             z0 = r * np.exp(2j * np.pi * (j + 0.5) / 4)
+            if first_start is not None and not paths:
+                z0 = first_start
             paths.append(str(tmp_path / f"orbit_{k}_{j}.csv"))
             write_trajectory_csv(integrate_ode(f, z0, 1.0, 5e-3), paths[-1])
     return {"N": 48, "trajectories": paths}
@@ -917,12 +920,27 @@ def _shifted_power(moments):
     return plant
 
 
-@pytest.mark.parametrize("plant", [None, _dropped_conjugate, _shifted_power])
+_PLANTS = [None, _dropped_conjugate, _shifted_power]
+
+
+@pytest.mark.parametrize(
+    "plant, first_start",
+    [(plant, None) for plant in _PLANTS] + [(plant, 0.1) for plant in _PLANTS],
+    ids=[
+        "None",
+        "_dropped_conjugate",
+        "_shifted_power",
+        "None-real_first",
+        "_dropped_conjugate-real_first",
+        "_shifted_power-real_first",
+    ],
+)
 def test_reproduction_certificate_catches_planted_moment_errors(
-    tmp_path, capsys, monkeypatch, plant
+    tmp_path, capsys, monkeypatch, plant, first_start
 ):
-    # a planted error in the moments that the identity capture misses
-    config = _non_real_batch_config(tmp_path)
+    # a planted error in the moments that the identity capture misses; with a
+    # real first orbit the check reads the first non-real one instead
+    config = _non_real_batch_config(tmp_path, first_start)
     if plant is not None:
         monkeypatch.setattr(cli.dmd, "_conj_moments", plant(cli.dmd._conj_moments))
     code, out = _run(tmp_path, "dmd", config)

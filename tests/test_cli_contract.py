@@ -114,8 +114,9 @@ CONTRACT = {
             (
                 "occupation_kernel_reproduction",
                 None,
-                "max_j |(S^H S)_0j - sum_t w_t Gamma_j(gamma_0(t))|, j in "
-                "{0, m // 2, m - 1}, <= 1e-12 * ||S_0|| * max_j ||S_j||",
+                "max_j |(S^H S)_rj - sum_t w_t Gamma_j(gamma_r(t))|, j in "
+                "{r, m // 2, m - 1}, r the first orbit with a non-real sample "
+                "(0 if none), <= 1e-12 * ||S_r|| * max_j ||S_j||",
             ),
             (
                 "identity_observable_capture",
